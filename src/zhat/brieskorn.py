@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import SpinCRep, ZhatResult
-from .errors import ExcludedTriple, InvalidFraction, InvalidTriple
+from .errors import ConsistencyError, ExcludedTriple, InvalidFraction, InvalidTriple
 from .plumbing import PlumbingGraph
 from .qseries import QSeries, false_theta
 
@@ -94,7 +94,8 @@ def solve_seifert_data(b1: int, b2: int, b3: int) -> tuple[int, int, int, int]:
     a = [(-pow(p // bi, -1, bi)) % bi for bi in (b1, b2, b3)]
     rest = (p // b1) * a[0] + (p // b2) * a[1] + (p // b3) * a[2]
     b, r = divmod(-1 - rest, p)
-    assert r == 0, "Seifert equation must close exactly"
+    if r != 0:
+        raise ConsistencyError(f"Seifert equation of ({b1}, {b2}, {b3}) leaves remainder {r} mod {p}")
     return b, a[0], a[1], a[2]
 
 
@@ -167,11 +168,7 @@ def _terminal_indices(leg_fractions) -> list[int]:
 
 def leg_determinants(g: PlumbingGraph, leg_fractions) -> tuple[int, int, int]:
     """h_i = |det| of the linking matrix after deleting leg i's terminal vertex."""
-    hs = []
-    for t in _terminal_indices(leg_fractions):
-        det = g.delete_vertex(t).linking_matrix().determinant()
-        hs.append(abs(int(det)))
-    return tuple(hs)
+    return tuple(abs(g.delete_vertex(t).elimination().det) for t in _terminal_indices(leg_fractions))
 
 
 def compute_xi_delta0(
@@ -184,10 +181,8 @@ def compute_xi_delta0(
     b1, b2, b3 = b
     if (b1, b2, b3) == (2, 3, 5):
         raise ExcludedTriple("the closed form needs an extra term for (2, 3, 5)")
-    s = g.vertex_count
-    tr = g.linking_matrix().trace()
     xi = (
-        sum(h) - 3 * s - tr
+        sum(h) - 3 * g.vertex_count - sum(g.weights)
         - Fraction(b2 * b3, b1) - Fraction(b1 * b3, b2) - Fraction(b1 * b2, b3)
     ) / 4
     p = b1 * b2 * b3
@@ -219,7 +214,8 @@ def brieskorn_data(b1: int, b2: int, b3: int, seifert_override=None) -> Brieskor
     else:
         b, a1, a2, a3 = solve_seifert_data(b1, b2, b3)
     legs = _leg_fractions((b1, b2, b3), (a1, a2, a3))
-    assert all(len(f) >= 1 for f in legs)  # a_i >= 1 and b_i >= 2 force nonempty legs
+    if not all(legs):  # a_i >= 1 and b_i >= 2 force nonempty legs
+        raise ConsistencyError(f"empty leg in the star plumbing of ({b1}, {b2}, {b3})")
     g = build_plumbing_from_legs(b, legs)
     h = leg_determinants(g, legs)
     xi, delta0 = compute_xi_delta0((b1, b2, b3), h, g)
@@ -240,7 +236,7 @@ def zhat0_brieskorn(b1: int, b2: int, b3: int, order, data: BrieskornData | None
     a1 = d.alphas[0]
     shift = Fraction(a1 * a1, 4 * p)
     abs_order = shift + order
-    combo = QSeries.zero(abs_order, 4 * p)
+    combo = QSeries.zero(abs_order)
     for alpha, sign in zip(d.alphas, (1, -1, -1, 1)):
         combo = combo + false_theta(p, alpha, abs_order).scale(sign)
     tail = combo.shift_exponent(-shift)
@@ -267,5 +263,6 @@ def tail_order_for_terms(b1: int, b2: int, b3: int, count: int) -> int:
         shell += 1
     exps = sorted(set(exps))
     target = exps[count - 1]
-    assert target.denominator == 1
+    if target.denominator != 1:
+        raise ConsistencyError(f"tail exponent {target} of ({b1}, {b2}, {b3}) is not an integer")
     return int(target)

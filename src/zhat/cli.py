@@ -232,7 +232,10 @@ def _cmd_check(args, out) -> int:
 
 
 def _cmd_report(args, out) -> int:
-    rep = counterexample_report(order=int(args.order))
+    order = _parse_order(args.order)
+    if order.denominator != 1:
+        raise ZhatError(f"report needs an integer order, got {args.order!r}")
+    rep = counterexample_report(order=int(order))
     sharp = sharpness_analysis()
     if args.format == "json":
         _emit(_envelope("report", {}, {"counterexample": rep, "sharpness": sharp}, None), out)

@@ -22,6 +22,7 @@ from typing import Sequence
 
 from .brieskorn import brieskorn_data, tail_order_for_terms, zhat0_brieskorn
 from .engine import compute_zhat
+from .errors import ConsistencyError
 from .plumbing import PlumbingGraph
 from .qseries import QSeries
 
@@ -223,7 +224,8 @@ def sharpness_analysis() -> dict:
         delta0 = brieskorn_data(*triple).delta0
         # d = d(S^3) = 0 for these: homology cobordant to S^3 (external result)
         offsets[triple] = mod1_offset(delta0, 0)
-    assert all(off.denominator == 1 for off in offsets.values())
+    if any(off.denominator != 1 for off in offsets.values()):
+        raise ConsistencyError(f"delta0 offsets {offsets} are not all integers")
     g = math.gcd(*(abs(int(off)) for off in offsets.values()))
     admissible = sorted(x for x in range(1, g + 1) if g % x == 0)
     datum = SURGERY_SHARPNESS_DATUM

@@ -27,11 +27,9 @@ from typing import Iterator, Sequence
 
 from .errors import EmptySeries, NotNegativeDefinite, SingularMatrix
 from .exact import (
-    DefinitenessClass,
     ExactMatrix,
     _ldl_ordered,
     _range_under_quadratic,
-    classify_definiteness,
     is_negative_definite,
     smith_normal_form,
 )
@@ -189,58 +187,49 @@ def _fp_enumerate(
     yield from rec(0, budget)
 
 
-def _enumerate_support(
-    n_form: ExactMatrix,
-    windows: list,
-    bound: Fraction,
-    high: Sequence[int],
-    weakly: bool,
-) -> Iterator[tuple[int, ...]]:
-    """Window-feasible vectors l with l^T n_form l <= bound.
+class _SupportForm:
+    """The form n_form = -M^{-1} of one computation, factored once so that
+    every enumeration pass (each bound escalation) reuses the factors.
 
-    ``n_form`` is -M^{-1}.  In the negative definite case the form is
-    positive definite and one recursive walk covers all coordinates.  In
-    the weakly negative definite case only its principal block on the
-    degree >= 3 coordinates is positive definite, so the finitely many
-    low-degree assignments are enumerated outright and the block form is
-    walked per assignment.
+    In the negative definite case the form is positive definite and one
+    LDL factorization covers all coordinates.  In the weakly negative
+    definite case only its principal block on the degree >= 3
+    coordinates ``high`` (nonempty) is positive definite; that block is
+    factored and inverted, the finitely many low-degree assignments are
+    enumerated outright and the block form is walked per assignment.
     """
-    s = n_form.size
-    if not weakly:
-        d, u = _ldl_ordered(n_form, list(range(s)))
-        yield from _fp_enumerate(d, u, [Fraction(0)] * s, windows, bound)
-        return
-    low = [v for v in range(s) if v not in set(high)]
-    high = list(high)
-    if not high:
-        for combo in itertools.product(*[w[1] for w in (windows[v] for v in low)]):
-            l = [0] * s
-            for v, x in zip(low, combo):
-                l[v] = x
-            q = _quad_value(n_form, l)
-            if q <= bound:
+
+    def __init__(self, n_form: ExactMatrix, high: Sequence[int], weakly: bool):
+        self.n_form = n_form
+        self.high = list(high)
+        self.weakly = weakly
+        block = n_form.submatrix(self.high) if weakly else n_form
+        self.block_inverse = block.inverse() if weakly else None
+        self.ldl = _ldl_ordered(block, list(range(block.size)))
+
+    def enumerate(self, windows: list, bound: Fraction) -> Iterator[tuple[int, ...]]:
+        """Window-feasible vectors l with l^T n_form l <= bound."""
+        n_form, high = self.n_form, self.high
+        s = n_form.size
+        d, u = self.ldl
+        if not self.weakly:
+            yield from _fp_enumerate(d, u, [Fraction(0)] * s, windows, bound)
+            return
+        low = [v for v in range(s) if v not in set(high)]
+        for combo in itertools.product(*[windows[v][1] for v in low]):
+            lf = dict(zip(low, combo))
+            b = [sum(n_form.rows[h][v] * lf[v] for v in low) for h in high]
+            c0 = sum(n_form.rows[v][w] * lf[v] * lf[w] for v in low for w in low)
+            center = [-x for x in self.block_inverse.matvec(b)]
+            # q0 = c0 - b^T nhh^{-1} b
+            q0 = c0 + sum(bi * ci for bi, ci in zip(b, center))
+            for xs in _fp_enumerate(d, u, center, [windows[h] for h in high], bound - q0):
+                l = [0] * s
+                for v in low:
+                    l[v] = lf[v]
+                for h, x in zip(high, xs):
+                    l[h] = x
                 yield tuple(l)
-        return
-    nhh = n_form.submatrix(high)
-    nhh_inv = nhh.inverse()
-    d, u = _ldl_ordered(nhh, list(range(len(high))))
-    for combo in itertools.product(*[w[1] for w in (windows[v] for v in low)]):
-        lf = {v: x for v, x in zip(low, combo)}
-        b = [
-            sum(n_form.rows[h][v] * lf[v] for v in low)
-            for h in high
-        ]
-        c0 = sum(n_form.rows[v][w] * lf[v] * lf[w] for v in low for w in low)
-        center = [-x for x in nhh_inv.matvec(b)]
-        # q0 = c0 - b^T nhh^{-1} b
-        q0 = c0 + sum(bi * ci for bi, ci in zip(b, center))
-        for xs in _fp_enumerate(d, u, center, [windows[h] for h in high], bound - q0):
-            l = [0] * s
-            for v in low:
-                l[v] = lf[v]
-            for h, x in zip(high, xs):
-                l[h] = x
-            yield tuple(l)
 
 
 def _quad_value(n_form: ExactMatrix, l: Sequence[int]) -> Fraction:
@@ -311,15 +300,20 @@ class _SpinCContext:
     """Smith-form data for canonicalizing Spin^c classes of one matrix."""
 
     def __init__(self, m: ExactMatrix, delta_vec: Sequence[int]):
-        self.m = m
         self.delta = tuple(int(x) for x in delta_vec)
-        u, dmat, _v = smith_normal_form(m)
-        self.u = u
+        u, dmat, v = smith_normal_form(m)
         self.u_int = [[int(x) for x in row] for row in u.rows]
-        self.uinv = u.inverse()
         self.d = [int(dmat.rows[i][i]) for i in range(m.size)]
         if any(di == 0 for di in self.d):
             raise SingularMatrix("Spin^c classes need an invertible linking matrix")
+        # U m V = D gives U^-1 = m V D^-1: column j of m V divides exactly
+        # by d_j.  Only the nonzero entries of m are touched (3s - 2 for a tree).
+        v_int = [[int(x) for x in row] for row in v.rows]
+        m_nonzero = [[(k, int(x)) for k, x in enumerate(row) if x] for row in m.rows]
+        self.uinv = [
+            [sum(x * v_int[k][j] for k, x in row) // dj for j, dj in enumerate(self.d)]
+            for row in m_nonzero
+        ]
         self.count = 1
         for di in self.d:
             self.count *= di
@@ -339,7 +333,7 @@ class _SpinCContext:
             if (lv - dv) % 2 != 0:
                 raise ValueError("vector is not in 2Z^s + delta")
             x.append((lv - dv) // 2)
-        y = [int(t) % d for t, d in zip(self.u.matvec(x), self.d)]
+        y = [sum(a * b for a, b in zip(row, x)) % d for row, d in zip(self.u_int, self.d)]
         idx = 0
         for yi, di in zip(reversed(y), reversed(self.d)):
             idx = idx * di + yi
@@ -352,7 +346,7 @@ class _SpinCContext:
         for di in self.d:
             y.append(idx % di)
             idx //= di
-        x = [int(t) for t in self.uinv.matvec(y)]
+        x = [sum(a * b for a, b in zip(row, y)) for row in self.uinv]
         return tuple(dv + 2 * xi for dv, xi in zip(self.delta, x))
 
     def canonical(self, vector: Sequence[int]) -> SpinCRep:
@@ -407,19 +401,30 @@ def compute_zhat(
         raise ValueError("order must be nonnegative")
     m = graph.linking_matrix()
     degrees = graph.degree_vector()
-    delta_vec = list(degrees)
-    weakly = False
-    if not is_negative_definite(m):
-        if not allow_weakly:
-            raise NotNegativeDefinite(
-                "linking matrix is not negative definite (pass allow_weakly=True for weakly negative definite input)"
-            )
-        cls = classify_definiteness(m, graph.high_degree_vertices())
-        if cls is DefinitenessClass.INDEFINITE_OR_OTHER:
+    high = graph.high_degree_vertices()
+    # The tree's linking matrix is eliminated in integers: its pivots
+    # decide negative definiteness and give the inertia, and
+    # M^-1 = adj(M) / det M comes one tree walk per column.
+    elim = graph.elimination()
+    weakly = not elim.is_negative_definite
+    if weakly and not allow_weakly:
+        raise NotNegativeDefinite(
+            "linking matrix is not negative definite (pass allow_weakly=True for weakly negative definite input)"
+        )
+    if elim.det == 0:
+        raise SingularMatrix("matrix is singular")
+    n_form = ExactMatrix([[Fraction(-x, elim.det) for x in row] for row in graph.adjugate()])
+    if not weakly:
+        sigma, pi_count = elim.inertia()
+    else:
+        # weakly negative definite: -M^-1 is positive definite on the
+        # degree >= 3 block (vacuous when there is none)
+        if high and not is_negative_definite(n_form.submatrix(high).neg()):
             raise NotNegativeDefinite("linking matrix is not weakly negative definite")
-        weakly = True
+        # pivots may be zero off the negative definite path: dense signature
+        sigma, pi_count = m.signature_and_positive_count()
 
-    ctx = _SpinCContext(m, delta_vec)
+    ctx = _SpinCContext(m, degrees)
     if isinstance(spinc, SpinCRep):
         rep = ctx.canonical(spinc.vector)
     elif isinstance(spinc, int):
@@ -428,13 +433,10 @@ def compute_zhat(
         rep = ctx.canonical(list(spinc))
     a_vec = rep.vector
 
-    sigma, pi_count = m.signature_and_positive_count()
-    e0 = Fraction(3 * sigma - int(m.trace()), 4)
+    e0 = Fraction(3 * sigma - sum(graph.weights), 4)
     sign = -1 if pi_count % 2 else 1
-    minv = m.inverse()
-    n_form = minv.neg()
     windows = [_support_window(d) for d in degrees]
-    high = graph.high_degree_vertices()
+    form = _SupportForm(n_form, high, weakly) if high else None
     factor_tables = [
         {k: vertex_factor_coefficient(deg, -k) for k in w[1]} if w[0] == "set" else None
         for deg, w in zip(degrees, windows)
@@ -446,7 +448,7 @@ def compute_zhat(
             # finite support: every window is a set
             stream = itertools.product(*[w[1] for w in windows])
         else:
-            stream = _enumerate_support(n_form, windows, bound, high, weakly)
+            stream = form.enumerate(windows, bound)
         for l in stream:
             if not ctx.coset_member(l, a_vec):
                 continue

@@ -39,3 +39,8 @@ class InvalidFraction(ZhatError):
 
 class EmptySeries(ZhatError):
     """No surviving terms below the truncation order."""
+
+
+class ConsistencyError(ZhatError):
+    """A relation the construction guarantees (an exact identity, not a
+    rounding tolerance) fails to hold."""

@@ -2,7 +2,8 @@
 
 Everything here works over arbitrary-precision integers and
 ``fractions.Fraction``; no floating point is used anywhere.  The module
-provides the numeric substrate for the rest of the package:
+provides the dense numeric substrate for general matrices (plumbing
+trees are eliminated in integers by :mod:`zhat.plumbing` instead):
 
 * :class:`ExactMatrix` with exact determinant, inverse, trace and
   signature,

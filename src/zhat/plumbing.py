@@ -10,6 +10,10 @@ format uses 1-based indices:
 
 Lines starting with ``#`` are comments; encoding is UTF-8 with LF
 newlines.
+
+The linking matrix of a tree is eliminated in integers, leaf first
+(:meth:`PlumbingGraph.elimination`, :meth:`PlumbingGraph.adjugate`);
+dense :class:`~zhat.exact.ExactMatrix` algebra is for general input.
 """
 
 from __future__ import annotations
@@ -18,6 +22,42 @@ from dataclasses import dataclass
 
 from .errors import FormatError, NotALeaf, NotATree
 from .exact import ExactMatrix
+
+
+@dataclass(frozen=True)
+class TreeElimination:
+    """Leaf-first elimination of a tree's linking matrix, in integers.
+
+    With the tree rooted at vertex 0 and T_v the linking matrix of the
+    subtree below v, ``subtree_dets[v]`` is det T_v and
+    ``stripped_dets[v]`` is det(T_v - v), the product of det T_c over the
+    children c of v.  Eliminating leaf first meets the pivot
+    det T_v / det(T_v - v) at v, so the pivot signs give the inertia
+    (Sylvester's law) whenever no pivot is zero.
+    """
+
+    subtree_dets: tuple[int, ...]
+    stripped_dets: tuple[int, ...]
+
+    @property
+    def det(self) -> int:
+        return self.subtree_dets[0]
+
+    @property
+    def is_negative_definite(self) -> bool:
+        """Every pivot is negative (a zero pivot rules definiteness out)."""
+        return all(d != 0 and (d < 0) == (e > 0) for d, e in zip(self.subtree_dets, self.stripped_dets))
+
+    def inertia(self) -> tuple[int, int]:
+        """(sigma, pi) = (#positive - #negative eigenvalues, #positive).
+
+        Raises ValueError when a pivot is zero: leaf-first elimination
+        then does not diagonalize the form.
+        """
+        if 0 in self.subtree_dets:
+            raise ValueError("zero pivot in the tree elimination")
+        pos = sum((d > 0) == (e > 0) for d, e in zip(self.subtree_dets, self.stripped_dets))
+        return 2 * pos - len(self.subtree_dets), pos
 
 
 @dataclass(frozen=True)
@@ -70,6 +110,78 @@ class PlumbingGraph:
             deg[a] += 1
             deg[b] += 1
         return tuple(deg)
+
+    def _neighbours(self) -> list[list[int]]:
+        nbrs: list[list[int]] = [[] for _ in self.weights]
+        for a, b in self.edges:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        return nbrs
+
+    def _rooted(self, nbrs, root: int) -> tuple[list[int], list[int]]:
+        """Breadth-first order from ``root`` and the parent of each vertex
+        (-1 for the root)."""
+        parent = [-1] * len(nbrs)
+        order = [root]
+        for v in order:
+            for c in nbrs[v]:
+                if c != parent[v]:
+                    parent[c] = v
+                    order.append(c)
+        return order, parent
+
+    def _eliminate(self, order, parent) -> tuple[list[int], list[int]]:
+        """One post-order pass: det T_v and det(T_v - v) for every v, from
+        det T_v = w_v * prod_c det T_c - sum_c det(T_c - c) * prod_{c' != c} det T_c'."""
+        s = self.vertex_count
+        prod = [1] * s  # det(T_v - v) over the children of v finished so far
+        acc = [0] * s  # sum over those c of det(T_c - c) * prod_{c' != c} det T_c'
+        sub = [0] * s
+        for v in reversed(order):
+            sub[v] = self.weights[v] * prod[v] - acc[v]
+            p = parent[v]
+            if p >= 0:
+                acc[p] = acc[p] * sub[v] + prod[v] * prod[p]
+                prod[p] *= sub[v]
+        return sub, prod
+
+    def elimination(self) -> TreeElimination:
+        """det M and the pivots of leaf-first elimination, in O(s)."""
+        sub, stripped = self._eliminate(*self._rooted(self._neighbours(), 0))
+        return TreeElimination(tuple(sub), tuple(stripped))
+
+    def adjugate(self) -> tuple[tuple[int, ...], ...]:
+        """adj(M) = det(M) * M^-1 in integers, one O(s) tree solve per column.
+
+        For a tree with 1 on every edge, adj(M)[u][v] = (-1)^k det(M - P)
+        where P is the path of k edges from v to u.  With the tree rooted
+        at v, M - P splits into the subtrees of the path's vertices that
+        hang off the path, so one elimination rooted at v and one pass
+        down from v give column v.
+        """
+        nbrs = self._neighbours()
+        s = self.vertex_count
+        rows = []
+        for v in range(s):
+            order, parent = self._rooted(nbrs, v)
+            sub, _ = self._eliminate(order, parent)
+            col = [0] * s
+            # (-1)^k times the subtrees hanging off the path from v to u, above u
+            above = [0] * s
+            above[v] = 1
+            for u in order:
+                kids = [c for c in nbrs[u] if c != parent[u]]
+                prefix = above[u]
+                for c in kids:
+                    above[c] = -prefix
+                    prefix *= sub[c]
+                col[u] = prefix
+                suffix = 1
+                for c in reversed(kids):
+                    above[c] *= suffix
+                    suffix *= sub[c]
+            rows.append(tuple(col))
+        return tuple(rows)
 
     def linking_matrix(self) -> ExactMatrix:
         """Weights on the diagonal, 1 for every edge."""

@@ -10,7 +10,7 @@ all arithmetic is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -27,11 +27,9 @@ class QSeries:
 
     terms: tuple[tuple[Fraction, Fraction], ...]
     order: Fraction
-    # expected lcm of exponent denominators (e.g. 4p); advisory only
-    exponent_denominator_hint: int = field(default=1, compare=False)
 
     @staticmethod
-    def from_terms(terms: Iterable[tuple], order, hint: int = 1) -> "QSeries":
+    def from_terms(terms: Iterable[tuple], order) -> "QSeries":
         """Normalize: sort by exponent, merge duplicates, drop zeros and
         anything above the truncation order."""
         order = _fr(order)
@@ -41,11 +39,11 @@ class QSeries:
             if e <= order:
                 acc[e] = acc.get(e, Fraction(0)) + c
         clean = tuple((e, acc[e]) for e in sorted(acc) if acc[e] != 0)
-        return QSeries(clean, order, hint)
+        return QSeries(clean, order)
 
     @staticmethod
-    def zero(order, hint: int = 1) -> "QSeries":
-        return QSeries((), _fr(order), hint)
+    def zero(order) -> "QSeries":
+        return QSeries((), _fr(order))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -64,23 +62,18 @@ class QSeries:
         """First ``count`` terms as a series truncated at the last kept exponent."""
         kept = self.terms[:count]
         order = kept[-1][0] if kept else self.order
-        return QSeries(kept, order, self.exponent_denominator_hint)
+        return QSeries(kept, order)
 
     def add(self, other: "QSeries") -> "QSeries":
         """Termwise sum; the result's order is the smaller of the two."""
         order = min(self.order, other.order)
-        hint = math.lcm(self.exponent_denominator_hint, other.exponent_denominator_hint)
-        return QSeries.from_terms(list(self.terms) + list(other.terms), order, hint)
+        return QSeries.from_terms(list(self.terms) + list(other.terms), order)
 
     def scale(self, c) -> "QSeries":
         c = _fr(c)
         if c == 0:
-            return QSeries.zero(self.order, self.exponent_denominator_hint)
-        return QSeries(
-            tuple((e, coeff * c) for e, coeff in self.terms),
-            self.order,
-            self.exponent_denominator_hint,
-        )
+            return QSeries.zero(self.order)
+        return QSeries(tuple((e, coeff * c) for e, coeff in self.terms), self.order)
 
     def __add__(self, other: "QSeries") -> "QSeries":
         return self.add(other)
@@ -91,11 +84,7 @@ class QSeries:
     def shift_exponent(self, r) -> "QSeries":
         """Multiply by q^r: every exponent and the order move up by r."""
         r = _fr(r)
-        return QSeries(
-            tuple((e + r, c) for e, c in self.terms),
-            self.order + r,
-            math.lcm(self.exponent_denominator_hint, r.denominator),
-        )
+        return QSeries(tuple((e + r, c) for e, c in self.terms), self.order + r)
 
     def leading_exponent_and_normalize(self) -> tuple[Fraction, "QSeries", int]:
         """(delta, tail, eta) with self = q^delta * tail, tail(0) != 0.
@@ -178,7 +167,7 @@ def false_theta(p: int, a: int, order) -> QSeries:
         raise ValueError("p must be a positive integer")
     order = _fr(order)
     if order < 0:
-        return QSeries.zero(order, 4 * p)
+        return QSeries.zero(order)
     # largest n with n^2 <= 4*p*order
     nmax = math.isqrt((4 * p * order.numerator) // order.denominator)
     twop = 2 * p
@@ -193,4 +182,4 @@ def false_theta(p: int, a: int, order) -> QSeries:
                 if c:
                     terms.append((Fraction(n * n, 4 * p), Fraction(c)))
             n += twop
-    return QSeries.from_terms(terms, order, 4 * p)
+    return QSeries.from_terms(terms, order)

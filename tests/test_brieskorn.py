@@ -17,7 +17,7 @@ from zhat.brieskorn import (
     zhat0_brieskorn,
 )
 from zhat.compare import homology_sphere_delta_check
-from zhat.errors import ExcludedTriple, InvalidFraction, InvalidTriple
+from zhat.errors import ConsistencyError, ExcludedTriple, InvalidFraction, InvalidTriple
 
 
 def coprime_triples_up_to(pmax: int):
@@ -244,3 +244,14 @@ class TestDelta0Mod1:
             data = brieskorn_data(*triple)
             assert homology_sphere_delta_check(data.delta0), triple
             assert data.delta0.denominator == 2
+
+
+class TestConsistencyChecks:
+    def test_broken_alpha_structure_raises(self, monkeypatch):
+        # the tail exponents are integers only because alpha_i^2 = alpha_1^2
+        # (mod 4p); the check must raise (not assert, which python -O strips)
+        import zhat.brieskorn
+
+        monkeypatch.setattr(zhat.brieskorn, "alphas", lambda b1, b2, b3: (1, 2, 3, 4))
+        with pytest.raises(ConsistencyError):
+            tail_order_for_terms(2, 9, 11, 2)

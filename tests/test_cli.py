@@ -170,3 +170,11 @@ class TestReportCommand:
         assert "Sigma(2,9,11): delta0 = 9/2" in out
         assert "Sigma(3,7,8): delta0 = 13/2" in out
         assert "final x = 1" in out
+
+    @pytest.mark.parametrize("order", ["1/2", "abc", "-3"])
+    def test_bad_order(self, capsys, order):
+        assert main(["report", "--order", order]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")

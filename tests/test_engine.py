@@ -8,7 +8,7 @@ from zhat.brieskorn import brieskorn_data, build_plumbing, zhat0_brieskorn
 from zhat.engine import (
     SpinCRep,
     ZhatResult,
-    _enumerate_support,
+    _SupportForm,
     _support_window,
     compute_zhat,
     conjugate_spin_c,
@@ -242,7 +242,7 @@ class TestCrossOracle:
         degrees = g_2_9_11.degree_vector()
         windows = [_support_window(d) for d in degrees]
         bound = Fraction(60)
-        support = set(_enumerate_support(minv.neg(), windows, bound, g_2_9_11.high_degree_vertices(), False))
+        support = set(_SupportForm(minv.neg(), g_2_9_11.high_degree_vertices(), False).enumerate(windows, bound))
         full = set(enumerate_coset_under_bound(m, degrees, bound))
         in_window = set()
         for l in full:

@@ -1,0 +1,128 @@
+"""Integer tree elimination against the dense oracles.
+
+The production code never builds a dense matrix for a plumbing tree; the
+dense ``ExactMatrix`` routines and the cofactor expansion serve here as
+independent oracles on random trees with mixed-sign weights, so
+indefinite and singular linking matrices are covered too.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import det_cofactor
+from zhat.brieskorn import brieskorn_data, build_plumbing
+from zhat.engine import _SpinCContext
+from zhat.exact import ExactMatrix, is_negative_definite, smith_normal_form
+from zhat.plumbing import PlumbingGraph
+
+
+@st.composite
+def trees(draw, max_size=7):
+    """Random labelled tree: each vertex hangs from an earlier one, then
+    the labels are shuffled so that vertex 0 is not always the root."""
+    n = draw(st.integers(1, max_size))
+    label = draw(st.permutations(range(n)))
+    edges = tuple((label[draw(st.integers(0, v - 1))], label[v]) for v in range(1, n))
+    weights = tuple(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+    return PlumbingGraph(weights, edges)
+
+
+def int_rows(g: PlumbingGraph) -> list[list[int]]:
+    return [[int(x) for x in row] for row in g.linking_matrix().rows]
+
+
+SINGULAR = PlumbingGraph((1, 1), ((0, 1),))
+# singular, with the pivots before the last one negative
+SEMIDEFINITE = PlumbingGraph((-1, -1), ((0, 1),))
+# nonsingular, but the leaf below the root has weight 0: a zero pivot
+ZERO_PIVOT = PlumbingGraph((1, 0), ((0, 1),))
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+class TestAgainstDenseOracles:
+    @PROPERTY
+    @given(trees())
+    @example(SINGULAR)
+    @example(ZERO_PIVOT)
+    def test_det_matches_cofactor(self, g):
+        assert g.elimination().det == det_cofactor(int_rows(g))
+
+    @PROPERTY
+    @given(trees())
+    @example(SINGULAR)
+    @example(SEMIDEFINITE)
+    @example(ZERO_PIVOT)
+    def test_inertia_matches_signature(self, g):
+        elim = g.elimination()
+        m = g.linking_matrix()
+        assert elim.is_negative_definite == is_negative_definite(m)
+        if 0 in elim.subtree_dets:
+            with pytest.raises(ValueError):
+                elim.inertia()
+        else:
+            assert elim.inertia() == m.signature_and_positive_count()
+
+    @PROPERTY
+    @given(trees())
+    @example(SINGULAR)
+    @example(ZERO_PIVOT)
+    def test_adjugate_matches_inverse(self, g):
+        det = g.elimination().det
+        adj = ExactMatrix(g.adjugate())
+        m = g.linking_matrix()
+        assert m.matmul(adj) == ExactMatrix.diagonal([det] * g.vertex_count)
+        if det != 0:
+            assert ExactMatrix([[Fraction(x, det) for x in row] for row in adj.rows]) == m.inverse()
+
+    @PROPERTY
+    @given(trees())
+    @example(ZERO_PIVOT)
+    def test_integer_smith_inverse_matches_dense(self, g):
+        if g.elimination().det == 0:
+            return
+        m = g.linking_matrix()
+        ctx = _SpinCContext(m, g.degree_vector())
+        u, _d, _v = smith_normal_form(m)
+        assert ExactMatrix(ctx.uinv) == u.inverse()
+
+
+def test_integer_smith_inverse_general_matrices():
+    # Spin^c classes are also offered for integer matrices that are not trees
+    rng = random.Random(5)
+    checked = 0
+    while checked < 40:
+        n = rng.randint(1, 5)
+        m = ExactMatrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+        if m.determinant() == 0:
+            continue
+        u, _d, _v = smith_normal_form(m)
+        assert ExactMatrix(_SpinCContext(m, [0] * n).uinv) == u.inverse()
+        checked += 1
+
+
+@pytest.mark.parametrize("triple", [(2, 9, 11), (3, 7, 8), (8, 35, 93)])
+def test_brieskorn_stars(triple):
+    g = build_plumbing(brieskorn_data(*triple))
+    elim = g.elimination()
+    assert abs(elim.det) == 1  # an integral homology sphere
+    assert elim.is_negative_definite and elim.inertia() == (-g.vertex_count, 0)
+    assert elim.det == g.linking_matrix().determinant()
+
+
+def test_wide_random_tree_inverse():
+    rng = random.Random(17)
+    n = 40
+    edges = tuple((rng.randrange(v), v) for v in range(1, n))
+    weights = [-rng.randint(1, 6) for _ in range(n)]
+    for a, b in edges:
+        weights[a] -= 1
+        weights[b] -= 1
+    g = PlumbingGraph(tuple(weights), edges)
+    det = g.elimination().det
+    inv = ExactMatrix([[Fraction(x, det) for x in row] for row in g.adjugate()])
+    assert inv == g.linking_matrix().inverse()
