@@ -96,6 +96,15 @@ def _cmd_brieskorn(args, out) -> int:
     return 0
 
 
+def _read_text(path: str) -> str:
+    """An input file, which must be UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ZhatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def _spinc_selection(graph, args):
     m = graph.linking_matrix()
     reps = spin_c_representatives(m, graph.degree_vector())
@@ -109,8 +118,7 @@ def _spinc_selection(graph, args):
 
 def _cmd_graph(args, out) -> int:
     order = _parse_order(args.order)
-    with open(args.file, encoding="utf-8") as fh:
-        graph = parse_plumb(fh.read())
+    graph = parse_plumb(_read_text(args.file))
     reps = _spinc_selection(graph, args)
     results = []
     for rep in reps:
@@ -144,8 +152,7 @@ def _cmd_graph(args, out) -> int:
 
 
 def _cmd_delta(args, out) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        graph = parse_plumb(fh.read())
+    graph = parse_plumb(_read_text(args.file))
     reps = _spinc_selection(graph, args)
     results = []
     for rep in reps:
@@ -168,18 +175,17 @@ def _cmd_delta(args, out) -> int:
 
 def _read_triples(path: str) -> list[tuple[int, int, int]]:
     triples = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ZhatError(f"bad triple line {line!r}")
-            try:
-                triples.append(tuple(int(x) for x in parts))
-            except ValueError as exc:
-                raise ZhatError(f"bad triple line {line!r}") from exc
+    for line in _read_text(path).splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ZhatError(f"bad triple line {line!r}")
+        try:
+            triples.append(tuple(int(x) for x in parts))
+        except ValueError as exc:
+            raise ZhatError(f"bad triple line {line!r}") from exc
     return triples
 
 

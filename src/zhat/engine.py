@@ -10,11 +10,16 @@ principal value (the average of the two expansions from inside and
 outside the unit circle) when deg >= 3.  The leading exponent of the
 aggregated series is the delta invariant.
 
-Only vectors l whose every coordinate lies in the (finite or
-parity-constrained) support of its vertex factor can contribute, so the
-enumeration walks exactly that support intersected with the quadratic
-bound, then filters by coset membership; this produces the same series
-as enumerating the full coset, since everything dropped has c_l = 0.
+Only vectors l whose every coordinate lies in the support of its vertex
+factor can contribute: l_v = 0 on degree-2 vertices, l_v = +-1 on
+leaves, and |l_v| >= deg - 2 of the right parity on degree >= 3
+vertices.  One enumeration serves every tree: the finitely many
+assignments of the leaves are listed outright, and for each one a
+Fincke-Pohst walk over the degree >= 3 coordinates alone (the principal
+block of -M^-1 there is positive definite) finds the rest under the
+quadratic bound and yields each exponent with it.  Filtering by coset
+membership then gives the same series as enumerating the full coset,
+since everything dropped has c_l = 0.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterator, Sequence
 
 from .errors import EmptySeries, NotNegativeDefinite, SingularMatrix
@@ -167,16 +172,17 @@ def _fp_enumerate(
     center: list[Fraction],
     windows: list,
     budget: Fraction,
-) -> Iterator[tuple[int, ...]]:
+) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     """All integer points x (one per window slot) with
-    sum_i d[i]*((x_i - center_i) + sum_{j<i} u[i][j]*(x_j - center_j))^2 <= budget
-    and x_i in its window."""
+    Q(x) = sum_i d[i]*((x_i - center_i) + sum_{j<i} u[i][j]*(x_j - center_j))^2 <= budget
+    and x_i in its window, each with the leftover budget - Q(x).  With no
+    slot the empty point is yielded once, whatever the budget."""
     n = len(d)
     xs = [0] * n
 
-    def rec(i: int, left: Fraction) -> Iterator[tuple[int, ...]]:
+    def rec(i: int, left: Fraction) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         if i == n:
-            yield tuple(xs)
+            yield tuple(xs), left
             return
         t = -center[i] + sum(u[i][j] * (xs[j] - center[j]) for j in range(i) if u[i][j])
         lo, hi = _range_under_quadratic(d[i], t, left)
@@ -188,57 +194,63 @@ def _fp_enumerate(
 
 
 class _SupportForm:
-    """The form n_form = -M^{-1} of one computation, factored once so that
-    every enumeration pass (each bound escalation) reuses the factors.
+    """The form N = -M^{-1} of one computation on the support of c_l,
+    factored once so that every enumeration pass (each bound escalation)
+    reuses the factors.
 
-    In the negative definite case the form is positive definite and one
-    LDL factorization covers all coordinates.  In the weakly negative
-    definite case only its principal block on the degree >= 3
-    coordinates ``high`` (nonempty) is positive definite; that block is
-    factored and inverted, the finitely many low-degree assignments are
-    enumerated outright and the block form is walked per assignment.
+    Only leaves (l_v = +-1), an isolated vertex (l_v in {-2, 0, 2}) and
+    the degree >= 3 vertices ``high`` can carry l_v != 0.  The principal
+    block N_hh of N on ``high`` is positive definite for negative definite
+    and weakly negative definite trees alike; it is factored here.  The
+    finitely many assignments x of the other coordinates are enumerated
+    outright.  With y the coordinates on ``high``, completing the square
+    gives
+
+        l^T N l = q0(x) + (y - c(x))^T N_hh (y - c(x)),
+
+    with the center c(x) = G x, G = -N_hh^{-1} N_hx, and q0(x) = x^T S x
+    for the Schur complement S = N_xx + N_xh G; the block form is walked
+    around c(x) for each x.  G and S are kept as integers over one common
+    denominator, so each assignment costs integer sums and one Fraction
+    per value.
     """
 
-    def __init__(self, n_form: ExactMatrix, high: Sequence[int], weakly: bool):
-        self.n_form = n_form
+    def __init__(self, block: ExactMatrix, adj: Sequence[Sequence[int]], det: int, high: Sequence[int], windows: list):
         self.high = list(high)
-        self.weakly = weakly
-        block = n_form.submatrix(self.high) if weakly else n_form
-        self.block_inverse = block.inverse() if weakly else None
-        self.ldl = _ldl_ordered(block, list(range(block.size)))
+        in_high = set(self.high)
+        # degree-2 windows are {0}: those coordinates stay 0
+        self.low = [v for v in range(len(windows)) if v not in in_high and windows[v][1] != (0,)]
+        self.low_values = [windows[v][1] for v in self.low]
+        self.high_windows = [windows[h] for h in self.high]
+        self.size = len(windows)
+        inv = block.inverse().rows
+        n_hx = [[Fraction(-adj[h][v], det) for v in self.low] for h in self.high]
+        g = [[-sum(r * col[j] for r, col in zip(row, n_hx)) for j in range(len(self.low))] for row in inv]
+        schur = [
+            [Fraction(-adj[v][w], det) + sum(nh[i] * gh[j] for nh, gh in zip(n_hx, g)) for j, w in enumerate(self.low)]
+            for i, v in enumerate(self.low)
+        ]
+        self.den = lcm(1, *(x.denominator for row in g + schur for x in row))
+        self.g_int = [[int(x * self.den) for x in row] for row in g]
+        self.schur_int = [[int(x * self.den) for x in row] for row in schur]
+        self.ldl = _ldl_ordered(block)
 
-    def enumerate(self, windows: list, bound: Fraction) -> Iterator[tuple[int, ...]]:
-        """Window-feasible vectors l with l^T n_form l <= bound."""
-        n_form, high = self.n_form, self.high
-        s = n_form.size
+    def enumerate(self, bound: Fraction) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+        """Window-feasible vectors l with l^T N l <= bound, each with l^T N l.
+        Without degree >= 3 vertices every assignment is yielded, unbounded."""
         d, u = self.ldl
-        if not self.weakly:
-            yield from _fp_enumerate(d, u, [Fraction(0)] * s, windows, bound)
-            return
-        low = [v for v in range(s) if v not in set(high)]
-        for combo in itertools.product(*[windows[v][1] for v in low]):
-            lf = dict(zip(low, combo))
-            b = [sum(n_form.rows[h][v] * lf[v] for v in low) for h in high]
-            c0 = sum(n_form.rows[v][w] * lf[v] * lf[w] for v in low for w in low)
-            center = [-x for x in self.block_inverse.matvec(b)]
-            # q0 = c0 - b^T nhh^{-1} b
-            q0 = c0 + sum(bi * ci for bi, ci in zip(b, center))
-            for xs in _fp_enumerate(d, u, center, [windows[h] for h in high], bound - q0):
-                l = [0] * s
-                for v in low:
-                    l[v] = lf[v]
-                for h, x in zip(high, xs):
+        den = self.den
+        l = [0] * self.size
+        for combo in itertools.product(*self.low_values):
+            for v, x in zip(self.low, combo):
+                l[v] = x
+            q0 = Fraction(sum(x * sum(a * y for a, y in zip(row, combo)) for x, row in zip(combo, self.schur_int)), den)
+            center = [Fraction(sum(a * x for a, x in zip(row, combo)), den) for row in self.g_int]
+            for xs, left in _fp_enumerate(d, u, center, self.high_windows, bound - q0):
+                for h, x in zip(self.high, xs):
                     l[h] = x
-                yield tuple(l)
-
-
-def _quad_value(n_form: ExactMatrix, l: Sequence[int]) -> Fraction:
-    return sum(
-        n_form.rows[i][j] * l[i] * l[j]
-        for i in range(n_form.size)
-        for j in range(n_form.size)
-        if l[i] and l[j]
-    )
+                # l^T N l = q0 + (budget - left) with budget = bound - q0
+                yield tuple(l), bound - left
 
 
 _PROBE_GROUP_LIMIT = 200_000
@@ -413,13 +425,13 @@ def compute_zhat(
         )
     if elim.det == 0:
         raise SingularMatrix("matrix is singular")
-    n_form = ExactMatrix([[Fraction(-x, elim.det) for x in row] for row in graph.adjugate()])
+    adj = graph.adjugate()
+    # -M^-1 on the degree >= 3 vertices: positive definite in both cases
+    block = ExactMatrix([[Fraction(-adj[i][j], elim.det) for j in high] for i in high])
     if not weakly:
         sigma, pi_count = elim.inertia()
     else:
-        # weakly negative definite: -M^-1 is positive definite on the
-        # degree >= 3 block (vacuous when there is none)
-        if high and not is_negative_definite(n_form.submatrix(high).neg()):
+        if not is_negative_definite(block.neg()):
             raise NotNegativeDefinite("linking matrix is not weakly negative definite")
         # pivots may be zero off the negative definite path: dense signature
         sigma, pi_count = m.signature_and_positive_count()
@@ -436,38 +448,31 @@ def compute_zhat(
     e0 = Fraction(3 * sigma - sum(graph.weights), 4)
     sign = -1 if pi_count % 2 else 1
     windows = [_support_window(d) for d in degrees]
-    form = _SupportForm(n_form, high, weakly) if high else None
+    form = _SupportForm(block, adj, elim.det, high, windows)
     factor_tables = [
         {k: vertex_factor_coefficient(deg, -k) for k in w[1]} if w[0] == "set" else None
         for deg, w in zip(degrees, windows)
     ]
 
-    def aggregate(bound: Fraction | None) -> dict[Fraction, Fraction]:
+    def aggregate(bound: Fraction) -> dict[Fraction, Fraction]:
         acc: dict[Fraction, Fraction] = {}
-        if bound is None:
-            # finite support: every window is a set
-            stream = itertools.product(*[w[1] for w in windows])
-        else:
-            stream = form.enumerate(windows, bound)
-        for l in stream:
+        for l, q in form.enumerate(bound):
             if not ctx.coset_member(l, a_vec):
                 continue
             c = Fraction(1)
             for v, lv in enumerate(l):
                 c *= factor_tables[v][lv] if factor_tables[v] is not None else vertex_factor_coefficient(degrees[v], -lv)
-            q = _quad_value(n_form, l)
             e = e0 + q / 4
             acc[e] = acc.get(e, Fraction(0)) + c
         return {e: c for e, c in acc.items() if c != 0}
 
     finite_support = not high
+    bound = 4 * (order + 1)
+    surviving = aggregate(bound)
     if finite_support:
-        surviving = aggregate(None)
         if not surviving:
             raise EmptySeries("series is identically zero (finite support exhausted)")
     else:
-        bound = 4 * (order + 1)
-        surviving = aggregate(bound)
         if not surviving:
             # before escalating, settle emptiness exactly where feasible
             if _support_provably_misses_coset(ctx, windows, high, a_vec):

@@ -84,9 +84,6 @@ class ExactMatrix:
     def trace(self) -> Fraction:
         return sum((self.rows[i][i] for i in range(self.size)), Fraction(0))
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.rows)))
-
     def neg(self) -> "ExactMatrix":
         return ExactMatrix([[-x for x in row] for row in self.rows])
 
@@ -119,18 +116,13 @@ class ExactMatrix:
         return self.submatrix(keep)
 
     def determinant(self) -> Fraction:
-        """Exact determinant, no rounding.
+        """Exact determinant by fraction-free Bareiss elimination.
 
-        Symmetric matrices whose off-diagonal support is a forest are
-        eliminated in leaf order (zero fill-in, linear time); everything
-        else goes through fraction-free Bareiss elimination.
+        Plumbing trees get theirs from
+        :meth:`zhat.plumbing.PlumbingGraph.elimination` instead.
         """
         if self.size == 0:
             return Fraction(1)
-        if self.is_symmetric():
-            d = _det_symmetric_forest(self.rows)
-            if d is not None:
-                return d
         return _det_bareiss(self.rows)
 
     def inverse(self) -> "ExactMatrix":
@@ -198,66 +190,6 @@ class ExactMatrix:
                     for j in range(k, n):
                         a[j][i] -= f * a[j][k]
         return pos - neg, pos
-
-
-def _det_symmetric_forest(rows) -> Fraction | None:
-    """Determinant by leaf elimination when the sparsity graph is a forest.
-
-    Returns None when the structure is not a forest or a zero pivot
-    shows up mid-elimination; the caller then falls back to Bareiss.
-    """
-    n = len(rows)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    pair_count = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != 0:
-                adj[i].add(j)
-                adj[j].add(i)
-                pair_count += 1
-    if pair_count >= n and n > 0:
-        return None  # a forest on n vertices has at most n-1 edges
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in adj[i]:
-            if j > i:
-                ri, rj = find(i), find(j)
-                if ri == rj:
-                    return None
-                parent[ri] = rj
-
-    diag = [Fraction(rows[i][i]) for i in range(n)]
-    off = {(min(i, j), max(i, j)): Fraction(rows[i][j]) for i in range(n) for j in adj[i] if j > i}
-    det = Fraction(1)
-    queue = [v for v in range(n) if len(adj[v]) <= 1]
-    queued = [len(adj[v]) <= 1 for v in range(n)]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        piv = diag[v]
-        if piv == 0:
-            return None
-        det *= piv
-        if adj[v]:
-            w = next(iter(adj[v]))
-            e = off[(min(v, w), max(v, w))]
-            diag[w] -= e * e / piv
-            adj[w].discard(v)
-            adj[v].clear()
-            if len(adj[w]) <= 1 and not queued[w]:
-                queued[w] = True
-                queue.append(w)
-    if head != n:
-        return None
-    return det
 
 
 def _clear_denominators(rows) -> tuple[list[list[int]], Fraction]:
@@ -458,42 +390,32 @@ def _range_under_quadratic(d: Fraction, t: Fraction, budget: Fraction) -> tuple[
     return lo, hi
 
 
-def _ldl_ordered(g: ExactMatrix, order: Sequence[int]) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Decompose a positive definite form for recursive enumeration.
+def _ldl_ordered(g: ExactMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Decompose a positive definite form for recursive enumeration:
+    Q(x) = sum_p d[p] * (x_p + sum_{q<p} u[p][q] * x_q)^2.
 
-    Eliminates variables in the given order so that, writing p for an
-    original index, Q(x) = sum_p d[p] * (x_p + sum_q u[p][q] * x_q)^2
-    where q ranges over indices that come EARLIER than p in ``order``
-    reversed -- i.e. the recursion that fixes order[0] first, then
-    order[1], ..., sees at each level a pivot in the already-fixed
-    coordinates only.
+    The last variable is eliminated first, so the recursion that fixes
+    x_0 first, then x_1, ..., sees at each level a pivot in the
+    already-fixed coordinates only.
 
     Raises NotNegativeDefinite when a pivot fails positivity.
     """
     n = g.size
-    perm = list(reversed(order))  # eliminate the innermost variable first
-    a = [[g.rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    a = [list(row) for row in g.rows]
     d: list[Fraction] = [Fraction(0)] * n
-    low = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(n):
-        piv = a[k][k]
+    u = [[Fraction(0)] * n for _ in range(n)]
+    for p in reversed(range(n)):
+        piv = a[p][p]
         if piv <= 0:
             raise NotNegativeDefinite("quadratic form is not positive definite")
-        d[k] = piv
-        for i in range(k + 1, n):
-            low[i][k] = a[i][k] / piv
-        for i in range(k + 1, n):
-            for j in range(k + 1, i + 1):
-                a[i][j] -= low[i][k] * low[j][k] * piv
+        d[p] = piv
+        for q in range(p):
+            u[p][q] = a[q][p] / piv
+        for i in range(p):
+            for j in range(i + 1):
+                a[i][j] -= u[p][i] * u[p][j] * piv
                 a[j][i] = a[i][j]
-    dd: list[Fraction] = [Fraction(0)] * n
-    uu = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(n):
-        p = perm[k]
-        dd[p] = d[k]
-        for i in range(k + 1, n):
-            uu[p][perm[i]] = low[i][k]
-    return dd, uu
+    return d, u
 
 
 def enumerate_coset_under_bound(m: ExactMatrix, rep: Sequence[int], bound) -> Iterator[tuple[int, ...]]:
@@ -515,7 +437,7 @@ def enumerate_coset_under_bound(m: ExactMatrix, rep: Sequence[int], bound) -> It
     g = m.neg()  # positive definite
     # l = rep + 2*m*x  gives  Q(l) = 4*(x - c)^T g (x - c),  c = -m^{-1} rep / 2
     c = [-x / 2 for x in m.inverse().matvec(rep)]
-    d, u = _ldl_ordered(g, list(range(n)))
+    d, u = _ldl_ordered(g)
     m_rows = [[int(x) for x in row] for row in m.rows]
     xs = [0] * n
 

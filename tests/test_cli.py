@@ -86,6 +86,15 @@ class TestGraphCommand:
     def test_missing_file(self, capsys):
         assert main(["graph", "/nonexistent/x.plumb"]) == 2
 
+    @pytest.mark.parametrize("command", ["graph", "delta"])
+    def test_not_utf8(self, tmp_path, capsys, command):
+        f = tmp_path / "latin1.plumb"
+        f.write_bytes(b"# caf\xe9\n1\n-1\n")
+        assert main([command, str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8" in err
+        assert len(err.splitlines()) == 1
+
     def test_weakly_flag(self, tmp_path, capsys):
         f = tmp_path / "chain.plumb"
         f.write_text("2\n0 -1\n1 2\n")
@@ -130,6 +139,14 @@ class TestTableCommand:
         code, out = run(capsys, "table", "batch", str(f))
         assert code == 0
         assert "delta0 = 9/2" in out and "delta0 = 13/2" in out
+
+    def test_batch_file_not_utf8(self, tmp_path, capsys):
+        f = tmp_path / "triples.txt"
+        f.write_bytes(b"\xff\xfe2 9 11\n")
+        assert main(["table", "batch", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8" in err
+        assert len(err.splitlines()) == 1
 
     def test_hom_cob_family(self, capsys):
         code, out = run(capsys, "table", "hom-cob-family")

@@ -211,11 +211,23 @@ class TestCrossOracle:
             assert all(e.denominator == 1 and e >= 0 for e, _ in res.tail.terms)
             assert res.tail.terms[0][0] == 0 and res.tail.terms[0][1] != 0
 
-    def test_double_star_against_full_coset(self):
-        # two degree-3 vertices; aggregate the full coset enumeration
-        # independently and compare series
-        g = PlumbingGraph((-4, -4, -2, -2, -2, -2), ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5)))
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # no degree >= 3 vertex: every low assignment, no bound
+            PlumbingGraph((-2, -3, -2), ((0, 1), (1, 2))),
+            # one node with six leaves: 2^6 assignments, a one-coordinate walk each
+            PlumbingGraph((-5, -2, -2, -3, -2, -3, -2), tuple((0, v) for v in range(1, 7))),
+            # two degree-3 vertices
+            PlumbingGraph((-4, -4, -2, -2, -2, -2), ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5))),
+        ],
+        ids=["chain", "six_leaf_star", "double_star"],
+    )
+    def test_against_full_coset(self, g):
+        # aggregate the full coset enumeration independently with the
+        # dense inverse and compare series
         m = g.linking_matrix()
+        s = m.size
         degrees = g.degree_vector()
         res = compute_zhat(g, 0, order=10)
         rep = spin_c_representatives(m, degrees)[0]
@@ -229,20 +241,29 @@ class TestCrossOracle:
                 c *= vertex_factor_coefficient(degrees[v], -lv)
             if c == 0:
                 continue
-            q = -sum(minv.rows[i][j] * l[i] * l[j] for i in range(6) for j in range(6))
+            q = -sum(minv.rows[i][j] * l[i] * l[j] for i in range(s) for j in range(s))
             e = e0 + q / 4
             acc[e] = acc.get(e, Fraction(0)) + c
         expected = sorted((e - res.delta, c) for e, c in acc.items() if c != 0 and e <= res.delta + 10)
         assert list(res.tail.terms) == expected
 
     def test_windowed_enumeration_complete(self, g_2_9_11):
-        # the support walk sees exactly the coset points with nonzero c_l
-        m = g_2_9_11.linking_matrix()
+        # the support walk sees exactly the coset points with nonzero c_l,
+        # each with its exponent -l^T M^-1 l
+        g = g_2_9_11
+        m = g.linking_matrix()
         minv = m.inverse()
-        degrees = g_2_9_11.degree_vector()
+        degrees = g.degree_vector()
         windows = [_support_window(d) for d in degrees]
+        high = g.high_degree_vertices()
+        det = int(m.determinant())
+        adj = g.adjugate()
+        block = ExactMatrix([[Fraction(-adj[i][j], det) for j in high] for i in high])
         bound = Fraction(60)
-        support = set(_SupportForm(minv.neg(), g_2_9_11.high_degree_vertices(), False).enumerate(windows, bound))
+        walked = dict(_SupportForm(block, adj, det, high, windows).enumerate(bound))
+        for l, q in walked.items():
+            assert q == -sum(minv.rows[i][j] * l[i] * l[j] for i in range(m.size) for j in range(m.size))
+            assert q <= bound
         full = set(enumerate_coset_under_bound(m, degrees, bound))
         in_window = set()
         for l in full:
@@ -256,7 +277,7 @@ class TestCrossOracle:
             t = minv.matvec([a - b for a, b in zip(l, degrees)])
             return all(x.denominator == 1 and int(x) % 2 == 0 for x in t)
 
-        assert {l for l in support if member(l)} == in_window
+        assert {l for l in walked if member(l)} == in_window
 
 
 class TestOrientationAndErrors:

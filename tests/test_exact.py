@@ -51,16 +51,6 @@ class TestDeterminant:
         m = ExactMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]])
         assert m.determinant() == Fraction(1, 14) - Fraction(1, 15)
 
-    def test_tree_path_agrees_with_bareiss(self):
-        from zhat.exact import _det_bareiss, _det_symmetric_forest
-
-        rng = random.Random(11)
-        for _ in range(40):
-            m = random_tree_matrix(rng, rng.randint(2, 9))
-            fast = _det_symmetric_forest(m.rows)
-            assert fast is not None
-            assert fast == _det_bareiss(m.rows)
-
 
 class TestInverse:
     def test_scalar(self):
