@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import __version__
 from .brieskorn import brieskorn_data, zhat0_brieskorn
 from .compare import counterexample_report, generate_table, rows_to_csv, sharpness_analysis
-from .engine import compute_zhat, delta_a, spin_c_representatives
+from .engine import compute_zhat, compute_zhat_all, spin_c_representatives
 from .errors import EmptySeries, ZhatError
 from .plumbing import parse_plumb
 
@@ -105,28 +105,25 @@ def _read_text(path: str) -> str:
         raise ZhatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
-def _spinc_selection(graph, args):
-    m = graph.linking_matrix()
-    reps = spin_c_representatives(m, graph.degree_vector())
+def _class_results(graph, args, order):
+    """(rep, ZhatResult or EmptySeries) for ``--all`` or the ``--spinc`` class."""
     if args.all:
-        return reps
+        return compute_zhat_all(graph, order, allow_weakly=args.experimental_weakly)
+    reps = spin_c_representatives(graph.linking_matrix(), graph.degree_vector())
     idx = args.spinc
     if not (0 <= idx < len(reps)):
         raise ZhatError(f"spin-c class {idx} out of range [0, {len(reps)})")
-    return [reps[idx]]
+    rep = reps[idx]
+    try:
+        return [(rep, compute_zhat(graph, rep, order=order, allow_weakly=args.experimental_weakly))]
+    except EmptySeries as exc:
+        return [(rep, exc)]
 
 
 def _cmd_graph(args, out) -> int:
     order = _parse_order(args.order)
     graph = parse_plumb(_read_text(args.file))
-    reps = _spinc_selection(graph, args)
-    results = []
-    for rep in reps:
-        try:
-            res = compute_zhat(graph, rep, order=order, allow_weakly=args.experimental_weakly)
-            results.append((rep, res))
-        except EmptySeries as exc:
-            results.append((rep, exc))
+    results = _class_results(graph, args, order)
     if args.format == "json":
         payload = [
             res.to_json_obj()
@@ -153,13 +150,10 @@ def _cmd_graph(args, out) -> int:
 
 def _cmd_delta(args, out) -> int:
     graph = parse_plumb(_read_text(args.file))
-    reps = _spinc_selection(graph, args)
-    results = []
-    for rep in reps:
-        try:
-            results.append((rep, delta_a(graph, rep, allow_weakly=args.experimental_weakly)))
-        except EmptySeries:
-            results.append((rep, None))
+    results = [
+        (rep, None if isinstance(res, EmptySeries) else res.delta)
+        for rep, res in _class_results(graph, args, Fraction(0))
+    ]
     if args.format == "json":
         payload = [
             {"spinc": rep.to_json_obj(), "delta": None if d is None else str(d)}

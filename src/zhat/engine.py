@@ -17,9 +17,21 @@ vertices.  One enumeration serves every tree: the finitely many
 assignments of the leaves are listed outright, and for each one a
 Fincke-Pohst walk over the degree >= 3 coordinates alone (the principal
 block of -M^-1 there is positive definite) finds the rest under the
-quadratic bound and yields each exponent with it.  Filtering by coset
-membership then gives the same series as enumerating the full coset,
-since everything dropped has c_l = 0.
+quadratic bound and yields each exponent with it.  Every support vector
+lies in 2Z^s + delta, so sorting the walk by Spin^c class gives the
+same series as enumerating each full coset, since everything dropped
+has c_l = 0.
+
+All classes of a graph share one walk.  The class-independent set-up
+(elimination, adjugate, Smith form, factored form, vertex-factor
+tables) is built once, and each walked vector goes to its class by
+residues of the Smith form's U on the leaves and nodes, O(k) per
+vector.  The quadratic bound starts at 4(order + 1) for every class;
+classes still empty are settled exactly where the probe can, the rest
+escalate together, and every later pass (each doubling and the last
+top-up to order above the leading term) walks only the new shell
+floor < q <= bound.  A result depends only on its class's series, so
+computing one class or all of them gives the same answer.
 """
 
 from __future__ import annotations
@@ -172,11 +184,16 @@ def _fp_enumerate(
     center: list[Fraction],
     windows: list,
     budget: Fraction,
+    gap: Fraction | None = None,
 ) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     """All integer points x (one per window slot) with
     Q(x) = sum_i d[i]*((x_i - center_i) + sum_{j<i} u[i][j]*(x_j - center_j))^2 <= budget
     and x_i in its window, each with the leftover budget - Q(x).  With no
-    slot the empty point is yielded once, whatever the budget."""
+    slot the empty point is yielded once, whatever the budget.
+
+    With ``gap`` only the points whose leftover is below it are yielded
+    (the shell Q(x) > budget - gap): the last level skips the inner
+    interval of values that would leave at least ``gap``."""
     n = len(d)
     xs = [0] * n
 
@@ -186,17 +203,24 @@ def _fp_enumerate(
             return
         t = -center[i] + sum(u[i][j] * (xs[j] - center[j]) for j in range(i) if u[i][j])
         lo, hi = _range_under_quadratic(d[i], t, left)
-        for x in _window_values(windows[i], lo, hi):
-            xs[i] = x
-            yield from rec(i + 1, left - d[i] * (x + t) ** 2)
+        spans = [(lo, hi)]
+        if gap is not None and i == n - 1:
+            inner_lo, inner_hi = _range_under_quadratic(d[i], t, left - gap)
+            if inner_lo <= inner_hi:
+                spans = [(lo, inner_lo - 1), (inner_hi + 1, hi)]
+        for a, b in spans:
+            for x in _window_values(windows[i], a, b):
+                xs[i] = x
+                yield from rec(i + 1, left - d[i] * (x + t) ** 2)
 
-    yield from rec(0, budget)
+    if n or gap is None or budget < gap:
+        yield from rec(0, budget)
 
 
 class _SupportForm:
-    """The form N = -M^{-1} of one computation on the support of c_l,
-    factored once so that every enumeration pass (each bound escalation)
-    reuses the factors.
+    """The form N = -M^{-1} of one graph on the support of c_l, factored
+    once so that every enumeration pass (each bound escalation) reuses
+    the factors.
 
     Only leaves (l_v = +-1), an isolated vertex (l_v in {-2, 0, 2}) and
     the degree >= 3 vertices ``high`` can carry l_v != 0.  The principal
@@ -235,18 +259,21 @@ class _SupportForm:
         self.schur_int = [[int(x * self.den) for x in row] for row in schur]
         self.ldl = _ldl_ordered(block)
 
-    def enumerate(self, bound: Fraction) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        """Window-feasible vectors l with l^T N l <= bound, each with l^T N l.
-        Without degree >= 3 vertices every assignment is yielded, unbounded."""
+    def enumerate(self, bound: Fraction, floor: Fraction | None = None) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+        """Window-feasible vectors l with l^T N l <= bound, each with l^T N l;
+        with ``floor``, only those with l^T N l > floor (one shell).
+        Without degree >= 3 vertices every assignment is yielded (above
+        the floor, if one is given), whatever the bound."""
         d, u = self.ldl
         den = self.den
+        gap = None if floor is None else bound - floor
         l = [0] * self.size
         for combo in itertools.product(*self.low_values):
             for v, x in zip(self.low, combo):
                 l[v] = x
             q0 = Fraction(sum(x * sum(a * y for a, y in zip(row, combo)) for x, row in zip(combo, self.schur_int)), den)
             center = [Fraction(sum(a * x for a, x in zip(row, combo)), den) for row in self.g_int]
-            for xs, left in _fp_enumerate(d, u, center, self.high_windows, bound - q0):
+            for xs, left in _fp_enumerate(d, u, center, self.high_windows, bound - q0, gap):
                 for h, x in zip(self.high, xs):
                     l[h] = x
                 # l^T N l = q0 + (budget - left) with budget = bound - q0
@@ -257,52 +284,53 @@ _PROBE_GROUP_LIMIT = 200_000
 _PROBE_ASSIGNMENT_LIMIT = 4096
 
 
-def _support_provably_misses_coset(ctx, windows, high, a_vec) -> bool:
-    """Exact emptiness test for the support/coset intersection.
+def _classes_missing_support(ctx, windows, high, reps) -> set[int]:
+    """Exact emptiness test for the support/coset intersection, for many
+    classes at once: the indices of ``reps`` whose coset the support
+    provably never meets.
 
     Membership of l in a + 2MZ^s reduces mod the group G = prod Z/2d_i
-    (Smith form of M).  The degree >= 3 coordinates range over all of Z,
-    so for each finite-window assignment of the other coordinates the
-    intersection is nonempty iff the target class lies in the subgroup
-    of G generated by the corresponding columns of U.  Returns True only
-    when that fails for every assignment; skipped (False) when the group
-    or assignment count is too large to scan.
+    (Smith form of M): it needs U a = U l in G.  Letting the degree >= 3
+    coordinates range over all of Z, U l lies in U x + S for some
+    finite-window assignment x of the other coordinates, S the subgroup
+    of G generated by the columns of U on ``high``.  One closure of those
+    U x under the generators gives that set, and a class whose U a lies
+    outside it never meets the support.  Nothing is decided (empty set)
+    when the group or assignment count is too large to scan.
     """
     mods = [2 * di for di in ctx.d]
     group_size = 1
     for m in mods:
         group_size *= m
     if group_size > _PROBE_GROUP_LIMIT:
-        return False
+        return set()
     low = [v for v in range(len(windows)) if v not in set(high)]
     n_assign = 1
     for v in low:
         n_assign *= len(windows[v][1])
     if n_assign > _PROBE_ASSIGNMENT_LIMIT:
-        return False
+        return set()
+
+    def image(vec) -> tuple[int, ...]:
+        return tuple(sum(r * x for r, x in zip(row, vec)) % m for row, m in zip(ctx.u_int, mods))
+
     cols = [tuple(ctx.u_int[i][h] % mods[i] for i in range(len(mods))) for h in high]
-    subgroup = {tuple(0 for _ in mods)}
-    frontier = [tuple(0 for _ in mods)]
+    reached = set()
+    l = [0] * len(windows)
+    for combo in itertools.product(*[windows[v][1] for v in low]):
+        for v, x in zip(low, combo):
+            l[v] = x
+        reached.add(image(l))
+    frontier = list(reached)
     while frontier:
         base = frontier.pop()
         for col in cols:
             for sgn in (1, -1):
                 nxt = tuple((b + sgn * c) % m for b, c, m in zip(base, col, mods))
-                if nxt not in subgroup:
-                    subgroup.add(nxt)
+                if nxt not in reached:
+                    reached.add(nxt)
                     frontier.append(nxt)
-    for combo in itertools.product(*[windows[v][1] for v in low]):
-        l = [0] * len(windows)
-        for v, x in zip(low, combo):
-            l[v] = x
-        diff = [x - y for x, y in zip(l, a_vec)]
-        target = tuple(
-            (-sum(row[j] * diff[j] for j in range(len(diff)))) % m
-            for row, m in zip(ctx.u_int, mods)
-        )
-        if target in subgroup:
-            return False
-    return True
+    return {rep.class_index for rep in reps if image(rep.vector) not in reached}
 
 
 # -- Spin^c bookkeeping ----------------------------------------------------
@@ -329,15 +357,6 @@ class _SpinCContext:
         self.count = 1
         for di in self.d:
             self.count *= di
-
-    def coset_member(self, l: Sequence[int], a: Sequence[int]) -> bool:
-        """l = a (mod 2mZ^s), tested through the Smith form: with UmV = D
-        the condition is 2*d_i | (U(l - a))_i for every i."""
-        diff = [x - y for x, y in zip(l, a)]
-        return all(
-            sum(row[j] * diff[j] for j in range(len(diff))) % (2 * di) == 0
-            for row, di in zip(self.u_int, self.d)
-        )
 
     def index_of_vector(self, vector: Sequence[int]) -> int:
         x = []
@@ -390,6 +409,167 @@ def delta_orientation_reversal(delta: Fraction) -> Fraction:
 # -- the main computation --------------------------------------------------
 
 
+class _FactorTable(dict):
+    """k -> 2 * (coefficient of z^-k in the factor of a degree >= 3
+    vertex), an integer; filled on first use."""
+
+    def __init__(self, deg: int):
+        super().__init__()
+        self.deg = deg
+
+    def __missing__(self, k: int) -> int:
+        value = self[k] = int(2 * vertex_factor_coefficient(self.deg, -k))
+        return value
+
+
+class _GraphSetup:
+    """Everything one graph's series share across Spin^c classes: the
+    tree elimination and inertia, the adjugate, one Smith form, one
+    factored support form, e0, the sign and the vertex-factor tables.
+
+    ``series`` computes any set of classes from shared walks of the
+    support.  Each walked vector l goes to its class by the residues of U
+    (Smith form U M V = D) mod 2d_i on the support coordinates, for the
+    rows with d_i > 1: the class index has digits (U(l - delta))_i / 2
+    mod d_i, O(k) per vector for k leaves and nodes.
+    """
+
+    def __init__(self, graph: PlumbingGraph, allow_weakly: bool):
+        m = graph.linking_matrix()
+        degrees = graph.degree_vector()
+        high = graph.high_degree_vertices()
+        # The tree's linking matrix is eliminated in integers: its pivots
+        # decide negative definiteness and give the inertia, and
+        # M^-1 = adj(M) / det M comes one tree walk per column.
+        elim = graph.elimination()
+        if elim.det == 0:
+            raise SingularMatrix("Spin^c classes need an invertible linking matrix")
+        weakly = not elim.is_negative_definite
+        if weakly and not allow_weakly:
+            raise NotNegativeDefinite(
+                "linking matrix is not negative definite (pass allow_weakly=True for weakly negative definite input)"
+            )
+        adj = graph.adjugate()
+        # -M^-1 on the degree >= 3 vertices: positive definite in both cases
+        block = ExactMatrix([[Fraction(-adj[i][j], elim.det) for j in high] for i in high])
+        if not weakly:
+            sigma, pi_count = elim.inertia()
+        else:
+            if not is_negative_definite(block.neg()):
+                raise NotNegativeDefinite("linking matrix is not weakly negative definite")
+            # pivots may be zero off the negative definite path: dense signature
+            sigma, pi_count = m.signature_and_positive_count()
+
+        self.ctx = _SpinCContext(m, degrees)
+        self.e0 = Fraction(3 * sigma - sum(graph.weights), 4)
+        self.sign = -1 if pi_count % 2 else 1
+        self.high = high
+        self.windows = [_support_window(d) for d in degrees]
+        self.form = _SupportForm(block, adj, elim.det, high, self.windows)
+        # c_l = prod over the support of the tables below, / 2^#high
+        self.support = self.form.low + list(high)
+        self.tables = [
+            _FactorTable(degrees[v]) if degrees[v] >= 3
+            else {k: int(vertex_factor_coefficient(degrees[v], -k)) for k in self.windows[v][1]}
+            for v in self.support
+        ]
+        self.scale = 2 ** len(high)
+        self.residues = []
+        stride = 1
+        for row, di in zip(self.ctx.u_int, self.ctx.d):
+            if di > 1:
+                mod = 2 * di
+                offset = sum(r * x for r, x in zip(row, degrees)) % mod
+                self.residues.append(([row[v] % mod for v in self.support], offset, mod, stride))
+            stride *= di
+
+    def _walk(self, terms: dict[int, dict], bound: Fraction, floor: Fraction | None = None) -> None:
+        """Add every support vector l with floor < q = l^T N l <= bound
+        (no floor: q <= bound) to ``terms[class of l][q]`` as 2^#high * c_l,
+        for the classes that are keys of ``terms``; then drop the zeros."""
+        support, tables, residues = self.support, self.tables, self.residues
+        for l, q in self.form.enumerate(bound, floor):
+            idx = 0
+            for cols, offset, mod, stride in residues:
+                idx += (sum(a * l[v] for a, v in zip(cols, support)) - offset) % mod // 2 * stride
+            acc = terms.get(idx)
+            if acc is None:
+                continue
+            c = 1
+            for v, table in zip(support, tables):
+                c *= table[l[v]]
+            acc[q] = acc.get(q, 0) + c
+        for acc in terms.values():
+            for q in [q for q, c in acc.items() if not c]:
+                del acc[q]
+
+    def series(self, reps: Sequence[SpinCRep], order: Fraction) -> list[ZhatResult | EmptySeries]:
+        """ZhatResult, or the EmptySeries to raise, for each of ``reps``
+        (distinct classes).
+
+        One walk to 4(order + 1) serves every class.  Classes still empty
+        are settled exactly where the probe can; the rest escalate
+        together, each pass walking only the new shell, and a last shell
+        tops every class up to 4 * order above its leading term.  Every
+        q below a walked bound is complete, so each result depends only
+        on its class's series, not on which other classes share the walk.
+        """
+        terms: dict[int, dict] = {rep.class_index: {} for rep in reps}
+        notes: dict[int, str] = {}
+        bound = 4 * (order + 1)
+        self._walk(terms, bound)
+        if not self.high:
+            # the walk listed the whole (finite) support
+            for idx, acc in terms.items():
+                if not acc:
+                    notes[idx] = "series is identically zero (finite support exhausted)"
+        else:
+            empty = [rep for rep in reps if not terms[rep.class_index]]
+            # before escalating, settle emptiness exactly where feasible
+            missed = _classes_missing_support(self.ctx, self.windows, self.high, empty) if empty else set()
+            for idx in missed:
+                notes[idx] = "series is identically zero (support never meets the coset)"
+            pending = [rep.class_index for rep in empty if rep.class_index not in missed]
+            # the bound each class's terms must be complete to
+            needed = {idx: min(acc) + 4 * order for idx, acc in terms.items() if acc}
+            for _ in range(_MAX_BOUND_DOUBLINGS):
+                if not pending:
+                    break
+                floor, bound = bound, 2 * bound + 4
+                walked = pending + [idx for idx, need in needed.items() if need > floor]
+                self._walk({idx: terms[idx] for idx in walked}, bound, floor)
+                for idx in pending:
+                    if terms[idx]:
+                        needed[idx] = min(terms[idx]) + 4 * order
+                pending = [idx for idx in pending if not terms[idx]]
+            for idx in pending:
+                notes[idx] = "every coefficient cancels below the escalated bound; raise order"
+            top = max(needed.values(), default=bound)
+            if top > bound:
+                self._walk({idx: terms[idx] for idx, need in needed.items() if need > bound}, top, bound)
+        return [
+            EmptySeries(notes[rep.class_index]) if rep.class_index in notes
+            else self._result(rep, terms[rep.class_index], order)
+            for rep in reps
+        ]
+
+    def _result(self, rep: SpinCRep, acc: dict, order: Fraction) -> ZhatResult:
+        top = min(acc) + 4 * order
+        series = QSeries.from_terms(
+            [(self.e0 + q / 4, Fraction(self.sign * c, self.scale)) for q, c in acc.items() if q <= top],
+            self.e0 + top / 4,
+        )
+        delta, tail, eta = series.leading_exponent_and_normalize()
+        return ZhatResult(rep, delta, tail, eta, self.sign, order)
+
+
+def _checked_order(order) -> Fraction:
+    order = Fraction(order)
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    return order
+
+
 def compute_zhat(
     graph: PlumbingGraph,
     spinc,
@@ -406,99 +586,38 @@ def compute_zhat(
     definite input is accepted only with ``allow_weakly=True``
     (experimental).  Raises EmptySeries when every coefficient cancels
     below the order, with a message saying whether raising the order can
-    help.
+    help.  This is the one-class case of :func:`compute_zhat_all`.
     """
-    order = Fraction(order)
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    m = graph.linking_matrix()
-    degrees = graph.degree_vector()
-    high = graph.high_degree_vertices()
-    # The tree's linking matrix is eliminated in integers: its pivots
-    # decide negative definiteness and give the inertia, and
-    # M^-1 = adj(M) / det M comes one tree walk per column.
-    elim = graph.elimination()
-    weakly = not elim.is_negative_definite
-    if weakly and not allow_weakly:
-        raise NotNegativeDefinite(
-            "linking matrix is not negative definite (pass allow_weakly=True for weakly negative definite input)"
-        )
-    if elim.det == 0:
-        raise SingularMatrix("matrix is singular")
-    adj = graph.adjugate()
-    # -M^-1 on the degree >= 3 vertices: positive definite in both cases
-    block = ExactMatrix([[Fraction(-adj[i][j], elim.det) for j in high] for i in high])
-    if not weakly:
-        sigma, pi_count = elim.inertia()
-    else:
-        if not is_negative_definite(block.neg()):
-            raise NotNegativeDefinite("linking matrix is not weakly negative definite")
-        # pivots may be zero off the negative definite path: dense signature
-        sigma, pi_count = m.signature_and_positive_count()
-
-    ctx = _SpinCContext(m, degrees)
+    order = _checked_order(order)
+    setup = _GraphSetup(graph, allow_weakly)
+    ctx = setup.ctx
     if isinstance(spinc, SpinCRep):
         rep = ctx.canonical(spinc.vector)
     elif isinstance(spinc, int):
         rep = SpinCRep(ctx.vector_of_index(spinc), spinc)
     else:
         rep = ctx.canonical(list(spinc))
-    a_vec = rep.vector
+    (result,) = setup.series([rep], order)
+    if isinstance(result, EmptySeries):
+        raise result
+    return result
 
-    e0 = Fraction(3 * sigma - sum(graph.weights), 4)
-    sign = -1 if pi_count % 2 else 1
-    windows = [_support_window(d) for d in degrees]
-    form = _SupportForm(block, adj, elim.det, high, windows)
-    factor_tables = [
-        {k: vertex_factor_coefficient(deg, -k) for k in w[1]} if w[0] == "set" else None
-        for deg, w in zip(degrees, windows)
-    ]
 
-    def aggregate(bound: Fraction) -> dict[Fraction, Fraction]:
-        acc: dict[Fraction, Fraction] = {}
-        for l, q in form.enumerate(bound):
-            if not ctx.coset_member(l, a_vec):
-                continue
-            c = Fraction(1)
-            for v, lv in enumerate(l):
-                c *= factor_tables[v][lv] if factor_tables[v] is not None else vertex_factor_coefficient(degrees[v], -lv)
-            e = e0 + q / 4
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return {e: c for e, c in acc.items() if c != 0}
+def compute_zhat_all(
+    graph: PlumbingGraph,
+    order=Fraction(200),
+    allow_weakly: bool = False,
+) -> list[tuple[SpinCRep, ZhatResult | EmptySeries]]:
+    """Every Spin^c class with its series, in class order, from one
+    shared enumeration.
 
-    finite_support = not high
-    bound = 4 * (order + 1)
-    surviving = aggregate(bound)
-    if finite_support:
-        if not surviving:
-            raise EmptySeries("series is identically zero (finite support exhausted)")
-    else:
-        if not surviving:
-            # before escalating, settle emptiness exactly where feasible
-            if _support_provably_misses_coset(ctx, windows, high, a_vec):
-                raise EmptySeries("series is identically zero (support never meets the coset)")
-            for _ in range(_MAX_BOUND_DOUBLINGS):
-                bound = 2 * bound + 4
-                surviving = aggregate(bound)
-                if surviving:
-                    break
-        if not surviving:
-            raise EmptySeries(
-                "every coefficient cancels below the escalated bound; raise order"
-            )
-        delta_min = min(surviving)
-        needed = 4 * (delta_min - e0) + 4 * order
-        if needed > bound:
-            surviving = aggregate(needed)
-
-    delta_min = min(surviving)
-    window_top = delta_min + order
-    series = QSeries.from_terms(
-        [(e, sign * c) for e, c in surviving.items() if e <= window_top],
-        window_top,
-    )
-    delta, tail, eta = series.leading_exponent_and_normalize()
-    return ZhatResult(rep, delta, tail, eta, sign, order)
+    Each entry is what :func:`compute_zhat` gives for that class: its
+    result, or the EmptySeries it would raise.
+    """
+    order = _checked_order(order)
+    setup = _GraphSetup(graph, allow_weakly)
+    reps = [SpinCRep(setup.ctx.vector_of_index(i), i) for i in range(setup.ctx.count)]
+    return list(zip(reps, setup.series(reps, order)))
 
 
 def delta_a(graph: PlumbingGraph, spinc, allow_weakly: bool = False) -> Fraction:

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from zhat.exact import ExactMatrix
 from zhat.plumbing import PlumbingGraph
@@ -39,3 +40,13 @@ def det_cofactor(rows) -> Fraction:
         minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
         total += (-1) ** j * Fraction(rows[0][j]) * det_cofactor(minor)
     return total
+
+
+@st.composite
+def trees(draw, max_size=7, weights=st.integers(-4, 4)):
+    """Random labelled tree: each vertex hangs from an earlier one, then
+    the labels are shuffled so that vertex 0 is not always the root."""
+    n = draw(st.integers(1, max_size))
+    label = draw(st.permutations(range(n)))
+    edges = tuple((label[draw(st.integers(0, v - 1))], label[v]) for v in range(1, n))
+    return PlumbingGraph(tuple(draw(st.lists(weights, min_size=n, max_size=n))), edges)

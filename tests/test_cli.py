@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import trees
 from zhat.cli import main
+from zhat.plumbing import format_plumb
 
 S3_FILE = "1\n-1\n"
 L5_FILE = "1\n-5\n"
@@ -114,6 +120,37 @@ class TestGraphCommand:
         payload = json.loads(out)
         res = ZhatResult.from_json_obj(payload["results"][0])
         assert str(res.delta) == "9/2"
+
+
+# Valid PLUMB files of small trees (negative definite or not, singular
+# too), as they are and with a few characters inserted somewhere.
+PLUMB_FILES = st.builds(format_plumb, trees(max_size=4, weights=st.integers(-6, 2)))
+INSERTED = st.tuples(PLUMB_FILES, st.integers(0, 40), st.text(max_size=3)).map(
+    lambda parts: parts[0][: parts[1]] + parts[2] + parts[0][parts[1] :]
+)
+
+
+class TestFuzzedPlumbFile:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        content=st.one_of(st.text(), st.binary(), PLUMB_FILES, INSERTED),
+        argv=st.sampled_from([["graph"], ["graph", "--all"], ["delta"], ["delta", "--all"]]),
+    )
+    def test_exit_code_contract(self, tmp_path_factory, content, argv):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.plumb"
+        if isinstance(content, str):
+            path.write_text(content, encoding="utf-8")
+        else:
+            path.write_bytes(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], str(path), *argv[1:], "--order", "3"])
+        assert code in (0, 2)
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        else:
+            assert err.getvalue() == "" and out.getvalue()
 
 
 class TestDeltaCommand:

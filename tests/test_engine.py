@@ -3,21 +3,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import trees
 from zhat.brieskorn import brieskorn_data, build_plumbing, zhat0_brieskorn
 from zhat.engine import (
     SpinCRep,
     ZhatResult,
+    _GraphSetup,
     _SupportForm,
     _support_window,
     compute_zhat,
+    compute_zhat_all,
     conjugate_spin_c,
     delta_a,
     delta_orientation_reversal,
     spin_c_representatives,
     vertex_factor_coefficient,
 )
-from zhat.errors import EmptySeries, NotNegativeDefinite
+from zhat.errors import EmptySeries, NotNegativeDefinite, SingularMatrix
 from zhat.exact import ExactMatrix, enumerate_coset_under_bound
 from zhat.plumbing import PlumbingGraph
 
@@ -394,3 +399,103 @@ class TestDeterminism:
     def test_result_round_trip(self, g_2_9_11):
         res = compute_zhat(g_2_9_11, 0, order=40)
         assert ZhatResult.from_json_obj(json.loads(json.dumps(res.to_json_obj()))) == res
+
+
+# The pair whose zero class needs the bound escalated: the star is the
+# chain with an edge blown up; class 2 of the star stays empty through
+# every doubling.
+ESCALATION_STAR = PlumbingGraph((-3, -2, -2, -1), ((0, 1), (0, 2), (0, 3)))
+ESCALATION_CHAIN = PlumbingGraph((-2, -2, -2), ((0, 1), (1, 2)))
+WEAKLY = PlumbingGraph((-2, -1, -3, -2, 1), ((0, 1), (1, 2), (2, 3), (1, 4)))
+SIX_LEAF_STAR = PlumbingGraph((-5, -2, -2, -3, -2, -3, -2), tuple((0, v) for v in range(1, 7)))
+
+
+def outcome(res):
+    """A result, or the message of an EmptySeries, for comparing."""
+    return str(res) if isinstance(res, EmptySeries) else res
+
+
+def per_class(g, order, allow_weakly=False):
+    out = []
+    for rep in spin_c_representatives(g.linking_matrix(), g.degree_vector()):
+        try:
+            out.append((rep, compute_zhat(g, rep, order, allow_weakly=allow_weakly)))
+        except EmptySeries as exc:
+            out.append((rep, exc))
+    return out
+
+
+class TestAllClasses:
+    def check(self, g, order, allow_weakly=False):
+        together = compute_zhat_all(g, order, allow_weakly=allow_weakly)
+        assert [(rep, outcome(r)) for rep, r in together] == [
+            (rep, outcome(r)) for rep, r in per_class(g, order, allow_weakly)
+        ]
+        return together
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(trees(weights=st.integers(-4, -2)), st.integers(0, 6))
+    def test_matches_per_class(self, g, order):
+        elim = g.elimination()
+        assume(elim.is_negative_definite and abs(elim.det) <= 40)
+        self.check(g, order)
+
+    def test_escalation_pair(self):
+        star = self.check(ESCALATION_STAR, 0)
+        assert "raise order" in outcome(star[2][1])
+        chain = self.check(ESCALATION_CHAIN, 0)
+        assert [outcome(r) for _, r in chain if isinstance(r, EmptySeries)] == [
+            "series is identically zero (finite support exhausted)"
+        ]
+
+    def test_weakly(self):
+        # not negative definite; M^-1 is negative definite on the node
+        g = PlumbingGraph((-2, -1, 1, 1, -1, -2), ((0, 1), (1, 2), (0, 3), (3, 4), (0, 5)))
+        assert len(self.check(g, 6, allow_weakly=True)) == 12
+
+    def test_weakly_needs_flag(self):
+        with pytest.raises(NotNegativeDefinite):
+            compute_zhat_all(WEAKLY, 4)
+
+    @pytest.mark.parametrize("allow_weakly", [False, True])
+    def test_singular_graph(self, allow_weakly):
+        # one error for one class and for all of them, whatever the flag
+        g = PlumbingGraph((-1, -1), ((0, 1),))
+        for compute in (lambda: compute_zhat(g, 0, 5, allow_weakly), lambda: compute_zhat_all(g, 5, allow_weakly)):
+            with pytest.raises(SingularMatrix, match="invertible"):
+                compute()
+
+    @pytest.mark.parametrize(
+        "g",
+        [ESCALATION_STAR, ESCALATION_CHAIN, SIX_LEAF_STAR, PlumbingGraph((-4, -3, -3, -2), ((0, 1), (0, 2), (0, 3)))],
+        ids=["escalation_star", "escalation_chain", "six_leaf_star", "star"],
+    )
+    def test_conjugation_symmetry(self, g):
+        # Zhat_a = Zhat_{-a}: equal series, or the same reason for zero
+        m, deg = g.linking_matrix(), g.degree_vector()
+        results = compute_zhat_all(g, 6)
+        for rep, res in results:
+            conj = results[conjugate_spin_c(rep, m, deg).class_index][1]
+            if isinstance(res, EmptySeries):
+                assert outcome(conj) == outcome(res)
+            else:
+                assert (conj.delta, conj.tail, conj.eta_pow2) == (res.delta, res.tail, res.eta_pow2)
+
+
+class TestShellWalk:
+    @pytest.mark.parametrize(
+        "name", ["g_2_9_11", "six_leaf_star", "weakly", "chain"],
+    )
+    def test_shell_is_the_walk_above_the_floor(self, request, name):
+        g = {
+            "six_leaf_star": SIX_LEAF_STAR,
+            "weakly": WEAKLY,
+            "chain": PlumbingGraph((-2, -3, -2), ((0, 1), (1, 2))),
+        }.get(name) or request.getfixturevalue(name)
+        form = _GraphSetup(g, allow_weakly=True).form
+        bound = Fraction(60)
+        walked = list(form.enumerate(bound))
+        qs = sorted({q for _, q in walked})
+        # below, at and between attained values, and the bound itself
+        for floor in [Fraction(-1), qs[0], qs[len(qs) // 2], qs[-1] - Fraction(1, 7), Fraction(30), bound]:
+            assert list(form.enumerate(bound, floor)) == [(l, q) for l, q in walked if q > floor]

@@ -11,24 +11,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from conftest import det_cofactor
+from conftest import det_cofactor, trees
 from zhat.brieskorn import brieskorn_data, build_plumbing
 from zhat.engine import _SpinCContext
 from zhat.exact import ExactMatrix, is_negative_definite, smith_normal_form
 from zhat.plumbing import PlumbingGraph
-
-
-@st.composite
-def trees(draw, max_size=7):
-    """Random labelled tree: each vertex hangs from an earlier one, then
-    the labels are shuffled so that vertex 0 is not always the root."""
-    n = draw(st.integers(1, max_size))
-    label = draw(st.permutations(range(n)))
-    edges = tuple((label[draw(st.integers(0, v - 1))], label[v]) for v in range(1, n))
-    weights = tuple(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
-    return PlumbingGraph(weights, edges)
 
 
 def int_rows(g: PlumbingGraph) -> list[list[int]]:
