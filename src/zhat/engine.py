@@ -14,24 +14,30 @@ Only vectors l whose every coordinate lies in the support of its vertex
 factor can contribute: l_v = 0 on degree-2 vertices, l_v = +-1 on
 leaves, and |l_v| >= deg - 2 of the right parity on degree >= 3
 vertices.  One enumeration serves every tree: the finitely many
-assignments of the leaves are listed outright, and for each one a
+assignments of the leaves are listed once per graph, and for each one a
 Fincke-Pohst walk over the degree >= 3 coordinates alone (the principal
 block of -M^-1 there is positive definite) finds the rest under the
-quadratic bound and yields each exponent with it.  Every support vector
-lies in 2Z^s + delta, so sorting the walk by Spin^c class gives the
-same series as enumerating each full coset, since everything dropped
-has c_l = 0.
+quadratic bound.  The walk is integer throughout: it runs on the form
+B = |det M| * (-M^-1) = -sign(det M) * adj(M), factored fraction-free
+(trailing minors and their adjugates), so each level's range is one
+integer square root and each vector comes with the integer exponent
+S = l^T B l; a Fraction is made only once per output term.  Every
+support vector lies in 2Z^s + delta, so sorting the walk by Spin^c
+class gives the same series as enumerating each full coset, since
+everything dropped has c_l = 0.
 
 All classes of a graph share one walk.  The class-independent set-up
-(elimination, adjugate, Smith form, factored form, vertex-factor
-tables) is built once, and each walked vector goes to its class by
-residues of the Smith form's U on the leaves and nodes, O(k) per
-vector.  The quadratic bound starts at 4(order + 1) for every class;
-classes still empty are settled exactly where the probe can, the rest
-escalate together, and every later pass (each doubling and the last
-top-up to order above the leading term) walks only the new shell
-floor < q <= bound.  A result depends only on its class's series, so
-computing one class or all of them gives the same answer.
+(elimination, adjugate, Smith form, factored form, leaf assignments,
+vertex-factor tables) is built once, and each walked vector goes to its
+class by residues of the Smith form's U on the leaves and nodes, O(k)
+per vector.  The quadratic bound starts at 4(order + 1) for every
+class; classes still empty are settled exactly where the probe can, the
+rest escalate together, and every later pass (each doubling and the
+last top-up to order above the leading term) walks only the new shell
+floor < q <= bound of the classes it still needs: the class is affine
+in the last walked coordinate, so that level steps straight through the
+values in those classes.  A result depends only on its class's series,
+so computing one class or all of them gives the same answer.
 """
 
 from __future__ import annotations
@@ -39,14 +45,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, floor, gcd, lcm
 from typing import Iterator, Sequence
 
 from .errors import EmptySeries, NotNegativeDefinite, SingularMatrix
 from .exact import (
     ExactMatrix,
     _ldl_ordered,
-    _range_under_quadratic,
+    _range_under_square,
     is_negative_definite,
     smith_normal_form,
 )
@@ -158,126 +164,184 @@ def _support_window(deg: int):
     return ("parity", deg - 2)  # |k| >= m, k = m mod 2
 
 
-def _window_values(window, lo: int, hi: int) -> Iterator[int]:
-    kind, data = window
-    if kind == "set":
-        for k in data:
-            if lo <= k <= hi:
-                yield k
-    else:
-        m = data
-        k = lo if (lo - m) % 2 == 0 else lo + 1
-        while k <= min(hi, -m):
-            yield k
-            k += 2
-        k = max(m, lo)
-        if (k - m) % 2 != 0:
-            k += 1
-        while k <= hi:
-            yield k
-            k += 2
-
-
-def _fp_enumerate(
-    d: list[Fraction],
-    u: list[list[Fraction]],
-    center: list[Fraction],
-    windows: list,
-    budget: Fraction,
-    gap: Fraction | None = None,
-) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """All integer points x (one per window slot) with
-    Q(x) = sum_i d[i]*((x_i - center_i) + sum_{j<i} u[i][j]*(x_j - center_j))^2 <= budget
-    and x_i in its window, each with the leftover budget - Q(x).  With no
-    slot the empty point is yielded once, whatever the budget.
-
-    With ``gap`` only the points whose leftover is below it are yielded
-    (the shell Q(x) > budget - gap): the last level skips the inner
-    interval of values that would leave at least ``gap``."""
-    n = len(d)
-    xs = [0] * n
-
-    def rec(i: int, left: Fraction) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        if i == n:
-            yield tuple(xs), left
-            return
-        t = -center[i] + sum(u[i][j] * (xs[j] - center[j]) for j in range(i) if u[i][j])
-        lo, hi = _range_under_quadratic(d[i], t, left)
-        spans = [(lo, hi)]
-        if gap is not None and i == n - 1:
-            inner_lo, inner_hi = _range_under_quadratic(d[i], t, left - gap)
-            if inner_lo <= inner_hi:
-                spans = [(lo, inner_lo - 1), (inner_hi + 1, hi)]
-        for a, b in spans:
-            for x in _window_values(windows[i], a, b):
-                xs[i] = x
-                yield from rec(i + 1, left - d[i] * (x + t) ** 2)
-
-    if n or gap is None or budget < gap:
-        yield from rec(0, budget)
+def _parity_runs(m: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """The values k = m (mod 2) with |k| >= m in [lo, hi], the support of
+    a degree m + 2 vertex, as runs (first, last) stepped by 2; first has
+    the right parity, last may not."""
+    first = lo + (lo - m) % 2
+    if first <= min(hi, -m):
+        yield first, min(hi, -m)
+    first = max(lo, m)
+    first += (first - m) % 2
+    if first <= hi:
+        yield first, hi
 
 
 class _SupportForm:
-    """The form N = -M^{-1} of one graph on the support of c_l, factored
-    once so that every enumeration pass (each bound escalation) reuses
-    the factors.
+    """The integer form B = |det M| * N, N = -M^{-1}, of one graph on the
+    support of c_l, with everything every enumeration pass (each bound
+    escalation) shares.
 
     Only leaves (l_v = +-1), an isolated vertex (l_v in {-2, 0, 2}) and
-    the degree >= 3 vertices ``high`` can carry l_v != 0.  The principal
-    block N_hh of N on ``high`` is positive definite for negative definite
-    and weakly negative definite trees alike; it is factored here.  The
-    finitely many assignments x of the other coordinates are enumerated
-    outright.  With y the coordinates on ``high``, completing the square
-    gives
+    the degree >= 3 vertices ``high`` can carry l_v != 0, and
+    B = -sign(det M) * adj(M) is an integer matrix.  The principal block
+    B_hh on ``high`` is positive definite for negative definite and
+    weakly negative definite trees alike; it is factored fraction-free
+    once (trailing minors D_p and their adjugates).  The finitely many
+    assignments x of the other coordinates are listed once, each with
+    the integers the walk needs: with y the coordinates on ``high``,
 
-        l^T N l = q0(x) + (y - c(x))^T N_hh (y - c(x)),
+        S = l^T B l = x^T B_xx x + 2 y^T B_hx x + y^T B_hh y,
 
-    with the center c(x) = G x, G = -N_hh^{-1} N_hx, and q0(x) = x^T S x
-    for the Schur complement S = N_xx + N_xh G; the block form is walked
-    around c(x) for each x.  G and S are kept as integers over one common
-    denominator, so each assignment costs integer sums and one Fraction
-    per value.
+    and M_0 = D_0 * min_y S (over real y) and the scaled centers V_p^0
+    follow from B_hx x and x^T B_xx x.
+
+    The walk fixes y_0, y_1, ... in turn.  At level p the minimum of S
+    over the later coordinates, times D_p, is M_p, and fixing y_p = v
+    costs (D_p v - V_p)^2 / (D_p D_(p+1)) on top of it, so each level's
+    range is one integer square root and M_(p+1) follows by one exact
+    division.  Exponents come out as the integers S, l^T N l = S/|det M|.
+
+    Each vector also gets its Spin^c class index from ``classes``, rows
+    (row of U, offset U delta, d, stride) of the Smith form for d > 1:
+    digit (U l - U delta) / 2 mod d.  Adding 2 to the last coordinate
+    adds its column of U mod d to the digits, so the class is affine in
+    it with some period; when only some classes are wanted, the last
+    level jumps straight to the values that land in one of them.
     """
 
-    def __init__(self, block: ExactMatrix, adj: Sequence[Sequence[int]], det: int, high: Sequence[int], windows: list):
+    def __init__(self, adj: Sequence[Sequence[int]], det: int, high: Sequence[int], windows: list, classes: list):
         self.high = list(high)
         in_high = set(self.high)
         # degree-2 windows are {0}: those coordinates stay 0
         self.low = [v for v in range(len(windows)) if v not in in_high and windows[v][1] != (0,)]
-        self.low_values = [windows[v][1] for v in self.low]
-        self.high_windows = [windows[h] for h in self.high]
-        self.size = len(windows)
-        inv = block.inverse().rows
-        n_hx = [[Fraction(-adj[h][v], det) for v in self.low] for h in self.high]
-        g = [[-sum(r * col[j] for r, col in zip(row, n_hx)) for j in range(len(self.low))] for row in inv]
-        schur = [
-            [Fraction(-adj[v][w], det) + sum(nh[i] * gh[j] for nh, gh in zip(n_hx, g)) for j, w in enumerate(self.low)]
-            for i, v in enumerate(self.low)
+        self.det = abs(det)
+        sign = 1 if det > 0 else -1
+        support = self.low + self.high
+        form = [[-sign * adj[i][j] for j in support] for i in support]
+        n_low, k = len(self.low), len(self.high)
+        hh = [row[n_low:] for row in form[n_low:]]
+        factors = _ldl_ordered(hh)
+        minors = [det_p for det_p, _ in factors] + [1]
+        # per level: D_p, D_(p+1), the row giving V_p from the earlier y, the window, the U columns
+        centers = [adj_p[0] for _, adj_p in factors]
+        self.levels = [
+            (
+                minors[p],
+                minors[p + 1],
+                [-sum(r * hh[p + j][q] for j, r in enumerate(centers[p])) for q in range(p)],
+                windows[h][1],
+                [row[h] for row, _, _, _ in classes],
+            )
+            for p, h in enumerate(self.high)
         ]
-        self.den = lcm(1, *(x.denominator for row in g + schur for x in row))
-        self.g_int = [[int(x * self.den) for x in row] for row in g]
-        self.schur_int = [[int(x * self.den) for x in row] for row in schur]
-        self.ldl = _ldl_ordered(block)
+        self.classes = [(2 * d, d, stride) for _, _, d, stride in classes]
+        if k:
+            # the digit step of the last coordinate and the cyclic group it spans
+            step = [c % d for c, (_, d, _) in zip(self.levels[-1][4], self.classes)]
+            self.period = 1
+            for c, (_, d, _) in zip(step, self.classes):
+                self.period = lcm(self.period, d // gcd(d, c))
+            self.hits = {
+                sum(j * c % d * stride for c, (_, d, stride) in zip(step, self.classes)): j
+                for j in range(self.period)
+            }
+        # One low coordinate at a time: B_hx x, x^T B_xx x, the running
+        # B_xx x and the class residues U x - U delta all grow by one term.
+        partial = [((), [0] * k, 0, [0] * n_low, [-offset for _, offset, _, _ in classes])]
+        for j, v in enumerate(self.low):
+            col = [row[j] for row in form]
+            ucol = [row[v] for row, _, _, _ in classes]
+            partial = [
+                (
+                    combo + (x,),
+                    [bi + x * a for bi, a in zip(b, col[n_low:])],
+                    c + x * (2 * sums[j] + x * col[j]),
+                    [t + x * a for t, a in zip(sums, col)],
+                    [r + x * u for r, u in zip(res, ucol)],
+                )
+                for combo, b, c, sums, res in partial
+                for x in windows[v][1]
+            ]
+        adj0 = factors[0][1] if k else []
+        self.assignments = [
+            (
+                combo,
+                minors[0] * c - sum(x * sum(a * y for a, y in zip(row, b)) for x, row in zip(b, adj0)),
+                [-sum(r * x for r, x in zip(centers[p], b[p:])) for p in range(k)],
+                res,
+            )
+            for combo, b, c, _, res in partial
+        ]
 
-    def enumerate(self, bound: Fraction, floor: Fraction | None = None) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        """Window-feasible vectors l with l^T N l <= bound, each with l^T N l;
-        with ``floor``, only those with l^T N l > floor (one shell).
-        Without degree >= 3 vertices every assignment is yielded (above
-        the floor, if one is given), whatever the bound."""
-        d, u = self.ldl
-        den = self.den
-        gap = None if floor is None else bound - floor
-        l = [0] * self.size
-        for combo in itertools.product(*self.low_values):
-            for v, x in zip(self.low, combo):
-                l[v] = x
-            q0 = Fraction(sum(x * sum(a * y for a, y in zip(row, combo)) for x, row in zip(combo, self.schur_int)), den)
-            center = [Fraction(sum(a * x for a, x in zip(row, combo)), den) for row in self.g_int]
-            for xs, left in _fp_enumerate(d, u, center, self.high_windows, bound - q0, gap):
-                for h, x in zip(self.high, xs):
-                    l[h] = x
-                # l^T N l = q0 + (budget - left) with budget = bound - q0
-                yield tuple(l), bound - left
+    def _index(self, res: Sequence[int]) -> int:
+        return sum(r % mod // 2 * stride for r, (mod, _, stride) in zip(res, self.classes))
+
+    def walk(
+        self, bound: int, lower: int | None = None, want: Sequence[int] | None = None
+    ) -> Iterator[tuple[int, int, tuple[int, ...], int]]:
+        """Every window-feasible support vector l with S = l^T B l <= bound,
+        as (class index, assignment index, y on ``high``, S); with
+        ``lower`` only those with S > lower (one shell), with ``want``
+        only those in the listed classes.  Without degree >= 3 vertices
+        every assignment is yielded (above ``lower``, if given),
+        whatever the bound."""
+        wanted = None if want is None else set(want)
+        assignments, levels, classes = self.assignments, self.levels, self.classes
+        k = len(levels)
+        if not k:
+            for a, (_, s, _, res) in enumerate(assignments):
+                idx = self._index(res)
+                if (lower is None or s > lower) and (wanted is None or idx in wanted):
+                    yield idx, a, (), s
+            return
+        digits = [(w, [w // stride % d for _, d, stride in classes]) for w in want or ()]
+        hits, period = self.hits, self.period
+        ys = [0] * k
+        last = k - 1
+
+        def level(p: int, m: int, res: list[int], v0: list[int], a: int):
+            det_p, det_next, row, parity, cols = levels[p]
+            center = v0[p] + sum(r * y for r, y in zip(row, ys))
+            lo, hi = _range_under_square(det_p, -center, det_next * (det_p * bound - m))
+            if p < last:
+                for first, end in _parity_runs(parity, lo, hi):
+                    for v in range(first, end + 1, 2):
+                        ys[p] = v
+                        z = det_p * v - center
+                        yield from level(
+                            p + 1, (det_next * m + z * z) // det_p, [r + c * v for r, c in zip(res, cols)], v0, a
+                        )
+                return
+            spans = [(lo, hi)]
+            if lower is not None:
+                inner_lo, inner_hi = _range_under_square(det_p, -center, det_p * lower - m)
+                if inner_lo <= inner_hi:
+                    spans = [(lo, inner_lo - 1), (inner_hi + 1, hi)]
+            for span_lo, span_hi in spans:
+                for first, end in _parity_runs(parity, span_lo, span_hi):
+                    if wanted is None or len(wanted) > (end - first) // 2:
+                        for v in range(first, end + 1, 2):
+                            idx = sum(
+                                (r + c * v) % mod // 2 * stride for r, c, (mod, _, stride) in zip(res, cols, classes)
+                            )
+                            if wanted is None or idx in wanted:
+                                ys[p] = v
+                                z = det_p * v - center
+                                yield idx, a, tuple(ys), (m + z * z) // det_p
+                        continue
+                    base = [(r + c * first) % mod // 2 for r, c, (mod, _, _) in zip(res, cols, classes)]
+                    for idx, w in digits:
+                        j = hits.get(sum((x - y) % d * stride for x, y, (_, d, stride) in zip(w, base, classes)))
+                        if j is None:
+                            continue
+                        for v in range(first + 2 * j, end + 1, 2 * period):
+                            ys[p] = v
+                            z = det_p * v - center
+                            yield idx, a, tuple(ys), (m + z * z) // det_p
+
+        for a, (_, m0, v0, res) in enumerate(assignments):
+            yield from level(0, m0, res, v0, a)
 
 
 _PROBE_GROUP_LIMIT = 200_000
@@ -450,12 +514,12 @@ class _GraphSetup:
                 "linking matrix is not negative definite (pass allow_weakly=True for weakly negative definite input)"
             )
         adj = graph.adjugate()
-        # -M^-1 on the degree >= 3 vertices: positive definite in both cases
-        block = ExactMatrix([[Fraction(-adj[i][j], elim.det) for j in high] for i in high])
         if not weakly:
             sigma, pi_count = elim.inertia()
         else:
-            if not is_negative_definite(block.neg()):
+            # -M^-1 on the degree >= 3 vertices must be positive definite
+            sign = 1 if elim.det > 0 else -1
+            if not is_negative_definite(ExactMatrix([[sign * adj[i][j] for j in high] for i in high])):
                 raise NotNegativeDefinite("linking matrix is not weakly negative definite")
             # pivots may be zero off the negative definite path: dense signature
             sigma, pi_count = m.signature_and_positive_count()
@@ -465,43 +529,42 @@ class _GraphSetup:
         self.sign = -1 if pi_count % 2 else 1
         self.high = high
         self.windows = [_support_window(d) for d in degrees]
-        self.form = _SupportForm(block, adj, elim.det, high, self.windows)
-        # c_l = prod over the support of the tables below, / 2^#high
-        self.support = self.form.low + list(high)
-        self.tables = [
-            _FactorTable(degrees[v]) if degrees[v] >= 3
-            else {k: int(vertex_factor_coefficient(degrees[v], -k)) for k in self.windows[v][1]}
-            for v in self.support
-        ]
-        self.scale = 2 ** len(high)
-        self.residues = []
+        classes = []
         stride = 1
         for row, di in zip(self.ctx.u_int, self.ctx.d):
             if di > 1:
-                mod = 2 * di
-                offset = sum(r * x for r, x in zip(row, degrees)) % mod
-                self.residues.append(([row[v] % mod for v in self.support], offset, mod, stride))
+                classes.append((row, sum(r * x for r, x in zip(row, degrees)), di, stride))
             stride *= di
-
-    def _walk(self, terms: dict[int, dict], bound: Fraction, floor: Fraction | None = None) -> None:
-        """Add every support vector l with floor < q = l^T N l <= bound
-        (no floor: q <= bound) to ``terms[class of l][q]`` as 2^#high * c_l,
-        for the classes that are keys of ``terms``; then drop the zeros."""
-        support, tables, residues = self.support, self.tables, self.residues
-        for l, q in self.form.enumerate(bound, floor):
-            idx = 0
-            for cols, offset, mod, stride in residues:
-                idx += (sum(a * l[v] for a, v in zip(cols, support)) - offset) % mod // 2 * stride
-            acc = terms.get(idx)
-            if acc is None:
-                continue
+        self.form = _SupportForm(adj, elim.det, high, self.windows, classes)
+        # c_l = (product over the leaves) * (product over ``high``) / 2^#high
+        low_tables = [
+            {x: int(vertex_factor_coefficient(degrees[v], -x)) for x in self.windows[v][1]} for v in self.form.low
+        ]
+        self.low_coefficients = []
+        for combo, _, _, _ in self.form.assignments:
             c = 1
-            for v, table in zip(support, tables):
-                c *= table[l[v]]
-            acc[q] = acc.get(q, 0) + c
+            for table, x in zip(low_tables, combo):
+                c *= table[x]
+            self.low_coefficients.append(c)
+        self.tables = [_FactorTable(degrees[h]) for h in high]
+        self.scale = 2 ** len(high)
+
+    def _walk(self, terms: dict[int, dict], bound, lower=None) -> None:
+        """Add every support vector l with lower < S <= bound, S = l^T B l
+        = |det M| * l^T N l (no ``lower``: S <= bound), to ``terms[class
+        of l][S]`` as 2^#high * c_l, for the classes that are keys of
+        ``terms``; then drop the zeros."""
+        want = list(terms) if len(terms) < self.ctx.count else None
+        low, tables = self.low_coefficients, self.tables
+        for idx, a, ys, s in self.form.walk(floor(bound), None if lower is None else floor(lower), want):
+            c = low[a]
+            for table, y in zip(tables, ys):
+                c *= table[y]
+            acc = terms[idx]
+            acc[s] = acc.get(s, 0) + c
         for acc in terms.values():
-            for q in [q for q, c in acc.items() if not c]:
-                del acc[q]
+            for s in [s for s, c in acc.items() if not c]:
+                del acc[s]
 
     def series(self, reps: Sequence[SpinCRep], order: Fraction) -> list[ZhatResult | EmptySeries]:
         """ZhatResult, or the EmptySeries to raise, for each of ``reps``
@@ -509,14 +572,17 @@ class _GraphSetup:
 
         One walk to 4(order + 1) serves every class.  Classes still empty
         are settled exactly where the probe can; the rest escalate
-        together, each pass walking only the new shell, and a last shell
-        tops every class up to 4 * order above its leading term.  Every
-        q below a walked bound is complete, so each result depends only
-        on its class's series, not on which other classes share the walk.
+        together, each pass walking only the new shell of the classes it
+        still needs, and a last shell tops every class up to 4 * order
+        above its leading term.  Every q below a walked bound is complete,
+        so each result depends only on its class's series, not on which
+        other classes share the walk.  Bounds are kept on the scale of
+        S = |det M| * q.
         """
+        det = self.form.det
         terms: dict[int, dict] = {rep.class_index: {} for rep in reps}
         notes: dict[int, str] = {}
-        bound = 4 * (order + 1)
+        bound = 4 * (order + 1) * det
         self._walk(terms, bound)
         if not self.high:
             # the walk listed the whole (finite) support
@@ -531,16 +597,16 @@ class _GraphSetup:
                 notes[idx] = "series is identically zero (support never meets the coset)"
             pending = [rep.class_index for rep in empty if rep.class_index not in missed]
             # the bound each class's terms must be complete to
-            needed = {idx: min(acc) + 4 * order for idx, acc in terms.items() if acc}
+            needed = {idx: min(acc) + 4 * order * det for idx, acc in terms.items() if acc}
             for _ in range(_MAX_BOUND_DOUBLINGS):
                 if not pending:
                     break
-                floor, bound = bound, 2 * bound + 4
-                walked = pending + [idx for idx, need in needed.items() if need > floor]
-                self._walk({idx: terms[idx] for idx in walked}, bound, floor)
+                lower, bound = bound, 2 * bound + 4 * det
+                walked = pending + [idx for idx, need in needed.items() if need > lower]
+                self._walk({idx: terms[idx] for idx in walked}, bound, lower)
                 for idx in pending:
                     if terms[idx]:
-                        needed[idx] = min(terms[idx]) + 4 * order
+                        needed[idx] = min(terms[idx]) + 4 * order * det
                 pending = [idx for idx in pending if not terms[idx]]
             for idx in pending:
                 notes[idx] = "every coefficient cancels below the escalated bound; raise order"
@@ -554,10 +620,11 @@ class _GraphSetup:
         ]
 
     def _result(self, rep: SpinCRep, acc: dict, order: Fraction) -> ZhatResult:
-        top = min(acc) + 4 * order
+        den = 4 * self.form.det
+        top = min(acc) + 4 * order * self.form.det
         series = QSeries.from_terms(
-            [(self.e0 + q / 4, Fraction(self.sign * c, self.scale)) for q, c in acc.items() if q <= top],
-            self.e0 + top / 4,
+            [(self.e0 + Fraction(s, den), Fraction(self.sign * c, self.scale)) for s, c in acc.items() if s <= top],
+            self.e0 + Fraction(top, den),
         )
         delta, tail, eta = series.leading_exponent_and_normalize()
         return ZhatResult(rep, delta, tail, eta, self.sign, order)

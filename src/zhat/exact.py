@@ -10,6 +10,9 @@ trees are eliminated in integers by :mod:`zhat.plumbing` instead):
 * definiteness classification (negative definite / weakly negative
   definite / other),
 * Smith normal form with unimodular transforms,
+* the fraction-free factors (trailing minors and their adjugates) of a
+  positive definite integer form, and the integer range solve, that the
+  engine's support walk runs on,
 * complete enumeration of the points of an affine lattice coset lying
   inside an ellipsoid of a positive definite quadratic form.
 
@@ -390,7 +393,48 @@ def _range_under_quadratic(d: Fraction, t: Fraction, budget: Fraction) -> tuple[
     return lo, hi
 
 
-def _ldl_ordered(g: ExactMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
+def _range_under_square(alpha: int, lam: int, disc: int) -> tuple[int, int]:
+    """Integer range [lo, hi] of z with (alpha*z + lam)^2 <= disc
+    (alpha > 0); an empty range is returned as (1, 0)."""
+    if disc < 0:
+        return 1, 0
+    r = math.isqrt(disc)
+    return -((r + lam) // alpha), (r - lam) // alpha
+
+
+def _ldl_ordered(a: Sequence[Sequence[int]]) -> list[tuple[int, list[list[int]]]]:
+    """Fraction-free factorization of a positive definite integer form
+    for recursive enumeration that fixes x_0 first, then x_1, ...: for
+    each p the determinant D_p and the adjugate of the trailing block
+    a[p:][p:].  Fixing x_p leaves the quadratic in x_p with leading
+    coefficient D_p / D_(p+1) once the later coordinates are minimized
+    out, and row 0 of the adjugate gives its center.
+
+    Each block goes through fraction-free Gauss-Jordan (Bareiss): every
+    division is exact and the pivots are the block's leading principal
+    minors.  Raises NotNegativeDefinite when a pivot is not positive.
+    """
+    n = len(a)
+    out = []
+    for p in range(n):
+        size = n - p
+        rows = [list(a[i][p:]) + [int(i - p == j) for j in range(size)] for i in range(p, n)]
+        prev = 1
+        for k in range(size):
+            piv = rows[k][k]
+            if piv <= 0:
+                raise NotNegativeDefinite("quadratic form is not positive definite")
+            pivot_row = rows[k]
+            for i, row in enumerate(rows):
+                if i != k:
+                    f = row[k]
+                    rows[i] = [(piv * x - f * y) // prev for x, y in zip(row, pivot_row)]
+            prev = piv
+        out.append((prev, [row[size:] for row in rows]))
+    return out
+
+
+def _rational_ldl(g: ExactMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
     """Decompose a positive definite form for recursive enumeration:
     Q(x) = sum_p d[p] * (x_p + sum_{q<p} u[p][q] * x_q)^2.
 
@@ -437,7 +481,7 @@ def enumerate_coset_under_bound(m: ExactMatrix, rep: Sequence[int], bound) -> It
     g = m.neg()  # positive definite
     # l = rep + 2*m*x  gives  Q(l) = 4*(x - c)^T g (x - c),  c = -m^{-1} rep / 2
     c = [-x / 2 for x in m.inverse().matvec(rep)]
-    d, u = _ldl_ordered(g)
+    d, u = _rational_ldl(g)
     m_rows = [[int(x) for x in row] for row in m.rows]
     xs = [0] * n
 

@@ -1,6 +1,8 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,7 +25,7 @@ from zhat.engine import (
     vertex_factor_coefficient,
 )
 from zhat.errors import EmptySeries, NotNegativeDefinite, SingularMatrix
-from zhat.exact import ExactMatrix, enumerate_coset_under_bound
+from zhat.exact import ExactMatrix, _range_under_square, enumerate_coset_under_bound
 from zhat.plumbing import PlumbingGraph
 
 
@@ -254,21 +256,20 @@ class TestCrossOracle:
 
     def test_windowed_enumeration_complete(self, g_2_9_11):
         # the support walk sees exactly the coset points with nonzero c_l,
-        # each with its exponent -l^T M^-1 l
+        # each with its exponent -l^T M^-1 l (times |det M|)
         g = g_2_9_11
         m = g.linking_matrix()
         minv = m.inverse()
         degrees = g.degree_vector()
         windows = [_support_window(d) for d in degrees]
         high = g.high_degree_vertices()
-        det = int(m.determinant())
-        adj = g.adjugate()
-        block = ExactMatrix([[Fraction(-adj[i][j], det) for j in high] for i in high])
+        det = abs(int(m.determinant()))
         bound = Fraction(60)
-        walked = dict(_SupportForm(block, adj, det, high, windows).enumerate(bound))
-        for l, q in walked.items():
-            assert q == -sum(minv.rows[i][j] * l[i] * l[j] for i in range(m.size) for j in range(m.size))
-            assert q <= bound
+        form = _SupportForm(g.adjugate(), int(m.determinant()), high, windows, [])
+        walked = {l: s for _, l, s in support_vectors(form, m.size, int(bound * det))}
+        for l, s in walked.items():
+            assert s == -det * sum(minv.rows[i][j] * l[i] * l[j] for i in range(m.size) for j in range(m.size))
+            assert s <= bound * det
         full = set(enumerate_coset_under_bound(m, degrees, bound))
         in_window = set()
         for l in full:
@@ -415,6 +416,19 @@ def outcome(res):
     return str(res) if isinstance(res, EmptySeries) else res
 
 
+def support_vectors(form, size, bound, lower=None, want=None):
+    """The walk of ``form`` as (class index, full vector l, S) triples."""
+    out = []
+    for idx, a, ys, s in form.walk(bound, lower, want):
+        l = [0] * size
+        for v, x in zip(form.low, form.assignments[a][0]):
+            l[v] = x
+        for h, y in zip(form.high, ys):
+            l[h] = y
+        out.append((idx, tuple(l), s))
+    return out
+
+
 def per_class(g, order, allow_weakly=False):
     out = []
     for rep in spin_c_representatives(g.linking_matrix(), g.degree_vector()):
@@ -493,9 +507,81 @@ class TestShellWalk:
             "chain": PlumbingGraph((-2, -3, -2), ((0, 1), (1, 2))),
         }.get(name) or request.getfixturevalue(name)
         form = _GraphSetup(g, allow_weakly=True).form
-        bound = Fraction(60)
-        walked = list(form.enumerate(bound))
-        qs = sorted({q for _, q in walked})
+        bound = 60 * form.det
+        walked = list(form.walk(bound))
+        ss = sorted({s for _, _, _, s in walked})
         # below, at and between attained values, and the bound itself
-        for floor in [Fraction(-1), qs[0], qs[len(qs) // 2], qs[-1] - Fraction(1, 7), Fraction(30), bound]:
-            assert list(form.enumerate(bound, floor)) == [(l, q) for l, q in walked if q > floor]
+        for lower in [-1, ss[0], ss[len(ss) // 2], ss[-1] - 1, 30 * form.det, bound]:
+            assert list(form.walk(bound, lower)) == [entry for entry in walked if entry[3] > lower]
+
+
+# Graphs the walk must handle besides random trees: one node, two nodes,
+# a degree-5 node (window gap |l_h| < 3) next to a degree-4 one, and a
+# weakly negative definite tree with many classes.
+WALK_GRAPHS = [
+    SIX_LEAF_STAR,
+    PlumbingGraph((-4, -4, -2, -2, -2, -2), ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5))),
+    PlumbingGraph((-7, -6, -2, -3, -2, -3, -2, -2, -5), ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6), (1, 7), (1, 8))),
+    PlumbingGraph((-2, -1, 1, 1, -1, -2), ((0, 1), (1, 2), (0, 3), (3, 4), (0, 5))),
+    ESCALATION_STAR,
+]
+
+
+class TestIntegerWalk:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.one_of(st.sampled_from(WALK_GRAPHS), trees(max_size=8, weights=st.integers(-5, -1))),
+        st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(5), Fraction(23, 2), Fraction(601, 2)]),
+        st.data(),
+    )
+    def test_restricted_walk_is_the_filtered_walk(self, g, bound_q, data):
+        assume(g.elimination().det != 0)
+        try:
+            setup = _GraphSetup(g, allow_weakly=True)
+        except NotNegativeDefinite:
+            assume(False)
+        form, ctx = setup.form, setup.ctx
+        assume(ctx.count <= 64)
+        det = form.det
+        bound = floor(bound_q * det)  # bound_q * det need not be an integer
+        lower = data.draw(st.sampled_from([None, -1, 0, floor(bound_q * det / 3), bound - 1]))
+        walked = support_vectors(form, g.vertex_count, bound, lower)
+        # every exponent from the dense inverse, every class from the Smith form
+        minv = g.linking_matrix().inverse()
+
+        def exponent(l):
+            return -det * sum(minv.rows[i][j] * l[i] * l[j] for i in range(len(l)) for j in range(len(l)))
+
+        for idx, l, s in walked:
+            assert s == exponent(l)
+            # without a degree >= 3 vertex the finite support is listed whatever the bound
+            assert (s <= bound or not form.high) and (lower is None or s > lower)
+            assert idx == ctx.index_of_vector(l)
+        want = data.draw(st.lists(st.integers(0, ctx.count - 1), min_size=1, max_size=4, unique=True))
+        restricted = support_vectors(form, g.vertex_count, bound, lower, want)
+        assert Counter(restricted) == Counter(entry for entry in walked if entry[0] in want)
+        if g.elimination().is_negative_definite and form.high and bound_q < 12:
+            # complete: the dense coset walk finds the same support vectors
+            m, degrees = g.linking_matrix(), g.degree_vector()
+            for idx in want:
+                coset = enumerate_coset_under_bound(m, ctx.vector_of_index(idx), bound_q)
+                assert {l for i, l, _ in walked if i == idx} == {
+                    l
+                    for l in coset
+                    if all(vertex_factor_coefficient(d, -x) for d, x in zip(degrees, l))
+                    and (lower is None or exponent(l) > lower)
+                }
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 7])
+@pytest.mark.parametrize("lam", [-11, -3, 0, 1, 5, 12])
+def test_range_under_square_boundaries(alpha, lam):
+    # negative, zero, exact squares hit at both ends of the range, and
+    # the values just beside them, against a scan
+    discs = [-5, -1, 0]
+    for z in range(-6, 7):
+        square = (alpha * z + lam) ** 2
+        discs += [square - 1, square, square + 1]
+    for disc in discs:
+        lo, hi = _range_under_square(alpha, lam, disc)
+        assert set(range(lo, hi + 1)) == {z for z in range(-40, 41) if (alpha * z + lam) ** 2 <= disc}

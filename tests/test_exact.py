@@ -9,6 +9,7 @@ from zhat.errors import NotNegativeDefinite, SingularMatrix
 from zhat.exact import (
     DefinitenessClass,
     ExactMatrix,
+    _ldl_ordered,
     classify_definiteness,
     enumerate_coset_under_bound,
     is_negative_definite,
@@ -260,3 +261,24 @@ class TestEnumeration:
             best = q if best is None else min(best, q)
         assert best is not None
         assert e0 + best / 4 == Fraction(9, 2)
+
+
+class TestFractionFreeFactors:
+    def test_trailing_minors_and_adjugates(self):
+        # against the dense determinant and inverse of every trailing block
+        rng = random.Random(23)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            g = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            a = [[sum(g[k][i] * g[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
+            factors = _ldl_ordered(a)
+            assert len(factors) == n
+            for p, (det, adj) in enumerate(factors):
+                block = ExactMatrix([row[p:] for row in a[p:]])
+                assert det == block.determinant() > 0
+                assert ExactMatrix(adj) == ExactMatrix([[x * det for x in row] for row in block.inverse().rows])
+
+    @pytest.mark.parametrize("rows", [[[0]], [[-1]], [[1, 2], [2, 1]], [[2, 0, 0], [0, 1, 1], [0, 1, 1]]])
+    def test_rejects_not_positive_definite(self, rows):
+        with pytest.raises(NotNegativeDefinite):
+            _ldl_ordered(rows)
