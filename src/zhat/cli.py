@@ -24,8 +24,9 @@ from fractions import Fraction
 from . import __version__
 from .brieskorn import brieskorn_data, zhat0_brieskorn
 from .compare import counterexample_report, generate_table, rows_to_csv, sharpness_analysis
-from .engine import compute_zhat, compute_zhat_all, spin_c_representatives
-from .errors import EmptySeries, ZhatError
+from .engine import compute_zhat, compute_zhat_all
+from .engine import spin_c_representatives  # noqa: F401  (bench/tracing.py wraps it here)
+from .errors import EmptySeries, SingularMatrix, ZhatError
 from .plumbing import parse_plumb
 
 DEFAULT_ORDER = 200
@@ -109,15 +110,18 @@ def _class_results(graph, args, order):
     """(rep, ZhatResult or EmptySeries) for ``--all`` or the ``--spinc`` class."""
     if args.all:
         return compute_zhat_all(graph, order, allow_weakly=args.experimental_weakly)
-    reps = spin_c_representatives(graph.linking_matrix(), graph.degree_vector())
+    # one class: its representative alone, not all |det M| of them
+    count = abs(graph.elimination().det)
+    if count == 0:
+        raise SingularMatrix("Spin^c classes need an invertible linking matrix")
     idx = args.spinc
-    if not (0 <= idx < len(reps)):
-        raise ZhatError(f"spin-c class {idx} out of range [0, {len(reps)})")
-    rep = reps[idx]
+    if not (0 <= idx < count):
+        raise ZhatError(f"spin-c class {idx} out of range [0, {count})")
     try:
-        return [(rep, compute_zhat(graph, rep, order=order, allow_weakly=args.experimental_weakly))]
+        result = compute_zhat(graph, idx, order=order, allow_weakly=args.experimental_weakly)
     except EmptySeries as exc:
-        return [(rep, exc)]
+        return [(exc.spinc, exc)]
+    return [(result.spinc, result)]
 
 
 def _cmd_graph(args, out) -> int:

@@ -30,14 +30,16 @@ All classes of a graph share one walk.  The class-independent set-up
 (elimination, adjugate, Smith form, factored form, leaf assignments,
 vertex-factor tables) is built once, and each walked vector goes to its
 class by residues of the Smith form's U on the leaves and nodes, O(k)
-per vector.  The quadratic bound starts at 4(order + 1) for every
-class; classes still empty are settled exactly where the probe can, the
-rest escalate together, and every later pass (each doubling and the
-last top-up to order above the leading term) walks only the new shell
-floor < q <= bound of the classes it still needs: the class is affine
-in the last walked coordinate, so that level steps straight through the
-values in those classes.  A result depends only on its class's series,
-so computing one class or all of them gives the same answer.
+per vector.  The adjugate is read on those k columns only, and the
+Smith form runs only when |H_1| = |det M| > 1.  The quadratic bound
+starts at 4(order + 1) for every class; classes still empty are settled
+exactly where the probe can, the rest escalate together, and every
+later pass (each doubling and the last top-up to order above the
+leading term) walks only the new shell floor < q <= bound of the
+classes it still needs: the class is affine in the last walked
+coordinate, so that level steps straight through the values in those
+classes.  A result depends only on its class's series, so computing one
+class or all of them gives the same answer.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor, gcd, lcm
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import EmptySeries, NotNegativeDefinite, SingularMatrix
 from .exact import (
@@ -184,12 +186,13 @@ class _SupportForm:
 
     Only leaves (l_v = +-1), an isolated vertex (l_v in {-2, 0, 2}) and
     the degree >= 3 vertices ``high`` can carry l_v != 0, and
-    B = -sign(det M) * adj(M) is an integer matrix.  The principal block
-    B_hh on ``high`` is positive definite for negative definite and
-    weakly negative definite trees alike; it is factored fraction-free
-    once (trailing minors D_p and their adjugates).  The finitely many
-    assignments x of the other coordinates are listed once, each with
-    the integers the walk needs: with y the coordinates on ``high``,
+    B = -sign(det M) * adj(M) is an integer matrix, read on those rows
+    ``adj[v]`` only.  The principal block B_hh on ``high`` is positive
+    definite for negative definite and weakly negative definite trees
+    alike; it is factored fraction-free once (trailing minors D_p and
+    their adjugates).  The finitely many assignments x of the other
+    coordinates are listed once, each with the integers the walk needs:
+    with y the coordinates on ``high``,
 
         S = l^T B l = x^T B_xx x + 2 y^T B_hx x + y^T B_hh y,
 
@@ -210,7 +213,7 @@ class _SupportForm:
     level jumps straight to the values that land in one of them.
     """
 
-    def __init__(self, adj: Sequence[Sequence[int]], det: int, high: Sequence[int], windows: list, classes: list):
+    def __init__(self, adj: Mapping[int, Sequence[int]], det: int, high: Sequence[int], windows: list, classes: list):
         self.high = list(high)
         in_high = set(self.high)
         # degree-2 windows are {0}: those coordinates stay 0
@@ -401,23 +404,28 @@ def _classes_missing_support(ctx, windows, high, reps) -> set[int]:
 
 
 class _SpinCContext:
-    """Smith-form data for canonicalizing Spin^c classes of one matrix."""
+    """Smith-form data for canonicalizing Spin^c classes of one matrix.
 
-    def __init__(self, m: ExactMatrix, delta_vec: Sequence[int]):
+    ``m`` None stands for |det m| = 1: no Smith rows, one class, delta.
+    """
+
+    def __init__(self, m: ExactMatrix | None, delta_vec: Sequence[int]):
         self.delta = tuple(int(x) for x in delta_vec)
-        u, dmat, v = smith_normal_form(m)
-        self.u_int = [[int(x) for x in row] for row in u.rows]
-        self.d = [int(dmat.rows[i][i]) for i in range(m.size)]
-        if any(di == 0 for di in self.d):
-            raise SingularMatrix("Spin^c classes need an invertible linking matrix")
-        # U m V = D gives U^-1 = m V D^-1: column j of m V divides exactly
-        # by d_j.  Only the nonzero entries of m are touched (3s - 2 for a tree).
-        v_int = [[int(x) for x in row] for row in v.rows]
-        m_nonzero = [[(k, int(x)) for k, x in enumerate(row) if x] for row in m.rows]
-        self.uinv = [
-            [sum(x * v_int[k][j] for k, x in row) // dj for j, dj in enumerate(self.d)]
-            for row in m_nonzero
-        ]
+        self.u_int, self.d, self.uinv = [], [], [[] for _ in self.delta]
+        if m is not None:
+            u, dmat, v = smith_normal_form(m)
+            self.u_int = [[int(x) for x in row] for row in u.rows]
+            self.d = [int(dmat.rows[i][i]) for i in range(m.size)]
+            if any(di == 0 for di in self.d):
+                raise SingularMatrix("Spin^c classes need an invertible linking matrix")
+            # U m V = D gives U^-1 = m V D^-1: column j of m V divides exactly
+            # by d_j.  Only the nonzero entries of m are touched (3s - 2 for a tree).
+            v_int = [[int(x) for x in row] for row in v.rows]
+            m_nonzero = [[(k, int(x)) for k, x in enumerate(row) if x] for row in m.rows]
+            self.uinv = [
+                [sum(x * v_int[k][j] for k, x in row) // dj for j, dj in enumerate(self.d)]
+                for row in m_nonzero
+            ]
         self.count = 1
         for di in self.d:
             self.count *= di
@@ -488,8 +496,9 @@ class _FactorTable(dict):
 
 class _GraphSetup:
     """Everything one graph's series share across Spin^c classes: the
-    tree elimination and inertia, the adjugate, one Smith form, one
-    factored support form, e0, the sign and the vertex-factor tables.
+    tree elimination and inertia, the adjugate on the support, one Smith
+    form (none when |H_1| = 1), one factored support form, e0, the sign
+    and the vertex-factor tables.
 
     ``series`` computes any set of classes from shared walks of the
     support.  Each walked vector l goes to its class by the residues of U
@@ -499,12 +508,11 @@ class _GraphSetup:
     """
 
     def __init__(self, graph: PlumbingGraph, allow_weakly: bool):
-        m = graph.linking_matrix()
         degrees = graph.degree_vector()
         high = graph.high_degree_vertices()
         # The tree's linking matrix is eliminated in integers: its pivots
         # decide negative definiteness and give the inertia, and
-        # M^-1 = adj(M) / det M comes one tree walk per column.
+        # M^-1 = adj(M) / det M comes one tree walk per support column.
         elim = graph.elimination()
         if elim.det == 0:
             raise SingularMatrix("Spin^c classes need an invertible linking matrix")
@@ -513,7 +521,9 @@ class _GraphSetup:
             raise NotNegativeDefinite(
                 "linking matrix is not negative definite (pass allow_weakly=True for weakly negative definite input)"
             )
-        adj = graph.adjugate()
+        support = [v for v, d in enumerate(degrees) if d != 2]
+        adj = dict(zip(support, graph.adjugate(support)))
+        m = graph.linking_matrix() if weakly or abs(elim.det) > 1 else None
         if not weakly:
             sigma, pi_count = elim.inertia()
         else:
@@ -524,7 +534,7 @@ class _GraphSetup:
             # pivots may be zero off the negative definite path: dense signature
             sigma, pi_count = m.signature_and_positive_count()
 
-        self.ctx = _SpinCContext(m, degrees)
+        self.ctx = _SpinCContext(m if abs(elim.det) > 1 else None, degrees)
         self.e0 = Fraction(3 * sigma - sum(graph.weights), 4)
         self.sign = -1 if pi_count % 2 else 1
         self.high = high
@@ -614,7 +624,7 @@ class _GraphSetup:
             if top > bound:
                 self._walk({idx: terms[idx] for idx, need in needed.items() if need > bound}, top, bound)
         return [
-            EmptySeries(notes[rep.class_index]) if rep.class_index in notes
+            EmptySeries(notes[rep.class_index], rep) if rep.class_index in notes
             else self._result(rep, terms[rep.class_index], order)
             for rep in reps
         ]

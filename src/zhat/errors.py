@@ -38,7 +38,14 @@ class InvalidFraction(ZhatError):
 
 
 class EmptySeries(ZhatError):
-    """No surviving terms below the truncation order."""
+    """No surviving terms below the truncation order.
+
+    ``spinc`` is the class whose series is empty, when one is known.
+    """
+
+    def __init__(self, message: str = "", spinc=None):
+        super().__init__(message)
+        self.spinc = spinc
 
 
 class ConsistencyError(ZhatError):

@@ -12,13 +12,15 @@ Lines starting with ``#`` are comments; encoding is UTF-8 with LF
 newlines.
 
 The linking matrix of a tree is eliminated in integers, leaf first
-(:meth:`PlumbingGraph.elimination`, :meth:`PlumbingGraph.adjugate`);
-dense :class:`~zhat.exact.ExactMatrix` algebra is for general input.
+(:meth:`PlumbingGraph.elimination`, :meth:`PlumbingGraph.adjugate`, which
+also gives selected columns alone); dense
+:class:`~zhat.exact.ExactMatrix` algebra is for general input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import FormatError, NotALeaf, NotATree
 from .exact import ExactMatrix
@@ -150,7 +152,7 @@ class PlumbingGraph:
         sub, stripped = self._eliminate(*self._rooted(self._neighbours(), 0))
         return TreeElimination(tuple(sub), tuple(stripped))
 
-    def adjugate(self) -> tuple[tuple[int, ...], ...]:
+    def adjugate(self, columns: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
         """adj(M) = det(M) * M^-1 in integers, one O(s) tree solve per column.
 
         For a tree with 1 on every edge, adj(M)[u][v] = (-1)^k det(M - P)
@@ -158,11 +160,15 @@ class PlumbingGraph:
         at v, M - P splits into the subtrees of the path's vertices that
         hang off the path, so one elimination rooted at v and one pass
         down from v give column v.
+
+        ``columns`` lists the columns wanted, in the order returned (all
+        of them by default); k columns cost O(k * s).  adj(M) is
+        symmetric, so column v is also row v.
         """
         nbrs = self._neighbours()
         s = self.vertex_count
         rows = []
-        for v in range(s):
+        for v in range(s) if columns is None else columns:
             order, parent = self._rooted(nbrs, v)
             sub, _ = self._eliminate(order, parent)
             col = [0] * s

@@ -1,13 +1,18 @@
 import contextlib
 import io
+import itertools
 import json
+import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import trees
+from zhat.brieskorn import brieskorn_data
 from zhat.cli import main
+from zhat.errors import ZhatError
 from zhat.plumbing import format_plumb
 
 S3_FILE = "1\n-1\n"
@@ -83,6 +88,41 @@ class TestGraphCommand:
         assert out.count("class") >= 5
         assert "zhat = 0" in out  # two classes vanish identically
 
+    def test_one_zero_class(self, tmp_path, capsys):
+        f = tmp_path / "l5.plumb"
+        f.write_text(L5_FILE)
+        code, out = run(capsys, "graph", str(f), "--spinc", "2", "--order", "4")
+        assert code == 0
+        assert out == "class 2 (rep [4]): zhat = 0 (series is identically zero (finite support exhausted))\n"
+        code, out = run(capsys, "graph", str(f), "--spinc", "3", "--order", "4", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"] == [
+            {
+                "spinc": {"classIndex": 3, "vector": [6]},
+                "zero": True,
+                "note": "series is identically zero (finite support exhausted)",
+            }
+        ]
+
+    @pytest.mark.parametrize(
+        "content, spinc, message",
+        [
+            (L5_FILE, "5", "spin-c class 5 out of range [0, 5)"),
+            (L5_FILE, "-1", "spin-c class -1 out of range [0, 5)"),
+            # singular before out of range, out of range before not definite
+            ("2\n-1 -1\n1 2\n", "7", "Spin^c classes need an invertible linking matrix"),
+            ("1\n1\n", "1", "spin-c class 1 out of range [0, 1)"),
+            ("1\n1\n", "0", "linking matrix is not negative definite"),
+        ],
+    )
+    def test_class_errors_in_order(self, tmp_path, capsys, content, spinc, message):
+        f = tmp_path / "g.plumb"
+        f.write_text(content)
+        for command in ("graph", "delta"):
+            assert main([command, str(f), "--spinc", spinc]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+
     def test_disconnected(self, tmp_path, capsys):
         f = tmp_path / "bad.plumb"
         f.write_text(DISCONNECTED)
@@ -151,6 +191,71 @@ class TestFuzzedPlumbFile:
             assert len(lines) == 1 and lines[0].startswith("error: ")
         else:
             assert err.getvalue() == "" and out.getvalue()
+
+
+# Pairwise coprime triples 2 <= b1 < b2 < b3 <= 40, (2, 3, 5) among them.
+TRIPLES = [t for t in itertools.combinations(range(2, 41), 3) if all(gcd(x, y) == 1 for x, y in itertools.combinations(t, 2))]
+ORDERS = ["0", "1/2", "3/2", "5", "-1", "abc", "1/0"]
+
+
+def fuzzed_argv(rng: random.Random, triples_path: str) -> tuple[list[str], str]:
+    """Arguments for ``brieskorn``, ``check`` or ``table``, and the text of
+    the triples file that a ``table batch`` reads from ``triples_path``.  Exponents and Seifert
+    data lie in -3..40; most triples are valid, and a ``--seifert`` is
+    the triple's own data, other numbers, or malformed."""
+
+    def triple() -> list[str]:
+        if rng.random() < 0.7:
+            return [str(b) for b in rng.choice(TRIPLES)]
+        return [str(rng.randint(-3, 40)) for _ in range(3)]
+
+    fmt = rng.choice([[], ["--format", "json"], ["--format", "text"]])
+    order = ["--order", rng.choice(ORDERS)]
+    command = rng.choice(["brieskorn", "brieskorn", "check", "table"])
+    if command == "check":
+        return ["check", *triple(), *order, *fmt], ""
+    if command == "brieskorn":
+        b = triple()
+        seifert = []
+        kind = rng.randrange(4)
+        if kind == 1:
+            try:
+                data = brieskorn_data(*map(int, b))
+                seifert = [",".join(map(str, (data.seifert_b, *data.a)))]
+            except ZhatError:
+                pass
+        elif kind == 2:
+            seifert = [",".join(str(rng.randint(-3, 40)) for _ in range(4))]
+        elif kind == 3:
+            seifert = [rng.choice(["", "abc", "1,2", "-1,1,2,3,4", "-1,1,2,3"])]
+        return ["brieskorn", *b, *order, *fmt, *(f"--seifert={x}" for x in seifert)], ""
+    table = rng.choice(["d-family", "hom-cob-family", "batch"])
+    if table != "batch":
+        return ["table", table, "--pmax", str(rng.randint(-1, 7)), *fmt], ""
+    lines = [
+        " ".join(triple()) if rng.random() < 0.7 else rng.choice(["# comment", "", "2 9", "2 9 11 13", "a b c"])
+        for _ in range(rng.randint(0, 3))
+    ]
+    return ["table", "batch", triples_path, *fmt], "\n".join(lines) + "\n"
+
+
+class TestFuzzedArguments:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_exit_code_contract(self, tmp_path_factory, seed):
+        path = tmp_path_factory.getbasetemp() / "triples.txt"
+        argv, triples = fuzzed_argv(random.Random(seed), str(path))
+        path.write_text(triples, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in ((0, 1, 2) if argv[0] == "check" else (0, 2))
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        else:
+            # an empty table (empty batch file, --pmax below 3) has no text rows
+            assert err.getvalue() == "" and (out.getvalue() or argv[0] == "table")
 
 
 class TestDeltaCommand:

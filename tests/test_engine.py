@@ -14,6 +14,7 @@ from zhat.engine import (
     SpinCRep,
     ZhatResult,
     _GraphSetup,
+    _SpinCContext,
     _SupportForm,
     _support_window,
     compute_zhat,
@@ -24,8 +25,9 @@ from zhat.engine import (
     spin_c_representatives,
     vertex_factor_coefficient,
 )
+import zhat.engine
 from zhat.errors import EmptySeries, NotNegativeDefinite, SingularMatrix
-from zhat.exact import ExactMatrix, _range_under_square, enumerate_coset_under_bound
+from zhat.exact import ExactMatrix, _range_under_square, enumerate_coset_under_bound, smith_normal_form
 from zhat.plumbing import PlumbingGraph
 
 
@@ -585,3 +587,80 @@ def test_range_under_square_boundaries(alpha, lam):
     for disc in discs:
         lo, hi = _range_under_square(alpha, lam, disc)
         assert set(range(lo, hi + 1)) == {z for z in range(-40, 41) if (alpha * z + lam) ** 2 <= disc}
+
+
+# Integer homology spheres, |det M| = 1: Brieskorn stars, Sigma(2, 3, 6k +- 1)
+# for k = 1..6 (the E8 tree stands for Sigma(2, 3, 5), which the closed
+# form excludes), and the single -1 vertex.
+HOMOLOGY_SPHERES = [
+    *(build_plumbing(brieskorn_data(*t)) for t in [(2, 9, 11), (3, 7, 8), (2, 5, 7), (3, 4, 5), (5, 6, 7)]),
+    *(build_plumbing(brieskorn_data(2, 3, c)) for k in range(1, 7) for c in (6 * k - 1, 6 * k + 1) if c != 5),
+    PlumbingGraph((-2,) * 8, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7))),
+    PlumbingGraph((-1,), ()),
+]
+
+
+def test_homology_spheres_are_unimodular():
+    assert [abs(g.elimination().det) for g in HOMOLOGY_SPHERES] == [1] * len(HOMOLOGY_SPHERES)
+
+
+class TestHomologySphereContext:
+    """|det M| = 1: the context with no Smith rows is the Smith-form one."""
+
+    @pytest.mark.parametrize("g", HOMOLOGY_SPHERES, ids=lambda g: f"s{g.vertex_count}")
+    def test_agrees_with_the_smith_form(self, g):
+        degrees = g.degree_vector()
+        m = g.linking_matrix()
+        rows = [[int(x) for x in row] for row in m.rows]
+        ctx, dense = _SpinCContext(None, degrees), _SpinCContext(m, degrees)
+        assert ctx.d == [] and ctx.u_int == [] and ctx.uinv == [[]] * g.vertex_count
+        assert ctx.count == dense.count == 1
+        assert ctx.vector_of_index(0) == dense.vector_of_index(0) == tuple(degrees)
+        rng = random.Random(g.vertex_count)
+        for _ in range(10):
+            n = [rng.randint(-3, 3) for _ in degrees]
+            vec = [d + 2 * sum(a * x for a, x in zip(row, n)) for d, row in zip(degrees, rows)]
+            assert ctx.canonical(vec) == dense.canonical(vec) == SpinCRep(tuple(degrees), 0)
+            odd = list(vec)
+            odd[rng.randrange(len(odd))] += 1
+            for c in (ctx, dense):
+                with pytest.raises(ValueError, match="not in 2Z"):
+                    c.index_of_vector(odd)
+        for idx in (-1, 1, 5):
+            messages = []
+            for c in (ctx, dense):
+                with pytest.raises(ValueError, match="out of range") as exc:
+                    c.vector_of_index(idx)
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("g", HOMOLOGY_SPHERES, ids=lambda g: f"s{g.vertex_count}")
+    def test_setup_uses_the_context_without_smith_rows(self, g):
+        ctx = _GraphSetup(g, allow_weakly=False).ctx
+        assert (ctx.d, ctx.count) == ([], 1)
+
+    def test_no_smith_form_and_no_dense_matrix(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("not needed for a homology sphere")
+
+        expected = [(compute_zhat(g, 0, order=4), compute_zhat_all(g, 4)) for g in HOMOLOGY_SPHERES]
+        monkeypatch.setattr(zhat.engine, "smith_normal_form", forbidden)
+        monkeypatch.setattr(PlumbingGraph, "linking_matrix", forbidden)
+        for g, (one, every) in zip(HOMOLOGY_SPHERES, expected):
+            assert compute_zhat(g, 0, order=4) == one
+            assert compute_zhat_all(g, 4) == every
+
+    def test_one_smith_form_when_h1_is_nontrivial(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m.size)
+            return smith_normal_form(m)
+
+        monkeypatch.setattr(zhat.engine, "smith_normal_form", counted)
+        g = PlumbingGraph((-4, -3, -3, -2), ((0, 1), (0, 2), (0, 3)))
+        assert abs(g.elimination().det) > 1
+        compute_zhat(g, 0, order=4)
+        assert calls == [4]
+        compute_zhat_all(g, 4)
+        assert calls == [4, 4]

@@ -69,6 +69,18 @@ class TestAgainstDenseOracles:
 
     @PROPERTY
     @given(trees())
+    @example(SINGULAR)
+    @example(ZERO_PIVOT)
+    def test_adjugate_columns_are_rows_of_the_full_adjugate(self, g):
+        full = g.adjugate()
+        s = g.vertex_count
+        mixed = sorted(range(s), key=lambda v: (g.weights[v], -v))  # unsorted in general
+        lists = [[], list(range(s)), list(range(s))[::-1], mixed, mixed[::2], [s - 1, 0, s - 1]]
+        for columns in lists + [[v] for v in range(s)]:
+            assert g.adjugate(columns) == tuple(full[v] for v in columns)
+
+    @PROPERTY
+    @given(trees())
     @example(ZERO_PIVOT)
     def test_integer_smith_inverse_matches_dense(self, g):
         if g.elimination().det == 0:
