@@ -8,22 +8,26 @@ are the negated continued-fraction coefficients of b_i/a_i, where
 
     b1*b2*b3*b + b2*b3*a1 + b1*b3*a2 + b1*b2*a3 = -1.
 
-From the tree one reads off h_i (absolute determinants after deleting
-each leg's terminal vertex), the normalization exponent xi, the leading
-exponent delta0 = xi + alpha1^2/(4p), and the full series as a signed
-combination of four one-sided theta series of level p = b1*b2*b3.
+From the tree one reads off h_i (cofactors of the legs' terminal
+vertices), the normalization exponent xi, the leading exponent delta0 =
+xi + alpha1^2/(4p), and the tail: a signed sum over n >= 0 in the eight
+residue progressions +-alpha_i mod 2p, with integer exponents
+(n^2 - alpha1^2)/4p, listed by the generator that :func:`false_theta` uses.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 from .engine import SpinCRep, ZhatResult
 from .errors import ConsistencyError, ExcludedTriple, InvalidFraction, InvalidTriple
 from .plumbing import PlumbingGraph
-from .qseries import QSeries, false_theta
+from .qseries import QSeries
 
 
 @dataclass(frozen=True)
@@ -157,18 +161,11 @@ def build_plumbing(d: BrieskornData) -> PlumbingGraph:
     return build_plumbing_from_legs(d.seifert_b, d.leg_fractions)
 
 
-def _terminal_indices(leg_fractions) -> list[int]:
-    idx = []
-    pos = 0
-    for frac in leg_fractions:
-        pos += len(frac)
-        idx.append(pos)  # center is 0, legs occupy 1..; terminal = last of block
-    return idx
-
-
 def leg_determinants(g: PlumbingGraph, leg_fractions) -> tuple[int, int, int]:
-    """h_i = |det| of the linking matrix after deleting leg i's terminal vertex."""
-    return tuple(abs(g.delete_vertex(t).elimination().det) for t in _terminal_indices(leg_fractions))
+    """h_i = |det(M - t_i)| for leg i's terminal vertex t_i: the diagonal
+    cofactor adj(M)[t_i][t_i], from one adjugate call on the terminals."""
+    terminals = list(itertools.accumulate(len(f) for f in leg_fractions))  # the center is vertex 0
+    return tuple(abs(row[t]) for row, t in zip(g.adjugate(terminals), terminals))
 
 
 def compute_xi_delta0(
@@ -224,45 +221,64 @@ def brieskorn_data(b1: int, b2: int, b3: int, seifert_override=None) -> Brieskor
     )
 
 
+def _progressions(p: int, offsets: Sequence[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """(n, c) for n >= 0 in increasing order, c != 0 the sum of the signs of
+    the (residue, sign) ``offsets`` with n = residue mod 2p.  Endless,
+    unless every c is 0: then it yields nothing."""
+    twop = 2 * p
+    coefficients = Counter()
+    for residue, sign in offsets:
+        coefficients[residue % twop] += sign
+    steps = sorted((r, c) for r, c in coefficients.items() if c)
+    if not steps:
+        return
+    for base in itertools.count(0, twop):
+        for r, c in steps:
+            yield base + r, c
+
+
+def false_theta(p: int, a: int, order) -> QSeries:
+    """One-sided theta-like series sum_{n >= 0} psi(n) q^(n^2/4p).
+
+    psi(n) is +1 on n = a mod 2p, -1 on n = -a mod 2p, 0 otherwise (so
+    exactly 0 when both congruences hold, i.e. p | a).  Terms are kept
+    while n^2/4p <= order.
+    """
+    if p < 1:
+        raise ValueError("p must be a positive integer")
+    order = Fraction(order)
+    num, den = order.numerator, order.denominator
+    kept = itertools.takewhile(lambda t: t[0] ** 2 * den <= 4 * p * num, _progressions(p, ((a, 1), (-a, -1))))
+    return QSeries(tuple((Fraction(n * n, 4 * p), Fraction(c)) for n, c in kept), order)
+
+
+def _tail_terms(p: int, al: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(e, c) in increasing e: the tail exponents e = (n^2 - alpha1^2)/4p,
+    integers, and their coefficients, over the progressions +-alpha_i
+    mod 2p with the signs (+, -, -, +) of alpha_1..alpha_4."""
+    offsets = [(s * a, s * sign) for a, sign in zip(al, (1, -1, -1, 1)) for s in (1, -1)]
+    for n, c in _progressions(p, offsets):
+        e, r = divmod(n * n - al[0] ** 2, 4 * p)
+        if r:
+            raise ConsistencyError(f"tail exponent ({n}^2 - {al[0]}^2)/{4 * p} is not an integer")
+        yield e, c
+
+
 def zhat0_brieskorn(b1: int, b2: int, b3: int, order, data: BrieskornData | None = None) -> ZhatResult:
-    """Series via the theta combination, normalized to q^delta0 * tail.
+    """Series from the theta progressions, normalized to q^delta0 * tail.
 
     ``order`` bounds the tail exponents (integers >= 0); the tail has
     constant term 1 and integer coefficients.
     """
     d = data if data is not None else brieskorn_data(b1, b2, b3)
     order = Fraction(order)
-    p = d.p
-    a1 = d.alphas[0]
-    shift = Fraction(a1 * a1, 4 * p)
-    abs_order = shift + order
-    combo = QSeries.zero(abs_order)
-    for alpha, sign in zip(d.alphas, (1, -1, -1, 1)):
-        combo = combo + false_theta(p, alpha, abs_order).scale(sign)
-    tail = combo.shift_exponent(-shift)
+    kept = itertools.takewhile(lambda t: t[0] <= order, _tail_terms(d.p, d.alphas))
+    tail = QSeries(tuple((Fraction(e), Fraction(c)) for e, c in kept), order)
     rep = SpinCRep(build_plumbing(d).degree_vector(), 0)  # unique class of a ZHS
     return ZhatResult(rep, d.delta0, tail, 0, 1, order)
 
 
 def tail_order_for_terms(b1: int, b2: int, b3: int, count: int) -> int:
-    """Smallest integer tail order that realizes ``count`` series terms.
-
-    The tail exponents are ((n^2 - alpha1^2)/4p) over n >= 0 in the
-    eight residue progressions +-alpha_i mod 2p; all are distinct, so
-    the count-th smallest exponent is exact.
-    """
-    al = alphas(b1, b2, b3)
-    p = b1 * b2 * b3
-    exps: list[Fraction] = []
-    shell = 0
-    while len(exps) < 4 * count:
-        base = 2 * p * shell
-        for a in al:
-            for n in (base + a, base + 2 * p - a):
-                exps.append(Fraction(n * n - al[0] ** 2, 4 * p))
-        shell += 1
-    exps = sorted(set(exps))
-    target = exps[count - 1]
-    if target.denominator != 1:
-        raise ConsistencyError(f"tail exponent {target} of ({b1}, {b2}, {b3}) is not an integer")
-    return int(target)
+    """Smallest integer tail order that realizes ``count`` series terms: the count-th exponent."""
+    e, _ = next(itertools.islice(_tail_terms(b1 * b2 * b3, alphas(b1, b2, b3)), count - 1, None))
+    return e

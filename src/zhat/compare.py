@@ -145,9 +145,12 @@ def generate_table(table_id: str, pmax: int = 6, triples: Sequence[tuple[int, in
     ``d-family``: Sigma(p, p+1, p(p+1)-1) for p = 3..pmax, with the
     closed-form d column.  ``brieskorn-batch``: the given triples (a
     default batch of ten when omitted).  ``hom-cob-family``: nine
-    members of the families homology cobordant to S^3.
+    members of the families homology cobordant to S^3.  A table with
+    no rows (pmax below 3, an empty list of triples) is a ValueError.
     """
     if table_id == "d-family":
+        if pmax < 3:
+            raise ValueError(f"d-family runs over p = 3..pmax, so pmax = {pmax} gives no rows")
         rows = []
         for p in range(3, pmax + 1):
             triple = (p, p + 1, p * (p + 1) - 1)
@@ -157,6 +160,8 @@ def generate_table(table_id: str, pmax: int = 6, triples: Sequence[tuple[int, in
     if table_id == "brieskorn-batch":
         if triples is None:
             return [_row(t, k, None) for t, k in BATCH_TABLE_ROWS]
+        if not triples:
+            raise ValueError("brieskorn-batch was given no triples")
         return [_row(tuple(t), DEFAULT_PREFIX_TERMS, None) for t in triples]
     if table_id == "hom-cob-family":
         return [_row(t, k, None) for t, k in HOM_COB_TABLE_ROWS]

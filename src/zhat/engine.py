@@ -632,8 +632,8 @@ class _GraphSetup:
     def _result(self, rep: SpinCRep, acc: dict, order: Fraction) -> ZhatResult:
         den = 4 * self.form.det
         top = min(acc) + 4 * order * self.form.det
-        series = QSeries.from_terms(
-            [(self.e0 + Fraction(s, den), Fraction(self.sign * c, self.scale)) for s, c in acc.items() if s <= top],
+        series = QSeries(
+            tuple((self.e0 + Fraction(s, den), Fraction(self.sign * acc[s], self.scale)) for s in sorted(acc) if s <= top),
             self.e0 + Fraction(top, den),
         )
         delta, tail, eta = series.leading_exponent_and_normalize()

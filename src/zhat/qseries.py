@@ -4,12 +4,12 @@ A :class:`QSeries` is a finite list of (exponent, coefficient) pairs with
 strictly increasing exponents, plus a truncation order: every exponent
 up to and including the order is fully determined, so "coefficient is
 zero" and "not computed" stay distinguishable.  Values are immutable and
-all arithmetic is exact.
+all arithmetic is exact.  This is the generic series type; the theta
+sums of the closed form are built in :mod:`zhat.brieskorn`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -154,32 +154,3 @@ def _term_text(e: Fraction, c: Fraction) -> str:
     if c.denominator == 1:
         return f"{c}{q}"
     return f"({c}){q}"
-
-
-def false_theta(p: int, a: int, order) -> QSeries:
-    """One-sided theta-like series sum_{n >= 0} psi(n) q^(n^2/4p).
-
-    psi(n) is +1 on n = a mod 2p, -1 on n = -a mod 2p, 0 otherwise (so
-    exactly 0 when both congruences hold, i.e. p | a).  Terms are kept
-    while n^2/4p <= order.
-    """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    order = _fr(order)
-    if order < 0:
-        return QSeries.zero(order)
-    # largest n with n^2 <= 4*p*order
-    nmax = math.isqrt((4 * p * order.numerator) // order.denominator)
-    twop = 2 * p
-    terms: list[tuple[Fraction, Fraction]] = []
-    seen: set[int] = set()
-    for start in (a % twop, (-a) % twop):
-        n = start
-        while n <= nmax:
-            if n not in seen:
-                seen.add(n)
-                c = (1 if (n - a) % twop == 0 else 0) - (1 if (n + a) % twop == 0 else 0)
-                if c:
-                    terms.append((Fraction(n * n, 4 * p), Fraction(c)))
-            n += twop
-    return QSeries.from_terms(terms, order)

@@ -11,6 +11,7 @@ from zhat.brieskorn import (
     brieskorn_data,
     build_plumbing,
     evaluate_hj,
+    false_theta,
     hj_continued_fraction,
     solve_seifert_data,
     tail_order_for_terms,
@@ -18,6 +19,7 @@ from zhat.brieskorn import (
 )
 from zhat.compare import homology_sphere_delta_check
 from zhat.errors import ConsistencyError, ExcludedTriple, InvalidFraction, InvalidTriple
+from zhat.qseries import QSeries
 
 
 def coprime_triples_up_to(pmax: int):
@@ -209,6 +211,50 @@ class TestZhat0:
             res = zhat0_brieskorn(*triple, order)
             assert len(res.tail.terms) == k
             assert res.tail.terms[-1][0] == order
+
+
+def theta_combination_tail(triple, order) -> QSeries:
+    """The tail as four one-sided theta series of level p, signed +, -, -,
+    + and shifted down by alpha1^2/4p (the closed form's definition)."""
+    p = triple[0] * triple[1] * triple[2]
+    al = alphas(*triple)
+    shift = Fraction(al[0] ** 2, 4 * p)
+    combo = QSeries.zero(shift + order)
+    for alpha, sign in zip(al, (1, -1, -1, 1)):
+        combo = combo + false_theta(p, alpha, shift + order).scale(sign)
+    return combo.shift_exponent(-shift)
+
+
+def sampled_triples(seed: int, count: int):
+    rng = random.Random(seed)
+    triples = [t for t in coprime_triples_up_to(5000) if t != (2, 3, 5)]
+    return rng, rng.sample(triples, count) + [(2, 9, 11), (2, 81, 83), (8, 87, 89)]
+
+
+class TestThetaProgressions:
+    def test_tail_is_the_theta_combination(self):
+        rng, triples = sampled_triples(71, 60)
+        for triple in triples:
+            order = Fraction(rng.randint(0, 300), rng.choice((1, 2, 3, 4)))
+            assert zhat0_brieskorn(*triple, order).tail == theta_combination_tail(triple, order), (triple, order)
+
+    def test_tail_order_is_the_kth_theta_exponent(self):
+        rng, triples = sampled_triples(73, 40)
+        for triple in triples:
+            k = rng.randint(1, 9)
+            order = 1
+            while len((tail := theta_combination_tail(triple, order)).terms) < k:
+                order *= 2
+            assert tail_order_for_terms(*triple, k) == tail.terms[k - 1][0], (triple, k)
+
+    def test_false_theta_of_a_multiple_of_p_is_zero(self):
+        # every coefficient is 1 - 1 = 0, so no progression is left to walk
+        rng = random.Random(79)
+        for _ in range(100):
+            p = rng.randint(1, 60)
+            order = Fraction(rng.randint(-3, 400), rng.randint(1, 4))
+            for a in (0, p * rng.randint(-4, 4)):
+                assert false_theta(p, a, order) == QSeries.zero(order), (p, a, order)
 
 
 class TestLegDeterminantOracle:

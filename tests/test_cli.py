@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import trees
 from zhat.brieskorn import brieskorn_data
-from zhat.cli import main
+from zhat.cli import build_parser, main
+from zhat.compare import generate_table
 from zhat.errors import ZhatError
 from zhat.plumbing import format_plumb
 
@@ -254,8 +255,10 @@ class TestFuzzedArguments:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ")
         else:
-            # an empty table (empty batch file, --pmax below 3) has no text rows
-            assert err.getvalue() == "" and (out.getvalue() or argv[0] == "table")
+            assert err.getvalue() == "" and out.getvalue()
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
 
 class TestDeltaCommand:
@@ -289,6 +292,24 @@ class TestTableCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not UTF-8" in err
         assert len(err.splitlines()) == 1
+
+    def test_d_family_without_rows_is_an_error(self, capsys):
+        message = "d-family runs over p = 3..pmax, so pmax = 2 gives no rows"
+        with pytest.raises(ValueError, match=message):
+            generate_table("d-family", pmax=2)
+        assert main(["table", "d-family", "--pmax", "2"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    def test_batch_file_without_triples_is_an_error(self, tmp_path, capsys):
+        message = "brieskorn-batch was given no triples"
+        with pytest.raises(ValueError, match=message):
+            generate_table("brieskorn-batch", triples=[])
+        f = tmp_path / "triples.txt"
+        f.write_text("# no triples\n\n")
+        assert main(["table", "batch", str(f), "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     def test_hom_cob_family(self, capsys):
         code, out = run(capsys, "table", "hom-cob-family")

@@ -664,3 +664,68 @@ class TestHomologySphereContext:
         assert calls == [4]
         compute_zhat_all(g, 4)
         assert calls == [4, 4]
+
+
+def edge_blow_up(g: PlumbingGraph, u: int, v: int) -> PlumbingGraph:
+    """A -1 vertex on the edge u-v, with w_u and w_v each lowered by 1."""
+    weights = list(g.weights)
+    weights[u] -= 1
+    weights[v] -= 1
+    x = len(weights)
+    edges = [e for e in g.edges if set(e) != {u, v}] + [(u, x), (x, v)]
+    return PlumbingGraph((*weights, -1), tuple(edges))
+
+
+def leaf_blow_up(g: PlumbingGraph, v: int) -> PlumbingGraph:
+    """A -1 leaf on v, with w_v lowered by 1."""
+    weights = list(g.weights)
+    weights[v] -= 1
+    return PlumbingGraph((*weights, -1), (*g.edges, (v, len(weights))))
+
+
+def series_multiset(g: PlumbingGraph, order) -> tuple[Counter, int]:
+    """The (delta, tail terms, eta) of every class, and the number of zero classes."""
+    results = [res for _, res in compute_zhat_all(g, order)]
+    series = Counter((r.delta, r.tail.terms, r.eta_pow2) for r in results if not isinstance(r, EmptySeries))
+    return series, sum(isinstance(r, EmptySeries) for r in results)
+
+
+class TestNeumannMoves:
+    """Blowing up an edge or adding a -1 leaf does not change the
+    manifold, so the classes' normalized series agree as a multiset.
+    Trees have at most 6 vertices and one node of degree >= 3, before
+    and after the move, so that zero classes escalate cheaply."""
+
+    @staticmethod
+    def moves(seed: int, move):
+        rng = random.Random(seed)
+        done = 0
+        while done < 32:
+            n = rng.randint(1, 5)
+            g = PlumbingGraph(
+                tuple(-rng.randint(1, 4) for _ in range(n)), tuple((rng.randrange(v), v) for v in range(1, n))
+            )
+            elim = g.elimination()
+            # every other tree has one node of degree >= 3, the rest none
+            if not elim.is_negative_definite or abs(elim.det) > 24 or len(g.high_degree_vertices()) != done % 2:
+                continue
+            moved = move(rng, g)
+            if moved is None or len(moved.high_degree_vertices()) > 1:
+                continue
+            assert moved.elimination().is_negative_definite and moved.elimination().det == -elim.det
+            done += 1
+            yield g, moved
+
+    def test_edge_blow_up(self):
+        def move(rng, g):
+            return edge_blow_up(g, *rng.choice(g.edges)) if g.edges else None
+
+        for g, moved in self.moves(83, move):
+            assert series_multiset(moved, 4) == series_multiset(g, 4), (g, moved)
+
+    def test_leaf_blow_up(self):
+        def move(rng, g):
+            return leaf_blow_up(g, rng.randrange(g.vertex_count))
+
+        for g, moved in self.moves(89, move):
+            assert series_multiset(moved, 4) == series_multiset(g, 4), (g, moved)

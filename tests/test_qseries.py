@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zhat.brieskorn import false_theta
 from zhat.errors import EmptySeries
-from zhat.qseries import QSeries, false_theta
+from zhat.qseries import QSeries
 
 
 def series(pairs, order) -> QSeries:
