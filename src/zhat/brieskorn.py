@@ -274,7 +274,9 @@ def zhat0_brieskorn(b1: int, b2: int, b3: int, order, data: BrieskornData | None
     order = Fraction(order)
     kept = itertools.takewhile(lambda t: t[0] <= order, _tail_terms(d.p, d.alphas))
     tail = QSeries(tuple((Fraction(e), Fraction(c)) for e, c in kept), order)
-    rep = SpinCRep(build_plumbing(d).degree_vector(), 0)  # unique class of a ZHS
+    # the star's degrees in build_plumbing_from_legs order: center, then each leg ending in a leaf
+    degrees = (3,) + sum(((2,) * (len(f) - 1) + (1,) for f in d.leg_fractions), ())
+    rep = SpinCRep(degrees, 0)  # unique class of a ZHS
     return ZhatResult(rep, d.delta0, tail, 0, 1, order)
 
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .brieskorn import brieskorn_data, zhat0_brieskorn
@@ -43,9 +43,28 @@ def _envelope(command: str, inputs: dict, results, order) -> dict:
     }
 
 
+def _json(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2, default=str)`` for dicts with string
+    keys, lists, tuples, strings, ints, bools and None, without the
+    pure-Python encoder; any other object is written as its str()."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [inner + _json(v, inner) for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{indent}]" if items else "[]"
+    return encode_basestring_ascii(str(obj))
+
+
 def _emit(obj: dict, out) -> None:
-    json.dump(obj, out, indent=2, default=str)
-    out.write("\n")
+    out.write(_json(obj) + "\n")
 
 
 def _parse_order(text: str) -> Fraction:

@@ -53,6 +53,7 @@ from typing import Iterator, Mapping, Sequence
 from .errors import EmptySeries, NotNegativeDefinite, SingularMatrix
 from .exact import (
     ExactMatrix,
+    _integer_rows,
     _ldl_ordered,
     _range_under_square,
     is_negative_definite,
@@ -134,24 +135,21 @@ def vertex_factor_coefficient(deg: int, k: int) -> Fraction:
     """
     if deg < 0:
         raise ValueError("degree must be nonnegative")
+    return Fraction(_twice_vertex_factor(deg, k), 2)
+
+
+def _twice_vertex_factor(deg: int, k: int) -> int:
+    """2 * (coefficient of z^k in (z - 1/z)^(2 - deg)), a signed binomial
+    (see :func:`vertex_factor_coefficient`)."""
     if deg <= 2:
         n = 2 - deg
-        if (n - k) % 2 != 0:
-            return Fraction(0)
-        j = (n - k) // 2
-        if 0 <= j <= n:
-            return Fraction((-1) ** j * comb(n, j))
-        return Fraction(0)
+        j, odd = divmod(n - k, 2)
+        return 0 if odd or not 0 <= j <= n else 2 * (-1) ** j * comb(n, j)
     m = deg - 2
-    if (k - m) % 2 != 0:
-        return Fraction(0)
-    if k <= -m:
-        j = (-k - m) // 2
-        return Fraction(comb(m - 1 + j, j), 2)
-    if k >= m:
-        j = (k - m) // 2
-        return Fraction((-1) ** m * comb(m - 1 + j, j), 2)
-    return Fraction(0)
+    j, odd = divmod(abs(k) - m, 2)
+    if odd or j < 0:
+        return 0
+    return comb(m - 1 + j, j) * (-1 if k > 0 and m % 2 else 1)
 
 
 def _support_window(deg: int):
@@ -277,9 +275,6 @@ class _SupportForm:
             for combo, b, c, _, res in partial
         ]
 
-    def _index(self, res: Sequence[int]) -> int:
-        return sum(r % mod // 2 * stride for r, (mod, _, stride) in zip(res, self.classes))
-
     def walk(
         self, bound: int, lower: int | None = None, want: Sequence[int] | None = None
     ) -> Iterator[tuple[int, int, tuple[int, ...], int]]:
@@ -294,7 +289,7 @@ class _SupportForm:
         k = len(levels)
         if not k:
             for a, (_, s, _, res) in enumerate(assignments):
-                idx = self._index(res)
+                idx = sum(r % mod // 2 * stride for r, (mod, _, stride) in zip(res, classes))
                 if (lower is None or s > lower) and (wanted is None or idx in wanted):
                     yield idx, a, (), s
             return
@@ -404,26 +399,24 @@ def _classes_missing_support(ctx, windows, high, reps) -> set[int]:
 
 
 class _SpinCContext:
-    """Smith-form data for canonicalizing Spin^c classes of one matrix.
+    """Smith-form data for canonicalizing Spin^c classes of one integer matrix.
 
     ``m`` None stands for |det m| = 1: no Smith rows, one class, delta.
     """
 
-    def __init__(self, m: ExactMatrix | None, delta_vec: Sequence[int]):
+    def __init__(self, m: Sequence[Sequence[int]] | None, delta_vec: Sequence[int]):
         self.delta = tuple(int(x) for x in delta_vec)
         self.u_int, self.d, self.uinv = [], [], [[] for _ in self.delta]
         if m is not None:
-            u, dmat, v = smith_normal_form(m)
-            self.u_int = [[int(x) for x in row] for row in u.rows]
-            self.d = [int(dmat.rows[i][i]) for i in range(m.size)]
+            self.u_int, dmat, v = smith_normal_form(m)
+            self.d = [row[i] for i, row in enumerate(dmat)]
             if any(di == 0 for di in self.d):
                 raise SingularMatrix("Spin^c classes need an invertible linking matrix")
             # U m V = D gives U^-1 = m V D^-1: column j of m V divides exactly
             # by d_j.  Only the nonzero entries of m are touched (3s - 2 for a tree).
-            v_int = [[int(x) for x in row] for row in v.rows]
-            m_nonzero = [[(k, int(x)) for k, x in enumerate(row) if x] for row in m.rows]
+            m_nonzero = [[(k, x) for k, x in enumerate(row) if x] for row in m]
             self.uinv = [
-                [sum(x * v_int[k][j] for k, x in row) // dj for j, dj in enumerate(self.d)]
+                [sum(x * v[k][j] for k, x in row) // dj for j, dj in enumerate(self.d)]
                 for row in m_nonzero
             ]
         self.count = 1
@@ -452,24 +445,42 @@ class _SpinCContext:
         x = [sum(a * b for a, b in zip(row, y)) for row in self.uinv]
         return tuple(dv + 2 * xi for dv, xi in zip(self.delta, x))
 
+    def representatives(self) -> list[SpinCRep]:
+        """``SpinCRep(vector_of_index(i), i)`` for every i in order.  The digits
+        y step like an odometer: each step adds one column of 2U^-1 to the
+        vector, or takes d_j - 1 of them away where digit j wraps to 0."""
+        digits = [(dj, [2 * row[j] for row in self.uinv]) for j, dj in enumerate(self.d) if dj > 1]
+        y = [0] * len(digits)
+        vector = self.delta
+        reps = [SpinCRep(vector, 0)]
+        for idx in range(1, self.count):
+            for j, (dj, col) in enumerate(digits):
+                if y[j] + 1 < dj:
+                    y[j] += 1
+                    vector = tuple(a + b for a, b in zip(vector, col))
+                    break
+                y[j] = 0
+                vector = tuple(a - (dj - 1) * b for a, b in zip(vector, col))
+            reps.append(SpinCRep(vector, idx))
+        return reps
+
     def canonical(self, vector: Sequence[int]) -> SpinCRep:
         idx = self.index_of_vector(vector)
         return SpinCRep(self.vector_of_index(idx), idx)
 
 
-def spin_c_representatives(m: ExactMatrix, delta_vec: Sequence[int]) -> list[SpinCRep]:
+def spin_c_representatives(m, delta_vec: Sequence[int]) -> list[SpinCRep]:
     """One canonical representative per class of (2Z^s + delta)/2mZ^s.
 
-    There are exactly |det m| classes; the canonical choice comes from
-    reducing through the Smith normal form of m.
+    There are exactly |det m| classes (m an ExactMatrix or integer rows);
+    the canonical choice comes from reducing through its Smith form.
     """
-    ctx = _SpinCContext(m, delta_vec)
-    return [SpinCRep(ctx.vector_of_index(i), i) for i in range(ctx.count)]
+    return _SpinCContext(_integer_rows(m), delta_vec).representatives()
 
 
-def conjugate_spin_c(rep: SpinCRep, m: ExactMatrix, delta_vec: Sequence[int]) -> SpinCRep:
-    """The class of -a, canonicalized."""
-    ctx = _SpinCContext(m, delta_vec)
+def conjugate_spin_c(rep: SpinCRep, m, delta_vec: Sequence[int]) -> SpinCRep:
+    """The class of -a, canonicalized (m an ExactMatrix or integer rows)."""
+    ctx = _SpinCContext(_integer_rows(m), delta_vec)
     return ctx.canonical([-x for x in rep.vector])
 
 
@@ -490,7 +501,7 @@ class _FactorTable(dict):
         self.deg = deg
 
     def __missing__(self, k: int) -> int:
-        value = self[k] = int(2 * vertex_factor_coefficient(self.deg, -k))
+        value = self[k] = _twice_vertex_factor(self.deg, -k)
         return value
 
 
@@ -523,7 +534,7 @@ class _GraphSetup:
             )
         support = [v for v, d in enumerate(degrees) if d != 2]
         adj = dict(zip(support, graph.adjugate(support)))
-        m = graph.linking_matrix() if weakly or abs(elim.det) > 1 else None
+        m = graph.linking_rows() if weakly or abs(elim.det) > 1 else None
         if not weakly:
             sigma, pi_count = elim.inertia()
         else:
@@ -532,7 +543,7 @@ class _GraphSetup:
             if not is_negative_definite(ExactMatrix([[sign * adj[i][j] for j in high] for i in high])):
                 raise NotNegativeDefinite("linking matrix is not weakly negative definite")
             # pivots may be zero off the negative definite path: dense signature
-            sigma, pi_count = m.signature_and_positive_count()
+            sigma, pi_count = ExactMatrix(m).signature_and_positive_count()
 
         self.ctx = _SpinCContext(m if abs(elim.det) > 1 else None, degrees)
         self.e0 = Fraction(3 * sigma - sum(graph.weights), 4)
@@ -548,7 +559,7 @@ class _GraphSetup:
         self.form = _SupportForm(adj, elim.det, high, self.windows, classes)
         # c_l = (product over the leaves) * (product over ``high``) / 2^#high
         low_tables = [
-            {x: int(vertex_factor_coefficient(degrees[v], -x)) for x in self.windows[v][1]} for v in self.form.low
+            {x: _twice_vertex_factor(degrees[v], -x) // 2 for x in self.windows[v][1]} for v in self.form.low
         ]
         self.low_coefficients = []
         for combo, _, _, _ in self.form.assignments:
@@ -693,7 +704,7 @@ def compute_zhat_all(
     """
     order = _checked_order(order)
     setup = _GraphSetup(graph, allow_weakly)
-    reps = [SpinCRep(setup.ctx.vector_of_index(i), i) for i in range(setup.ctx.count)]
+    reps = setup.ctx.representatives()
     return list(zip(reps, setup.series(reps, order)))
 
 

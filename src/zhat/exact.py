@@ -29,9 +29,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import NotNegativeDefinite, SingularMatrix
 
-Rational = Fraction
-
-
 def _as_fraction_rows(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
@@ -298,16 +295,24 @@ def classify_definiteness(m: ExactMatrix, high_degree_indices: Iterable[int]) ->
 # -- Smith normal form ---------------------------------------------------
 
 
-def smith_normal_form(m: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
-    """Return (U, D, V) with U*m*V = D, U and V unimodular.
+def _integer_rows(m) -> list[list[int]]:
+    """New int rows of a square integer ExactMatrix or matrix of rows."""
+    rows = m.rows if isinstance(m, ExactMatrix) else m
+    ints = [[int(x) for x in row] for row in rows]
+    if any(len(row) != len(ints) for row in ints) or any(x != y for r, i in zip(rows, ints) for x, y in zip(r, i)):
+        raise ValueError("Smith normal form requires a square matrix with integer entries")
+    return ints
 
-    D is diagonal with nonnegative entries d1 | d2 | ...; unit factors
-    are normalized positive.
+
+def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Return integer rows (U, D, V) with U*m*V = D, U and V unimodular.
+
+    ``m`` is a square matrix of integer rows, or an ExactMatrix with
+    integer entries (read once, here).  D is diagonal with nonnegative
+    entries d1 | d2 | ...; unit factors are normalized positive.
     """
-    if not m.is_integer():
-        raise ValueError("Smith normal form requires integer entries")
-    n = m.size
-    a = [[int(x) for x in row] for row in m.rows]
+    a = _integer_rows(m)
+    n = len(a)
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -335,15 +340,12 @@ def smith_normal_form(m: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMa
 
     for t in range(n):
         while True:
-            best = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
+            # the first entry of least |a[i][j]| != 0 in row-major order
+            best = min(((abs(x), i, j) for i in range(t, n) for j, x in enumerate(a[i][t:], t) if x), default=None)
             if best is None:
                 break
-            swap_rows(t, best[0])
-            swap_cols(t, best[1])
+            swap_rows(t, best[1])
+            swap_cols(t, best[2])
             dirty = False
             for i in range(t + 1, n):
                 if a[i][t] != 0:
@@ -370,7 +372,7 @@ def smith_normal_form(m: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMa
                 row[t] = -row[t]
             for row in v:
                 row[t] = -row[t]
-    return ExactMatrix(u), ExactMatrix(a), ExactMatrix(v)
+    return u, a, v
 
 
 # -- lattice enumeration -------------------------------------------------

@@ -189,8 +189,8 @@ class PlumbingGraph:
             rows.append(tuple(col))
         return tuple(rows)
 
-    def linking_matrix(self) -> ExactMatrix:
-        """Weights on the diagonal, 1 for every edge."""
+    def linking_rows(self) -> list[list[int]]:
+        """The linking matrix as int rows: weights on the diagonal, 1 for every edge."""
         s = self.vertex_count
         rows = [[0] * s for _ in range(s)]
         for i, w in enumerate(self.weights):
@@ -198,7 +198,11 @@ class PlumbingGraph:
         for a, b in self.edges:
             rows[a][b] = 1
             rows[b][a] = 1
-        return ExactMatrix(rows)
+        return rows
+
+    def linking_matrix(self) -> ExactMatrix:
+        """The linking matrix as an ExactMatrix."""
+        return ExactMatrix(self.linking_rows())
 
     def high_degree_vertices(self) -> tuple[int, ...]:
         return tuple(v for v, d in enumerate(self.degree_vector()) if d >= 3)

@@ -1,0 +1,165 @@
+"""Golden-bytes check of the CLI, runnable with or without pytest.
+
+    PYTHONPATH=src python tests/golden.py            # compare with the recording
+    PYTHONPATH=src python tests/golden.py --record   # rewrite the recording
+
+Each case runs ``zhat.cli.main`` in process, in a scratch directory that
+holds a copy of every ``tests/data/*.plumb`` file (and one copy under a
+non-ASCII name), so the file paths in the JSON envelope do not depend on
+where the repository lives.  Stdout is compared byte for byte with
+``tests/data/golden/<case>.stdout``; the exit code and stderr with
+``tests/data/golden/status.json``.
+
+Run as a script, it also checks the CLI's JSON writer against
+``json.dumps(obj, indent=2, default=str)`` on seeded random objects, so
+interpreters without pytest or Hypothesis get both checks
+(``tests/test_golden.py`` runs the same cases, and the Hypothesis
+property, under pytest).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import random
+import shutil
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "golden"
+NON_ASCII_NAME = "lentille-é-空間.plumb"
+
+CASES = {
+    "graph_escalation_star": ["graph", "escalation_star.plumb", "--all", "--order", "0", "--format", "json"],
+    "graph_det51_star": ["graph", "det51_star.plumb", "--all", "--order", "6", "--format", "json"],
+    "graph_lens_chain": ["graph", "lens_chain.plumb", "--all", "--order", "10", "--format", "json"],
+    "graph_d4_star": ["graph", "d4_star.plumb", "--all", "--order", "10", "--format", "json"],
+    "graph_d4_star_text": ["graph", "d4_star.plumb", "--all", "--order", "10"],
+    "graph_weakly_star": [
+        "graph", "weakly_star.plumb", "--all", "--order", "5", "--format", "json", "--experimental-weakly",
+    ],
+    "graph_det51_spinc": ["graph", "det51_star.plumb", "--spinc", "7", "--order", "6", "--format", "json"],
+    "graph_non_ascii_path": ["graph", NON_ASCII_NAME, "--all", "--order", "5", "--format", "json"],
+    "graph_not_negative_definite": ["graph", "weakly_star.plumb", "--all", "--format", "json"],
+    "delta_lens_chain": ["delta", "lens_chain.plumb", "--all", "--format", "json"],
+    "delta_det51_star": ["delta", "det51_star.plumb", "--all", "--format", "json"],
+    "brieskorn_2_9_11": ["brieskorn", "2", "9", "11", "--format", "json"],
+    "table_d_family": ["table", "d-family", "--format", "json"],
+    "check_2_9_11": ["check", "2", "9", "11", "--format", "json"],
+    "report": ["report", "--format", "json"],
+}
+
+
+def run_case(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``zhat.cli.main(argv)`` run in a
+    scratch directory with the inputs."""
+    from zhat.cli import main
+
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        for path in DATA.glob("*.plumb"):
+            shutil.copy(path, work)
+        shutil.copy(DATA / "lens_chain.plumb", Path(work) / NON_ASCII_NAME)
+        out, err = io.StringIO(), io.StringIO()
+        os.chdir(work)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+def mismatches(name: str) -> list[str]:
+    """What differs between a fresh run of case ``name`` and its recording."""
+    status = json.loads((GOLDEN / "status.json").read_text(encoding="utf-8"))[name]
+    if status["argv"] != CASES[name]:
+        return [f"recorded with {status['argv']}, not {CASES[name]}: record again"]
+    code, out, err = run_case(CASES[name])
+    want_code, want_out, want_err = status["exit"], (GOLDEN / f"{name}.stdout").read_bytes(), status["stderr"]
+    problems = []
+    if code != want_code:
+        problems.append(f"exit code {code}, recorded {want_code}")
+    if out.encode("utf-8") != want_out:
+        problems.append("stdout differs from the recording")
+    if err != want_err:
+        problems.append(f"stderr {err!r}, recorded {want_err!r}")
+    return problems
+
+
+def record() -> None:
+    status = {}
+    for name, argv in CASES.items():
+        code, out, err = run_case(argv)
+        (GOLDEN / f"{name}.stdout").write_bytes(out.encode("utf-8"))
+        status[name] = {"argv": argv, "exit": code, "stderr": err}
+    (GOLDEN / "status.json").write_text(json.dumps(status, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+
+
+# -- the JSON writer ---------------------------------------------------------
+
+TRICKY_TEXT = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "空間", "\U0001f600", "\ud800", "/"]
+
+
+def random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(TRICKY_TEXT + ["a", "Z", " "]) for _ in range(rng.randrange(6)))
+
+
+def random_json_object(rng: random.Random, depth: int = 0):
+    """A nested object of the kinds the CLI emits: dicts with string keys,
+    lists, tuples, strings, ints, bools, None and Fractions."""
+    kind = rng.randrange(9 if depth < 4 else 6)
+    if kind == 0:
+        return random_text(rng)
+    if kind == 1:
+        return rng.choice([0, -1, 1, 2**70, -(3**50), rng.randrange(-10**6, 10**6)])
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind == 3:
+        return Fraction(rng.randrange(-50, 50), rng.randrange(1, 12))
+    if kind in (4, 5):
+        return rng.choice([{}, [], ()])
+    items = [random_json_object(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 6:
+        return items
+    if kind == 7:
+        return tuple(items)
+    return {random_text(rng) if rng.random() < 0.3 else f"k{i}": x for i, x in enumerate(items)}
+
+
+def writer_mismatch(obj) -> str | None:
+    from zhat.cli import _emit
+
+    out = io.StringIO()
+    _emit(obj, out)
+    want = json.dumps(obj, indent=2, default=str) + "\n"
+    return None if out.getvalue() == want else f"{obj!r}: wrote {out.getvalue()!r}, json.dumps gives {want!r}"
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--record"]:
+        record()
+        return 0
+    failures = [f"{name}: {problem}" for name in CASES for problem in mismatches(name)]
+    rng = random.Random(0)
+    for _ in range(2000):
+        obj = random_json_object(rng)
+        if not isinstance(obj, dict):
+            obj = {"results": obj}
+        bad = writer_mismatch(obj)
+        if bad:
+            failures.append(f"writer: {bad}")
+    for line in failures:
+        print(line)
+    print(f"{len(CASES)} golden cases and 2000 writer objects on Python {sys.version.split()[0]}: "
+          f"{len(failures)} failures")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -612,7 +612,7 @@ class TestHomologySphereContext:
         degrees = g.degree_vector()
         m = g.linking_matrix()
         rows = [[int(x) for x in row] for row in m.rows]
-        ctx, dense = _SpinCContext(None, degrees), _SpinCContext(m, degrees)
+        ctx, dense = _SpinCContext(None, degrees), _SpinCContext(rows, degrees)
         assert ctx.d == [] and ctx.u_int == [] and ctx.uinv == [[]] * g.vertex_count
         assert ctx.count == dense.count == 1
         assert ctx.vector_of_index(0) == dense.vector_of_index(0) == tuple(degrees)
@@ -646,6 +646,7 @@ class TestHomologySphereContext:
         expected = [(compute_zhat(g, 0, order=4), compute_zhat_all(g, 4)) for g in HOMOLOGY_SPHERES]
         monkeypatch.setattr(zhat.engine, "smith_normal_form", forbidden)
         monkeypatch.setattr(PlumbingGraph, "linking_matrix", forbidden)
+        monkeypatch.setattr(PlumbingGraph, "linking_rows", forbidden)
         for g, (one, every) in zip(HOMOLOGY_SPHERES, expected):
             assert compute_zhat(g, 0, order=4) == one
             assert compute_zhat_all(g, 4) == every
@@ -654,10 +655,14 @@ class TestHomologySphereContext:
         calls = []
 
         def counted(m):
-            calls.append(m.size)
+            calls.append(len(m))
             return smith_normal_form(m)
 
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Smith form reads integer rows")
+
         monkeypatch.setattr(zhat.engine, "smith_normal_form", counted)
+        monkeypatch.setattr(PlumbingGraph, "linking_matrix", forbidden)
         g = PlumbingGraph((-4, -3, -3, -2), ((0, 1), (0, 2), (0, 3)))
         assert abs(g.elimination().det) > 1
         compute_zhat(g, 0, order=4)

@@ -146,7 +146,11 @@ class TestClassify:
 
 class TestSmithNormalForm:
     def check(self, m: ExactMatrix):
-        u, d, v = smith_normal_form(m)
+        result = smith_normal_form(m)
+        # integer rows, the same whether m is given as an ExactMatrix or as rows
+        assert all(type(x) is int for rows in result for row in rows for x in row)
+        assert smith_normal_form([[int(x) for x in row] for row in m.rows]) == result
+        u, d, v = (ExactMatrix(rows) for rows in result)
         assert u.matmul(m).matmul(v) == d
         assert abs(u.determinant()) == 1
         assert abs(v.determinant()) == 1
@@ -167,6 +171,12 @@ class TestSmithNormalForm:
 
     def test_sigma_2_9_11_unimodular(self, m_2_9_11):
         assert self.check(m_2_9_11) == [1, 1, 1, 1, 1, 1]
+
+    def test_non_integral_entry(self):
+        with pytest.raises(ValueError, match="integer entries"):
+            smith_normal_form(ExactMatrix([[Fraction(1, 2), 0], [0, 1]]))
+        with pytest.raises(ValueError, match="integer entries"):
+            smith_normal_form([[Fraction(3, 2)]])
 
     def test_random(self):
         rng = random.Random(5)

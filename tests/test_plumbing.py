@@ -67,6 +67,7 @@ class TestLinkingMatrix:
         m = g_2_9_11.linking_matrix()
         assert m == ExactMatrix(SIGMA_2_9_11_ROWS)
         assert m.trace() == -17
+        assert g_2_9_11.linking_rows() == SIGMA_2_9_11_ROWS
 
     def test_single_vertex(self):
         assert PlumbingGraph((-7,), ()).linking_matrix() == ExactMatrix([[-7]])

@@ -86,9 +86,24 @@ class TestAgainstDenseOracles:
         if g.elimination().det == 0:
             return
         m = g.linking_matrix()
-        ctx = _SpinCContext(m, g.degree_vector())
+        ctx = _SpinCContext(g.linking_rows(), g.degree_vector())
         u, _d, _v = smith_normal_form(m)
-        assert ExactMatrix(ctx.uinv) == u.inverse()
+        assert ExactMatrix(ctx.uinv) == ExactMatrix(u).inverse()
+
+    @PROPERTY
+    @given(trees())
+    def test_representatives_step_through_every_index(self, g):
+        if g.elimination().det == 0:
+            return
+        check_representatives(_SpinCContext(g.linking_rows(), g.degree_vector()))
+
+
+def check_representatives(ctx: _SpinCContext) -> None:
+    """The odometer gives vector_of_index of every index, in index order,
+    and each vector's index is its own."""
+    reps = ctx.representatives()
+    assert [(r.class_index, r.vector) for r in reps] == [(i, ctx.vector_of_index(i)) for i in range(ctx.count)]
+    assert [ctx.index_of_vector(r.vector) for r in reps] == list(range(ctx.count))
 
 
 def test_integer_smith_inverse_general_matrices():
@@ -97,11 +112,14 @@ def test_integer_smith_inverse_general_matrices():
     checked = 0
     while checked < 40:
         n = rng.randint(1, 5)
-        m = ExactMatrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        m = ExactMatrix(rows)
         if m.determinant() == 0:
             continue
         u, _d, _v = smith_normal_form(m)
-        assert ExactMatrix(_SpinCContext(m, [0] * n).uinv) == u.inverse()
+        ctx = _SpinCContext(rows, [rng.randint(-3, 3) for _ in range(n)])
+        assert ExactMatrix(ctx.uinv) == ExactMatrix(u).inverse()
+        check_representatives(ctx)
         checked += 1
 
 
