@@ -33,24 +33,27 @@ class by residues of the Smith form's U on the leaves and nodes, O(k)
 per vector.  The adjugate is read on those k columns only, and the
 Smith form runs only when |H_1| = |det M| > 1.  The quadratic bound
 starts at 4(order + 1) for every class; classes still empty are settled
-exactly where the probe can, the rest escalate together, and every
-later pass (each doubling and the last top-up to order above the
-leading term) walks only the new shell floor < q <= bound of the
-classes it still needs: the class is affine in the last walked
-coordinate, so that level steps straight through the values in those
-classes.  A result depends only on its class's series, so computing one
-class or all of them gives the same answer.
+exactly where the probe can, the rest escalate together: with one
+degree >= 3 vertex up to a bound B* past which a class still empty is
+provably zero, with more for a fixed number of doublings.  Every later
+pass (each doubling and the last top-up to order above the leading
+term) walks only the new shell floor < q <= bound of the classes it
+still needs: the class is affine in the last walked coordinate, so that
+level steps straight through the values in those classes.  A result
+depends only on its class's series, so computing one class or all of
+them gives the same answer.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor, gcd, lcm
 from typing import Iterator, Mapping, Sequence
 
-from .errors import EmptySeries, NotNegativeDefinite, SingularMatrix
+from .errors import ConsistencyError, EmptySeries, NotNegativeDefinite, SingularMatrix
 from .exact import (
     ExactMatrix,
     _integer_rows,
@@ -62,10 +65,10 @@ from .exact import (
 from .plumbing import PlumbingGraph
 from .qseries import QSeries
 
-# Empty enumeration passes double the quadratic bound up to this many
-# times before concluding the series has no surviving term.  Every
-# integer homology sphere finds its leading term well before the cap;
-# other classes may legitimately have the zero series.
+# With two or more degree >= 3 vertices, empty enumeration passes double
+# the quadratic bound up to this many times before asking for a higher
+# order.  One-node graphs stop at their certified bound instead, and
+# graphs without a node list their finite support outright.
 _MAX_BOUND_DOUBLINGS = 20
 
 
@@ -341,6 +344,19 @@ class _SupportForm:
         for a, (_, m0, v0, res) in enumerate(assignments):
             yield from level(0, m0, res, v0, a)
 
+    def zero_bound(self) -> int:
+        """One node: B* such that a class with no term at S <= B* is zero.
+        With b = D_0 and n = b y - V_x, b S = n^2 + E_x (E_x the M_0 of x).
+        For |n| > D = max E - min E a term comes from one E and +-n only; for
+        |n| > N_1 = b m + max |V_x| (m = deg - 2) its node factor is a
+        polynomial of degree m - 1 in n on each class mod L = 2 b P, and B*
+        reaches m points of each class above max(D, N_1)."""
+        ((b, _, _, m, _),) = self.levels
+        es = [e for _, e, _, _ in self.assignments]
+        n_1 = b * m + max(abs(v) for _, _, (v,), _ in self.assignments)
+        n_star = max(max(es) - min(es), n_1) + 2 * m * b * self.period
+        return -(-(n_star * n_star + max(es)) // b)
+
 
 _PROBE_GROUP_LIMIT = 200_000
 _PROBE_ASSIGNMENT_LIMIT = 4096
@@ -594,8 +610,10 @@ class _GraphSetup:
         One walk to 4(order + 1) serves every class.  Classes still empty
         are settled exactly where the probe can; the rest escalate
         together, each pass walking only the new shell of the classes it
-        still needs, and a last shell tops every class up to 4 * order
-        above its leading term.  Every q below a walked bound is complete,
+        still needs, up to the bound B* of ``zero_bound`` on one node (a
+        class empty there is zero) or _MAX_BOUND_DOUBLINGS doublings on
+        more, and a last shell tops every class up to 4 * order above its
+        leading term.  Every q below a walked bound is complete,
         so each result depends only on its class's series, not on which
         other classes share the walk.  Bounds are kept on the scale of
         S = |det M| * q.
@@ -619,10 +637,14 @@ class _GraphSetup:
             pending = [rep.class_index for rep in empty if rep.class_index not in missed]
             # the bound each class's terms must be complete to
             needed = {idx: min(acc) + 4 * order * det for idx, acc in terms.items() if acc}
-            for _ in range(_MAX_BOUND_DOUBLINGS):
-                if not pending:
-                    break
+            # one node: the walk stops at B*, where a class still empty is zero
+            cap = self.form.zero_bound() if len(self.high) == 1 else None
+            doublings = 0
+            while pending and (bound < cap if cap is not None else doublings < _MAX_BOUND_DOUBLINGS):
+                doublings += 1
                 lower, bound = bound, 2 * bound + 4 * det
+                if cap is not None:
+                    bound = min(bound, cap)
                 walked = pending + [idx for idx, need in needed.items() if need > lower]
                 self._walk({idx: terms[idx] for idx in walked}, bound, lower)
                 for idx in pending:
@@ -630,7 +652,10 @@ class _GraphSetup:
                         needed[idx] = min(terms[idx]) + 4 * order * det
                 pending = [idx for idx in pending if not terms[idx]]
             for idx in pending:
-                notes[idx] = "every coefficient cancels below the escalated bound; raise order"
+                notes[idx] = (
+                    "series is identically zero (every coefficient cancels below the one-node bound)" if cap is not None
+                    else "every coefficient cancels below the escalated bound; raise order"
+                )
             top = max(needed.values(), default=bound)
             if top > bound:
                 self._walk({idx: terms[idx] for idx, need in needed.items() if need > bound}, top, bound)
@@ -641,14 +666,17 @@ class _GraphSetup:
         ]
 
     def _result(self, rep: SpinCRep, acc: dict, order: Fraction) -> ZhatResult:
-        den = 4 * self.form.det
-        top = min(acc) + 4 * order * self.form.det
-        series = QSeries(
-            tuple((self.e0 + Fraction(s, den), Fraction(self.sign * acc[s], self.scale)) for s in sorted(acc) if s <= top),
-            self.e0 + Fraction(top, den),
-        )
-        delta, tail, eta = series.leading_exponent_and_normalize()
-        return ZhatResult(rep, delta, tail, eta, self.sign, order)
+        """The tail read off the integer exponents S, 4|det M| apart in a class."""
+        den, keys = 4 * self.form.det, sorted(acc)
+        s0 = keys[0]
+        terms = []
+        for s in keys[: bisect_right(keys, s0 + floor(4 * order * self.form.det))]:
+            e, r = divmod(s - s0, den)
+            if r:
+                raise ConsistencyError(f"exponents S = {s0} and {s} of one class differ by a non-multiple of {den}")
+            terms.append((Fraction(e), Fraction(self.sign * acc[s], self.scale)))
+        _, tail, eta = QSeries(tuple(terms), order).leading_exponent_and_normalize()
+        return ZhatResult(rep, self.e0 + Fraction(s0, den), tail, eta, self.sign, order)
 
 
 def _checked_order(order) -> Fraction:

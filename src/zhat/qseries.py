@@ -84,6 +84,8 @@ class QSeries:
     def shift_exponent(self, r) -> "QSeries":
         """Multiply by q^r: every exponent and the order move up by r."""
         r = _fr(r)
+        if not r:
+            return self
         return QSeries(tuple((e + r, c) for e, c in self.terms), self.order + r)
 
     def leading_exponent_and_normalize(self) -> tuple[Fraction, "QSeries", int]:

@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python tests/golden.py            # compare with the recording
     PYTHONPATH=src python tests/golden.py --record   # rewrite the recording
+    PYTHONPATH=src python tests/golden.py --record graph_d4_star ...  # only these cases
 
 Each case runs ``zhat.cli.main`` in process, in a scratch directory that
 holds a copy of every ``tests/data/*.plumb`` file (and one copy under a
@@ -92,13 +93,16 @@ def mismatches(name: str) -> list[str]:
     return problems
 
 
-def record() -> None:
-    status = {}
-    for name, argv in CASES.items():
-        code, out, err = run_case(argv)
+def record(names: list[str]) -> None:
+    """Record the named cases again; the other recordings stay as they are."""
+    path = GOLDEN / "status.json"
+    status = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    for name in names:
+        code, out, err = run_case(CASES[name])
         (GOLDEN / f"{name}.stdout").write_bytes(out.encode("utf-8"))
-        status[name] = {"argv": argv, "exit": code, "stderr": err}
-    (GOLDEN / "status.json").write_text(json.dumps(status, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+        status[name] = {"argv": CASES[name], "exit": code, "stderr": err}
+    status = {name: status[name] for name in CASES if name in status}
+    path.write_text(json.dumps(status, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
 # -- the JSON writer ---------------------------------------------------------
@@ -142,8 +146,12 @@ def writer_mismatch(obj) -> str | None:
 
 
 def main(argv: list[str]) -> int:
-    if argv == ["--record"]:
-        record()
+    if argv[:1] == ["--record"]:
+        unknown = [name for name in argv[1:] if name not in CASES]
+        if unknown:
+            print(f"unknown cases {unknown}; the cases are {list(CASES)}", file=sys.stderr)
+            return 2
+        record(argv[1:] or list(CASES))
         return 0
     failures = [f"{name}: {problem}" for name in CASES for problem in mismatches(name)]
     rng = random.Random(0)

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 from collections import Counter
@@ -404,9 +405,9 @@ class TestDeterminism:
         assert ZhatResult.from_json_obj(json.loads(json.dumps(res.to_json_obj()))) == res
 
 
-# The pair whose zero class needs the bound escalated: the star is the
-# chain with an edge blown up; class 2 of the star stays empty through
-# every doubling.
+# The pair whose zero class the first walk does not settle: the star is
+# the chain with an edge blown up; class 2 of the star is empty up to the
+# one-node bound B*, the chain's zero class is its finite support.
 ESCALATION_STAR = PlumbingGraph((-3, -2, -2, -1), ((0, 1), (0, 2), (0, 3)))
 ESCALATION_CHAIN = PlumbingGraph((-2, -2, -2), ((0, 1), (1, 2)))
 WEAKLY = PlumbingGraph((-2, -1, -3, -2, 1), ((0, 1), (1, 2), (2, 3), (1, 4)))
@@ -458,11 +459,20 @@ class TestAllClasses:
 
     def test_escalation_pair(self):
         star = self.check(ESCALATION_STAR, 0)
-        assert "raise order" in outcome(star[2][1])
+        assert outcome(star[2][1]) == "series is identically zero (every coefficient cancels below the one-node bound)"
+        assert _GraphSetup(ESCALATION_STAR, False).form.zero_bound() == 204
         chain = self.check(ESCALATION_CHAIN, 0)
         assert [outcome(r) for _, r in chain if isinstance(r, EmptySeries)] == [
             "series is identically zero (finite support exhausted)"
         ]
+
+    def test_two_nodes_still_raise_order(self, monkeypatch):
+        # two nodes have no certified bound: class 2 escalates to the cap
+        monkeypatch.setattr(zhat.engine, "_MAX_BOUND_DOUBLINGS", 4)
+        g = PlumbingGraph((-3, -3, -2, -2, -1, -1), ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5)))
+        results = self.check(g, 0)
+        assert [rep.class_index for rep, r in results if isinstance(r, EmptySeries)] == [2]
+        assert outcome(results[2][1]) == "every coefficient cancels below the escalated bound; raise order"
 
     def test_weakly(self):
         # not negative definite; M^-1 is negative definite on the node
@@ -496,6 +506,59 @@ class TestAllClasses:
                 assert outcome(conj) == outcome(res)
             else:
                 assert (conj.delta, conj.tail, conj.eta_pow2) == (res.delta, res.tail, res.eta_pow2)
+
+
+@st.composite
+def one_node_trees(draw, node_weights, leg_weights):
+    """A node of degree 3..6 whose legs have one or two vertices."""
+    w, edges = [draw(node_weights)], []
+    for _ in range(draw(st.integers(3, 6))):
+        prev = 0
+        for _ in range(draw(st.integers(1, 2))):
+            w.append(draw(leg_weights))
+            edges.append((prev, len(w) - 1))
+            prev = len(w) - 1
+    return PlumbingGraph(tuple(w), tuple(edges))
+
+
+class TestZeroCertificate:
+    """The one-node bound B* against coefficients summed here from the
+    walk to 4 B*, with the public vertex factors: a class the engine calls
+    zero has none, and every other one has its leading term at S <= B*."""
+
+    def check(self, g, order, allow_weakly):
+        assume(0 < abs(g.elimination().det) <= 60)
+        try:
+            setup = _GraphSetup(g, allow_weakly)
+        except NotNegativeDefinite:
+            assume(False)
+        form, degrees = setup.form, g.degree_vector()
+        cap = form.zero_bound()
+        factor = functools.cache(vertex_factor_coefficient)
+        coefficients: dict[int, Counter] = {}
+        for idx, l, s in support_vectors(form, len(degrees), 4 * cap):
+            c = Fraction(1)
+            for v in form.low + form.high:
+                c *= factor(degrees[v], -l[v])
+            coefficients.setdefault(idx, Counter())[s] += c
+        for rep, res in TestAllClasses().check(g, order, allow_weakly):
+            exponents = [s for s, c in coefficients.get(rep.class_index, {}).items() if c]
+            if isinstance(res, EmptySeries):
+                assert not exponents, str(res)
+            else:
+                assert min(exponents) <= cap
+                assert res.delta == setup.e0 + Fraction(min(exponents), 4 * form.det)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(one_node_trees(st.integers(-8, -1), st.integers(-3, -1)), st.integers(0, 2))
+    def test_negative_definite(self, g, order):
+        self.check(g, order, allow_weakly=False)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(one_node_trees(st.integers(-6, -1), st.sampled_from([-2, -1, 1, 2])), st.integers(0, 2))
+    def test_weakly(self, g, order):
+        assume(not g.elimination().is_negative_definite)
+        self.check(g, order, allow_weakly=True)
 
 
 class TestShellWalk:
