@@ -46,21 +46,35 @@ def _envelope(command: str, inputs: dict, results, order) -> dict:
 def _json(obj, indent: str = "") -> str:
     """``json.dumps(obj, indent=2, default=str)`` for dicts with string
     keys, lists, tuples, strings, ints, bools and None, without the
-    pure-Python encoder; any other object is written as its str()."""
-    if isinstance(obj, str):
+    pure-Python encoder; any other object is written as its str().
+    Exact types are dispatched first, with str and int children written
+    inline; subclasses and anything else take the isinstance path."""
+    kind = type(obj)
+    if kind is str:
         return encode_basestring_ascii(obj)
-    if obj is None or isinstance(obj, bool):
+    if kind is int:
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if kind is dict:
+        items = [
+            f"{inner}{encode_basestring_ascii(k)}: "
+            f"{encode_basestring_ascii(v) if type(v) is str else int.__repr__(v) if type(v) is int else _json(v, inner)}"
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}" if items else "{}"
+    if kind is list or kind is tuple:
+        items = [
+            encode_basestring_ascii(v) if type(v) is str else int.__repr__(v) if type(v) is int else _json(v, inner)
+            for v in obj
+        ]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]" if items else "[]"
+    if obj is None or kind is bool:
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        items = [f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{indent}}}" if items else "{}"
-    if isinstance(obj, (list, tuple)):
-        items = [inner + _json(v, inner) for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{indent}]" if items else "[]"
-    return encode_basestring_ascii(str(obj))
+    if isinstance(obj, (dict, list, tuple)):
+        return _json(dict(obj) if isinstance(obj, dict) else list(obj), indent)
+    return encode_basestring_ascii(obj if isinstance(obj, str) else str(obj))
 
 
 def _emit(obj: dict, out) -> None:
@@ -281,7 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, order_default=str(DEFAULT_ORDER), formats=("text", "json")):
-        p.add_argument("--order", default=order_default, help="tail truncation order (exponent offset above delta)")
+        """--format, and --order for the commands that read one (order_default not None)."""
+        if order_default is not None:
+            p.add_argument("--order", default=order_default, help="tail truncation order (exponent offset above delta)")
         p.add_argument("--format", choices=formats, default="text")
 
     p = sub.add_parser("brieskorn", help="closed-form invariants of Sigma(b1,b2,b3)")
@@ -305,14 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spinc", type=int, default=0)
     p.add_argument("--all", action="store_true")
     p.add_argument("--experimental-weakly", action="store_true")
-    common(p)
+    common(p, order_default=None)
     p.set_defaults(func=_cmd_delta)
 
     p = sub.add_parser("table", help="recompute a reference table")
     p.add_argument("table_id", choices=("d-family", "batch", "brieskorn-batch", "hom-cob-family"))
     p.add_argument("triples_file", nargs="?", help="batch input: one 'b1 b2 b3' per line")
     p.add_argument("--pmax", type=int, default=6)
-    common(p, formats=("text", "json", "csv"))
+    common(p, order_default=None, formats=("text", "json", "csv"))
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("check", help="invariant suite for one triple")

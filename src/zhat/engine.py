@@ -51,6 +51,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor, gcd, lcm
+from operator import add
 from typing import Iterator, Mapping, Sequence
 
 from .errors import ConsistencyError, EmptySeries, NotNegativeDefinite, SingularMatrix
@@ -473,7 +474,7 @@ class _SpinCContext:
             for j, (dj, col) in enumerate(digits):
                 if y[j] + 1 < dj:
                     y[j] += 1
-                    vector = tuple(a + b for a, b in zip(vector, col))
+                    vector = tuple(map(add, vector, col))
                     break
                 y[j] = 0
                 vector = tuple(a - (dj - 1) * b for a, b in zip(vector, col))
@@ -508,24 +509,23 @@ def delta_orientation_reversal(delta: Fraction) -> Fraction:
 # -- the main computation --------------------------------------------------
 
 
-class _FactorTable(dict):
-    """k -> 2 * (coefficient of z^-k in the factor of a degree >= 3
-    vertex), an integer; filled on first use."""
+class _Memo(dict):
+    """key -> make(key), made on first use and shared from then on."""
 
-    def __init__(self, deg: int):
+    def __init__(self, make):
         super().__init__()
-        self.deg = deg
+        self.make = make
 
-    def __missing__(self, k: int) -> int:
-        value = self[k] = _twice_vertex_factor(self.deg, -k)
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
         return value
 
 
 class _GraphSetup:
     """Everything one graph's series share across Spin^c classes: the
     tree elimination and inertia, the adjugate on the support, one Smith
-    form (none when |H_1| = 1), one factored support form, e0, the sign
-    and the vertex-factor tables.
+    form (none when |H_1| = 1), one factored support form, e0, the sign,
+    the vertex-factor tables and the Fractions of the output terms.
 
     ``series`` computes any set of classes from shared walks of the
     support.  Each walked vector l goes to its class by the residues of U
@@ -562,7 +562,8 @@ class _GraphSetup:
             sigma, pi_count = ExactMatrix(m).signature_and_positive_count()
 
         self.ctx = _SpinCContext(m if abs(elim.det) > 1 else None, degrees)
-        self.e0 = Fraction(3 * sigma - sum(graph.weights), 4)
+        # e0 = (3 sigma - Tr M) / 4, kept on the scale of S = |det M| * q
+        self.e0_scaled = (3 * sigma - sum(graph.weights)) * abs(elim.det)
         self.sign = -1 if pi_count % 2 else 1
         self.high = high
         self.windows = [_support_window(d) for d in degrees]
@@ -583,8 +584,11 @@ class _GraphSetup:
             for table, x in zip(low_tables, combo):
                 c *= table[x]
             self.low_coefficients.append(c)
-        self.tables = [_FactorTable(degrees[h]) for h in high]
-        self.scale = 2 ** len(high)
+        self.tables = [_Memo(lambda k, deg=degrees[h]: _twice_vertex_factor(deg, -k)) for h in high]
+        # Fractions are immutable, so every class shares one per exponent and one per coefficient
+        self.exponents = _Memo(Fraction)
+        scale = 2 ** len(high)
+        self.coefficients = _Memo(lambda c: Fraction(c, scale))
 
     def _walk(self, terms: dict[int, dict], bound, lower=None) -> None:
         """Add every support vector l with lower < S <= bound, S = l^T B l
@@ -616,9 +620,13 @@ class _GraphSetup:
         leading term.  Every q below a walked bound is complete,
         so each result depends only on its class's series, not on which
         other classes share the walk.  Bounds are kept on the scale of
-        S = |det M| * q.
+        S = |det M| * q.  The escalation bounds stay exact rationals (the
+        last one decides "raise order"); a class's terms are needed up to
+        the integer min S + span, span = floor(4 * order * |det M|), which
+        selects the same S since every S is an integer.
         """
         det = self.form.det
+        span = floor(4 * order * det)
         terms: dict[int, dict] = {rep.class_index: {} for rep in reps}
         notes: dict[int, str] = {}
         bound = 4 * (order + 1) * det
@@ -636,7 +644,7 @@ class _GraphSetup:
                 notes[idx] = "series is identically zero (support never meets the coset)"
             pending = [rep.class_index for rep in empty if rep.class_index not in missed]
             # the bound each class's terms must be complete to
-            needed = {idx: min(acc) + 4 * order * det for idx, acc in terms.items() if acc}
+            needed = {idx: min(acc) + span for idx, acc in terms.items() if acc}
             # one node: the walk stops at B*, where a class still empty is zero
             cap = self.form.zero_bound() if len(self.high) == 1 else None
             doublings = 0
@@ -649,34 +657,38 @@ class _GraphSetup:
                 self._walk({idx: terms[idx] for idx in walked}, bound, lower)
                 for idx in pending:
                     if terms[idx]:
-                        needed[idx] = min(terms[idx]) + 4 * order * det
+                        needed[idx] = min(terms[idx]) + span
                 pending = [idx for idx in pending if not terms[idx]]
             for idx in pending:
                 notes[idx] = (
                     "series is identically zero (every coefficient cancels below the one-node bound)" if cap is not None
                     else "every coefficient cancels below the escalated bound; raise order"
                 )
-            top = max(needed.values(), default=bound)
-            if top > bound:
-                self._walk({idx: terms[idx] for idx, need in needed.items() if need > bound}, top, bound)
+            reached = floor(bound)  # every S walked so far is <= reached
+            top = max(needed.values(), default=reached)
+            if top > reached:
+                self._walk({idx: terms[idx] for idx, need in needed.items() if need > reached}, top, reached)
         return [
             EmptySeries(notes[rep.class_index], rep) if rep.class_index in notes
-            else self._result(rep, terms[rep.class_index], order)
+            else self._result(rep, terms[rep.class_index], order, span)
             for rep in reps
         ]
 
-    def _result(self, rep: SpinCRep, acc: dict, order: Fraction) -> ZhatResult:
-        """The tail read off the integer exponents S, 4|det M| apart in a class."""
+    def _result(self, rep: SpinCRep, acc: dict, order: Fraction, span: int) -> ZhatResult:
+        """The tail read off the integer exponents S, 4|det M| apart in a
+        class, up to S = min S + span; delta = e0 + min S / (4|det M|) is
+        one Fraction, and the terms' Fractions are the shared ones."""
         den, keys = 4 * self.form.det, sorted(acc)
         s0 = keys[0]
+        exponents, coefficients, sign = self.exponents, self.coefficients, self.sign
         terms = []
-        for s in keys[: bisect_right(keys, s0 + floor(4 * order * self.form.det))]:
+        for s in keys[: bisect_right(keys, s0 + span)]:
             e, r = divmod(s - s0, den)
             if r:
                 raise ConsistencyError(f"exponents S = {s0} and {s} of one class differ by a non-multiple of {den}")
-            terms.append((Fraction(e), Fraction(self.sign * acc[s], self.scale)))
+            terms.append((exponents[e], coefficients[sign * acc[s]]))
         _, tail, eta = QSeries(tuple(terms), order).leading_exponent_and_normalize()
-        return ZhatResult(rep, self.e0 + Fraction(s0, den), tail, eta, self.sign, order)
+        return ZhatResult(rep, Fraction(self.e0_scaled + s0, den), tail, eta, self.sign, order)
 
 
 def _checked_order(order) -> Fraction:

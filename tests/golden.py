@@ -28,6 +28,8 @@ import random
 import shutil
 import sys
 import tempfile
+from collections import OrderedDict
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,6 +47,9 @@ CASES = {
         "graph", "weakly_star.plumb", "--all", "--order", "5", "--format", "json", "--experimental-weakly",
     ],
     "graph_det51_spinc": ["graph", "det51_star.plumb", "--spinc", "7", "--order", "6", "--format", "json"],
+    "graph_det51_star_rational": ["graph", "det51_star.plumb", "--all", "--order", "7/3", "--format", "json"],
+    "graph_lens_chain_rational_text": ["graph", "lens_chain.plumb", "--all", "--order", "1/2"],
+    "graph_two_node_tree_rational": ["graph", "two_node_tree.plumb", "--all", "--order", "5/2", "--format", "json"],
     "graph_non_ascii_path": ["graph", NON_ASCII_NAME, "--all", "--order", "5", "--format", "json"],
     "graph_not_negative_definite": ["graph", "weakly_star.plumb", "--all", "--format", "json"],
     "delta_lens_chain": ["delta", "lens_chain.plumb", "--all", "--format", "json"],
@@ -110,14 +115,33 @@ def record(names: list[str]) -> None:
 TRICKY_TEXT = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "空間", "\U0001f600", "\ud800", "/"]
 
 
+class Text(str):
+    """A str subclass whose str() is not its text: JSON writes the text."""
+
+    def __str__(self) -> str:
+        return f"Text({super().__str__()!r})"
+
+
+class Items(list):
+    """A list subclass."""
+
+
+class Level(IntEnum):
+    """int subclasses whose repr is not the number's."""
+
+    LOW = -3
+    HIGH = 2**70
+
+
 def random_text(rng: random.Random) -> str:
     return "".join(rng.choice(TRICKY_TEXT + ["a", "Z", " "]) for _ in range(rng.randrange(6)))
 
 
 def random_json_object(rng: random.Random, depth: int = 0):
     """A nested object of the kinds the CLI emits: dicts with string keys,
-    lists, tuples, strings, ints, bools, None and Fractions."""
-    kind = rng.randrange(9 if depth < 4 else 6)
+    lists, tuples, strings, ints, bools, None and Fractions; and, less
+    often, subclasses of str, int, dict and list."""
+    kind = rng.randrange(12 if depth < 4 else 7)
     if kind == 0:
         return random_text(rng)
     if kind == 1:
@@ -128,12 +152,17 @@ def random_json_object(rng: random.Random, depth: int = 0):
         return Fraction(rng.randrange(-50, 50), rng.randrange(1, 12))
     if kind in (4, 5):
         return rng.choice([{}, [], ()])
-    items = [random_json_object(rng, depth + 1) for _ in range(rng.randrange(5))]
     if kind == 6:
-        return items
+        return rng.choice([Text(random_text(rng)), Level.LOW, Level.HIGH, OrderedDict(), Items()])
+    items = [random_json_object(rng, depth + 1) for _ in range(rng.randrange(5))]
     if kind == 7:
+        return items
+    if kind == 8:
         return tuple(items)
-    return {random_text(rng) if rng.random() < 0.3 else f"k{i}": x for i, x in enumerate(items)}
+    if kind == 9:
+        return Items(items)
+    obj = {random_text(rng) if rng.random() < 0.3 else f"k{i}": x for i, x in enumerate(items)}
+    return OrderedDict(obj) if kind == 10 else obj
 
 
 def writer_mismatch(obj) -> str | None:

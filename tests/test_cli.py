@@ -175,7 +175,7 @@ class TestFuzzedPlumbFile:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         content=st.one_of(st.text(), st.binary(), PLUMB_FILES, INSERTED),
-        argv=st.sampled_from([["graph"], ["graph", "--all"], ["delta"], ["delta", "--all"]]),
+        argv=st.sampled_from([["graph", "--order", "3"], ["graph", "--all", "--order", "3"], ["delta"], ["delta", "--all"]]),
     )
     def test_exit_code_contract(self, tmp_path_factory, content, argv):
         path = tmp_path_factory.getbasetemp() / "fuzzed.plumb"
@@ -185,7 +185,7 @@ class TestFuzzedPlumbFile:
             path.write_bytes(content)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([argv[0], str(path), *argv[1:], "--order", "3"])
+            code = main([argv[0], str(path), *argv[1:]])
         assert code in (0, 2)
         if code == 2:
             lines = err.getvalue().splitlines()
@@ -271,6 +271,15 @@ class TestDeltaCommand:
         assert code == 0
         assert "delta = -1/2" in out
 
+    def test_order_is_rejected(self, tmp_path, capsys):
+        # delta always computes at order 0, so it takes no --order
+        f = tmp_path / "s3.plumb"
+        f.write_text(S3_FILE)
+        with pytest.raises(SystemExit) as exc:
+            main(["delta", str(f), "--order", "abc"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestTableCommand:
     def test_d_family(self, capsys):
@@ -327,6 +336,13 @@ class TestTableCommand:
         with pytest.raises(SystemExit) as exc:
             main(["table", "nope"])
         assert exc.value.code == 2
+
+    def test_order_is_rejected(self, capsys):
+        # each table row picks its own order, so table takes no --order
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "d-family", "--order", "abc", "--pmax", "3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestCheckCommand:

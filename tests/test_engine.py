@@ -474,6 +474,42 @@ class TestAllClasses:
         assert [rep.class_index for rep, r in results if isinstance(r, EmptySeries)] == [2]
         assert outcome(results[2][1]) == "every coefficient cancels below the escalated bound; raise order"
 
+    @pytest.mark.parametrize("order", [Fraction(1, 3), Fraction(5, 2), Fraction(2)])
+    @pytest.mark.parametrize(
+        "g, doublings",
+        [
+            # class 2 is zero and escalates to the cap
+            (PlumbingGraph((-3, -3, -2, -2, -1, -1), ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5))), 3),
+            # no class is empty, so only the last shell follows the first walk
+            (PlumbingGraph((-2, -2, -2, -3, -2, -3), ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5))), 0),
+        ],
+        ids=["zero_class", "no_zero_class"],
+    )
+    def test_escalation_bounds_stay_exact(self, monkeypatch, order, g, doublings):
+        # The schedule is 4(order + 1)|det M|, then 2 bound + 4|det M|, in
+        # rationals, each pass walking floor(lower) < S <= floor(bound);
+        # the last shell reaches min S + floor(4 order |det M|) of every class.
+        monkeypatch.setattr(zhat.engine, "_MAX_BOUND_DOUBLINGS", doublings)
+        calls = []
+        walk = _SupportForm.walk
+
+        def recorded(form, bound, lower=None, want=None):
+            calls.append((bound, lower))
+            return walk(form, bound, lower, want)
+
+        monkeypatch.setattr(_SupportForm, "walk", recorded)
+        results = compute_zhat_all(g, order)
+        elim = g.elimination()
+        det, e0 = abs(elim.det), Fraction(3 * elim.inertia()[0] - sum(g.weights), 4)
+        bounds = [4 * (order + 1) * det]
+        for _ in range(doublings):
+            bounds.append(2 * bounds[-1] + 4 * det)
+        walks = [(floor(bounds[0]), None)] + [(floor(b), floor(a)) for a, b in zip(bounds, bounds[1:])]
+        top = max((r.delta - e0) * 4 * det for _, r in results if not isinstance(r, EmptySeries)) + floor(4 * order * det)
+        if top > bounds[-1]:
+            walks.append((top, floor(bounds[-1])))
+        assert calls == walks
+
     def test_weakly(self):
         # not negative definite; M^-1 is negative definite on the node
         g = PlumbingGraph((-2, -1, 1, 1, -1, -2), ((0, 1), (1, 2), (0, 3), (3, 4), (0, 5)))
@@ -547,7 +583,7 @@ class TestZeroCertificate:
                 assert not exponents, str(res)
             else:
                 assert min(exponents) <= cap
-                assert res.delta == setup.e0 + Fraction(min(exponents), 4 * form.det)
+                assert res.delta == Fraction(setup.e0_scaled + min(exponents), 4 * form.det)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(one_node_trees(st.integers(-8, -1), st.integers(-3, -1)), st.integers(0, 2))

@@ -5,6 +5,7 @@ and the CLI's JSON writer against ``json.dumps(obj, indent=2, default=str)``.
 pytest; see its docstring for re-recording.
 """
 
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -27,12 +28,17 @@ LEAVES = (
     | st.booleans()
     | st.none()
     | st.fractions()
+    # subclasses take the writer's isinstance path
+    | TEXT.map(golden.Text)
+    | st.sampled_from(golden.Level)
 )
 OBJECTS = st.recursive(
     LEAVES,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(TEXT, inner, max_size=4),
+    | st.lists(inner, max_size=4).map(golden.Items)
+    | st.dictionaries(TEXT, inner, max_size=4)
+    | st.dictionaries(TEXT | TEXT.map(golden.Text), inner, max_size=4).map(OrderedDict),
     max_leaves=25,
 )
 
@@ -51,3 +57,14 @@ class TestJsonWriter:
     def test_edge_cases(self):
         for obj in ({}, [], (), {"a": {}}, [[], {}, ()], {"x": Fraction(-7, 3)}, 2**100, -5, True, None, "é\"\\\n"):
             assert golden.writer_mismatch(obj) is None
+        subclassed = (
+            golden.Text("é\""),
+            golden.Level.HIGH,
+            [golden.Level.LOW, golden.Text("x"), True, None],
+            OrderedDict([("b", golden.Items([1, golden.Items()])), ("a", OrderedDict())]),
+            {golden.Text("key"): golden.Items([golden.Text("v"), golden.Level.LOW])},
+            golden.Items([(), OrderedDict([("k", False)])]),
+        )
+        for obj in subclassed:
+            assert golden.writer_mismatch(obj) is None
+            assert golden.writer_mismatch({"results": obj}) is None
