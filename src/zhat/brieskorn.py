@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 from .engine import SpinCRep, ZhatResult
 from .errors import ConsistencyError, ExcludedTriple, InvalidFraction, InvalidTriple
 from .plumbing import PlumbingGraph
-from .qseries import QSeries
+from .qseries import QSeries, json_fraction, json_ints, json_value, reading_json
 
 
 @dataclass(frozen=True)
@@ -63,17 +63,18 @@ class BrieskornData:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "BrieskornData":
-        return BrieskornData(
-            tuple(obj["b"]),
-            int(obj["seifertB"]),
-            tuple(obj["a"]),
-            int(obj["p"]),
-            tuple(obj["alphas"]),
-            tuple(tuple(f) for f in obj["legFractions"]),
-            tuple(obj["h"]),
-            Fraction(obj["xi"]),
-            Fraction(obj["delta0"]),
-        )
+        with reading_json("BrieskornData"):
+            return BrieskornData(
+                json_ints(obj["b"]),
+                json_value(obj["seifertB"], int),
+                json_ints(obj["a"]),
+                json_value(obj["p"], int),
+                json_ints(obj["alphas"]),
+                tuple(json_ints(f) for f in json_value(obj["legFractions"], list, tuple)),
+                json_ints(obj["h"]),
+                json_fraction(obj["xi"]),
+                json_fraction(obj["delta0"]),
+            )
 
 
 def validate_triple(b1: int, b2: int, b3: int) -> None:

@@ -24,7 +24,7 @@ from .brieskorn import brieskorn_data, tail_order_for_terms, zhat0_brieskorn
 from .engine import compute_zhat
 from .errors import ConsistencyError
 from .plumbing import PlumbingGraph
-from .qseries import QSeries
+from .qseries import QSeries, json_fraction, json_ints, json_value, reading_json
 
 # d(S^3_{-1/2}(4_1)) and the matching leading exponent; external result,
 # not recomputed here (general correction terms are out of scope).
@@ -117,13 +117,14 @@ class ComparisonRow:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "ComparisonRow":
-        return ComparisonRow(
-            tuple(obj["triple"]),
-            Fraction(obj["delta0"]),
-            obj["d"] if obj["d"] is None else int(obj["d"]),
-            QSeries.from_json_obj(obj["seriesPrefix"]),
-            bool(obj["mod1Check"]),
-        )
+        with reading_json("ComparisonRow"):
+            return ComparisonRow(
+                json_ints(obj["triple"]),
+                json_fraction(obj["delta0"]),
+                json_value(obj["d"], int, type(None)),
+                QSeries.from_json_obj(obj["seriesPrefix"]),
+                json_value(obj["mod1Check"], bool),
+            )
 
 
 def _row(triple: tuple[int, int, int], prefix_terms: int, d_value: int | None) -> ComparisonRow:

@@ -64,7 +64,7 @@ from .exact import (
     smith_normal_form,
 )
 from .plumbing import PlumbingGraph
-from .qseries import QSeries
+from .qseries import QSeries, json_fraction, json_ints, json_value, reading_json
 
 # With two or more degree >= 3 vertices, empty enumeration passes double
 # the quadratic bound up to this many times before asking for a higher
@@ -85,7 +85,8 @@ class SpinCRep:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "SpinCRep":
-        return SpinCRep(tuple(int(x) for x in obj["vector"]), int(obj["classIndex"]))
+        with reading_json("SpinCRep"):
+            return SpinCRep(json_ints(obj["vector"]), json_value(obj["classIndex"], int))
 
 
 @dataclass(frozen=True)
@@ -118,14 +119,15 @@ class ZhatResult:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "ZhatResult":
-        return ZhatResult(
-            SpinCRep.from_json_obj(obj["spinc"]) if obj.get("spinc") is not None else None,
-            Fraction(obj["delta"]),
-            QSeries.from_json_obj(obj["tail"]),
-            int(obj["eta"]),
-            int(obj["prefactorSign"]),
-            Fraction(obj["truncationOrder"]),
-        )
+        with reading_json("ZhatResult"):
+            return ZhatResult(
+                SpinCRep.from_json_obj(obj["spinc"]) if obj.get("spinc") is not None else None,
+                json_fraction(obj["delta"]),
+                QSeries.from_json_obj(obj["tail"]),
+                json_value(obj["eta"], int),
+                json_value(obj["prefactorSign"], int),
+                json_fraction(obj["truncationOrder"]),
+            )
 
 
 def vertex_factor_coefficient(deg: int, k: int) -> Fraction:

@@ -21,10 +21,6 @@ class NotATree(ZhatError):
     """Graph input is not a tree (cycle, disconnected, or bad edge count)."""
 
 
-class NotALeaf(ZhatError):
-    """Vertex deletion requested on a vertex of degree != 1."""
-
-
 class InvalidTriple(ZhatError):
     """Exponent triple violates ordering or pairwise coprimality."""
 

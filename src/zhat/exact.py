@@ -1,4 +1,4 @@
-"""Exact rational linear algebra and bounded lattice enumeration.
+"""Exact rational linear algebra and the integer factors of the engine walk.
 
 Everything here works over arbitrary-precision integers and
 ``fractions.Fraction``; no floating point is used anywhere.  The module
@@ -7,14 +7,11 @@ trees are eliminated in integers by :mod:`zhat.plumbing` instead):
 
 * :class:`ExactMatrix` with exact determinant, inverse, trace and
   signature,
-* definiteness classification (negative definite / weakly negative
-  definite / other),
 * Smith normal form with unimodular transforms,
 * the fraction-free factors (trailing minors and their adjugates) of a
   positive definite integer form, and the integer range solve, that the
   engine's support walk runs on,
-* complete enumeration of the points of an affine lattice coset lying
-  inside an ellipsoid of a positive definite quadratic form.
+* the negative definiteness test, one run of those same factors.
 
 All operations are pure functions on immutable inputs, so concurrent use
 is safe and results do not depend on evaluation order.
@@ -22,21 +19,14 @@ is safe and results do not depend on evaluation order.
 
 from __future__ import annotations
 
-import enum
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import NotNegativeDefinite, SingularMatrix
 
 def _as_fraction_rows(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-class DefinitenessClass(enum.Enum):
-    NEGATIVE_DEFINITE = "negative-definite"
-    WEAKLY_NEGATIVE_DEFINITE = "weakly-negative-definite"
-    INDEFINITE_OR_OTHER = "indefinite/other"
 
 
 class ExactMatrix:
@@ -78,14 +68,8 @@ class ExactMatrix:
             for j in range(i + 1, self.size)
         )
 
-    def is_integer(self) -> bool:
-        return all(x.denominator == 1 for row in self.rows for x in row)
-
     def trace(self) -> Fraction:
         return sum((self.rows[i][i] for i in range(self.size)), Fraction(0))
-
-    def neg(self) -> "ExactMatrix":
-        return ExactMatrix([[-x for x in row] for row in self.rows])
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if other.size != self.size:
@@ -230,68 +214,6 @@ def _det_bareiss(rows) -> Fraction:
     return Fraction(sign * a[n - 1][n - 1]) / scale
 
 
-def leading_principal_minors(m: ExactMatrix) -> list[Fraction] | None:
-    """All n leading principal minors, or None if one of them is zero.
-
-    Integer matrices get a single fraction-free elimination pass whose
-    pivots are exactly the leading minors; rational ones fall back to
-    per-minor determinants (only used on small matrices here).
-    """
-    n = m.size
-    if not m.is_integer():
-        minors = [m.submatrix(list(range(k))).determinant() for k in range(1, n + 1)]
-        return None if any(x == 0 for x in minors) else minors
-    a = [[int(x) for x in row] for row in m.rows]
-    prev = 1
-    minors: list[Fraction] = []
-    for k in range(n):
-        if k > 0:
-            akk = a[k - 1][k - 1]
-            ak = a[k - 1]
-            for i in range(k, n):
-                ai = a[i]
-                aik = ai[k - 1]
-                for j in range(k, n):
-                    ai[j] = (akk * ai[j] - aik * ak[j]) // prev
-                ai[k - 1] = 0
-            prev = akk
-        if a[k][k] == 0:
-            return None
-        minors.append(Fraction(a[k][k]))
-    return minors
-
-
-def is_negative_definite(m: ExactMatrix) -> bool:
-    """Sylvester test: leading principal minors alternate sign, starting negative."""
-    if not m.is_symmetric():
-        return False
-    minors = leading_principal_minors(m)
-    if minors is None:
-        return False
-    return all((minor < 0) == (k % 2 == 0) for k, minor in enumerate(minors))
-
-
-def classify_definiteness(m: ExactMatrix, high_degree_indices: Iterable[int]) -> DefinitenessClass:
-    """Classify a symmetric invertible matrix.
-
-    Negative definite beats weakly negative definite; the weak test asks
-    that the principal submatrix of ``m^{-1}`` on ``high_degree_indices``
-    (in the plumbing context, the vertices of degree >= 3) is negative
-    definite.  An empty index set makes the weak condition vacuous.
-    """
-    if not m.is_symmetric():
-        raise ValueError("classification requires a symmetric matrix")
-    if m.determinant() == 0:
-        raise SingularMatrix("matrix is singular")
-    if is_negative_definite(m):
-        return DefinitenessClass.NEGATIVE_DEFINITE
-    idx = sorted(set(high_degree_indices))
-    inv = m.inverse()
-    if not idx or is_negative_definite(inv.submatrix(idx)):
-        return DefinitenessClass.WEAKLY_NEGATIVE_DEFINITE
-    return DefinitenessClass.INDEFINITE_OR_OTHER
-
-
 # -- Smith normal form ---------------------------------------------------
 
 
@@ -375,24 +297,7 @@ def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[in
     return u, a, v
 
 
-# -- lattice enumeration -------------------------------------------------
-
-
-def _range_under_quadratic(d: Fraction, t: Fraction, budget: Fraction) -> tuple[int, int]:
-    """Integer range [lo, hi] of y with d*(y + t)^2 <= budget (d > 0).
-
-    Solved exactly with integer square roots; an empty range is
-    returned as (1, 0).
-    """
-    if budget < 0:
-        return 1, 0
-    r = budget / d
-    tn, td = t.numerator, t.denominator
-    # (y + t)^2 <= r  <=>  z^2 <= r*td^2  where z = y*td + tn is an integer
-    zmax = math.isqrt((r.numerator * td * td) // r.denominator)
-    lo = -((zmax + tn) // td)  # ceil((-zmax - tn) / td)
-    hi = (zmax - tn) // td
-    return lo, hi
+# -- the fraction-free factors of the engine walk -------------------------
 
 
 def _range_under_square(alpha: int, lam: int, disc: int) -> tuple[int, int]:
@@ -436,66 +341,16 @@ def _ldl_ordered(a: Sequence[Sequence[int]]) -> list[tuple[int, list[list[int]]]
     return out
 
 
-def _rational_ldl(g: ExactMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Decompose a positive definite form for recursive enumeration:
-    Q(x) = sum_p d[p] * (x_p + sum_{q<p} u[p][q] * x_q)^2.
-
-    The last variable is eliminated first, so the recursion that fixes
-    x_0 first, then x_1, ..., sees at each level a pivot in the
-    already-fixed coordinates only.
-
-    Raises NotNegativeDefinite when a pivot fails positivity.
-    """
-    n = g.size
-    a = [list(row) for row in g.rows]
-    d: list[Fraction] = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for p in reversed(range(n)):
-        piv = a[p][p]
-        if piv <= 0:
-            raise NotNegativeDefinite("quadratic form is not positive definite")
-        d[p] = piv
-        for q in range(p):
-            u[p][q] = a[q][p] / piv
-        for i in range(p):
-            for j in range(i + 1):
-                a[i][j] -= u[p][i] * u[p][j] * piv
-                a[j][i] = a[i][j]
-    return d, u
-
-
-def enumerate_coset_under_bound(m: ExactMatrix, rep: Sequence[int], bound) -> Iterator[tuple[int, ...]]:
-    """Yield every vector l in rep + 2*m*Z^s with -l^T m^{-1} l <= bound.
-
-    Requires m negative definite so Q(l) = -l^T m^{-1} l is positive
-    definite.  Each vector is produced exactly once, in lexicographic
-    order of the integer parameter n where l = rep + 2*m*n (recursive
-    Fincke-Pohst style bounds from an exact rational Cholesky-type
-    decomposition; no heuristic boxes).
-    """
+def is_negative_definite(m: ExactMatrix) -> bool:
+    """Whether m is symmetric and -m positive definite, decided by the
+    fraction-free factorization the engine walk runs on (Sylvester's
+    criterion: its pivots are the leading principal minors of -m, on
+    the rows scaled to integers by the lcm of the denominators)."""
     if not m.is_symmetric():
-        raise ValueError("enumeration requires a symmetric matrix")
-    if not is_negative_definite(m):
-        raise NotNegativeDefinite("matrix is not negative definite")
-    n = m.size
-    bound = Fraction(bound)
-    rep = [int(x) for x in rep]
-    g = m.neg()  # positive definite
-    # l = rep + 2*m*x  gives  Q(l) = 4*(x - c)^T g (x - c),  c = -m^{-1} rep / 2
-    c = [-x / 2 for x in m.inverse().matvec(rep)]
-    d, u = _rational_ldl(g)
-    m_rows = [[int(x) for x in row] for row in m.rows]
-    xs = [0] * n
-
-    def rec(i: int, budget: Fraction) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(rep[r] + 2 * sum(m_rows[r][j] * xs[j] for j in range(n)) for r in range(n))
-            return
-        t = -c[i] + sum(u[i][j] * (xs[j] - c[j]) for j in range(i) if u[i][j])
-        lo, hi = _range_under_quadratic(d[i], t, budget)
-        for x in range(lo, hi + 1):
-            xs[i] = x
-            yield from rec(i + 1, budget - d[i] * (x + t) ** 2)
-        xs[i] = 0
-
-    yield from rec(0, bound / 4)
+        return False
+    scale = math.lcm(*(x.denominator for row in m.rows for x in row))
+    try:
+        _ldl_ordered([[int(-x * scale) for x in row] for row in m.rows])
+    except NotNegativeDefinite:
+        return False
+    return True

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import FormatError, NotALeaf, NotATree
+from .errors import FormatError, NotATree
 from .exact import ExactMatrix
 
 
@@ -206,20 +206,6 @@ class PlumbingGraph:
 
     def high_degree_vertices(self) -> tuple[int, ...]:
         return tuple(v for v, d in enumerate(self.degree_vector()) if d >= 3)
-
-    def delete_vertex(self, v: int) -> "PlumbingGraph":
-        """Remove a leaf; remaining indices compact order-preservingly
-        (old index i maps to i if i < v else i - 1)."""
-        deg = self.degree_vector()
-        if not (0 <= v < self.vertex_count) or deg[v] != 1:
-            raise NotALeaf(f"vertex {v} has degree {deg[v] if 0 <= v < self.vertex_count else 'n/a'}, not 1")
-        weights = tuple(w for i, w in enumerate(self.weights) if i != v)
-
-        def shift(i: int) -> int:
-            return i if i < v else i - 1
-
-        edges = tuple((shift(a), shift(b)) for a, b in self.edges if v not in (a, b))
-        return PlumbingGraph(weights, edges)
 
 
 def parse_plumb(text: str) -> PlumbingGraph:

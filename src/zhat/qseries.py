@@ -10,6 +10,7 @@ sums of the closed form are built in :mod:`zhat.brieskorn`.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -19,6 +20,32 @@ from .errors import EmptySeries, FormatError
 
 def _fr(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+@contextmanager
+def reading_json(kind: str):
+    """Turn a malformed serialized object (a missing key, a field of the
+    wrong type, a zero denominator) into FormatError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"bad {kind} object: {exc!r}") from exc
+
+
+def json_value(x, *types):
+    """``x`` when its type is exactly one of ``types`` (a bool is no int,
+    a float no string), else TypeError."""
+    if type(x) not in types:
+        raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {x!r}")
+    return x
+
+
+def json_ints(x) -> tuple[int, ...]:
+    return tuple(json_value(v, int) for v in json_value(x, list, tuple))
+
+
+def json_fraction(x) -> Fraction:
+    return Fraction(json_value(x, str, int))
 
 
 @dataclass(frozen=True)
@@ -41,10 +68,6 @@ class QSeries:
         clean = tuple((e, acc[e]) for e in sorted(acc) if acc[e] != 0)
         return QSeries(clean, order)
 
-    @staticmethod
-    def zero(order) -> "QSeries":
-        return QSeries((), _fr(order))
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -63,23 +86,6 @@ class QSeries:
         kept = self.terms[:count]
         order = kept[-1][0] if kept else self.order
         return QSeries(kept, order)
-
-    def add(self, other: "QSeries") -> "QSeries":
-        """Termwise sum; the result's order is the smaller of the two."""
-        order = min(self.order, other.order)
-        return QSeries.from_terms(list(self.terms) + list(other.terms), order)
-
-    def scale(self, c) -> "QSeries":
-        c = _fr(c)
-        if c == 0:
-            return QSeries.zero(self.order)
-        return QSeries(tuple((e, coeff * c) for e, coeff in self.terms), self.order)
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        return self.add(other)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return self.add(other.scale(-1))
 
     def shift_exponent(self, r) -> "QSeries":
         """Multiply by q^r: every exponent and the order move up by r."""
@@ -134,12 +140,9 @@ class QSeries:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "QSeries":
-        try:
-            terms = [(Fraction(t["exp"]), Fraction(t["coeff"])) for t in obj["terms"]]
-            order = Fraction(obj["order"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad QSeries object: {exc}") from exc
-        return QSeries.from_terms(terms, order)
+        with reading_json("QSeries"):
+            terms = [(json_fraction(t["exp"]), json_fraction(t["coeff"])) for t in json_value(obj["terms"], list, tuple)]
+            return QSeries.from_terms(terms, json_fraction(obj["order"]))
 
 
 def _term_text(e: Fraction, c: Fraction) -> str:

@@ -1,0 +1,100 @@
+"""Independent coset enumeration, kept only for the tests.
+
+The engine walks the support of a plumbing tree in integers
+(``zhat.engine``).  This module answers the same question from the dense
+rational matrix: every vector of one Spin^c coset under a quadratic
+bound, by a rational Cholesky-type decomposition and a Fincke-Pohst
+recursion.  It shares no code with the walk beyond the definiteness
+test, so the two can check each other.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Iterator, Sequence
+
+from zhat.errors import NotNegativeDefinite
+from zhat.exact import ExactMatrix, is_negative_definite
+
+
+def _range_under_quadratic(d: Fraction, t: Fraction, budget: Fraction) -> tuple[int, int]:
+    """Integer range [lo, hi] of y with d*(y + t)^2 <= budget (d > 0).
+
+    Solved exactly with integer square roots; an empty range is
+    returned as (1, 0).
+    """
+    if budget < 0:
+        return 1, 0
+    r = budget / d
+    tn, td = t.numerator, t.denominator
+    # (y + t)^2 <= r  <=>  z^2 <= r*td^2  where z = y*td + tn is an integer
+    zmax = math.isqrt((r.numerator * td * td) // r.denominator)
+    lo = -((zmax + tn) // td)  # ceil((-zmax - tn) / td)
+    hi = (zmax - tn) // td
+    return lo, hi
+
+
+def _rational_ldl(g: ExactMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Decompose a positive definite form for recursive enumeration:
+    Q(x) = sum_p d[p] * (x_p + sum_{q<p} u[p][q] * x_q)^2.
+
+    The last variable is eliminated first, so the recursion that fixes
+    x_0 first, then x_1, ..., sees at each level a pivot in the
+    already-fixed coordinates only.
+
+    Raises NotNegativeDefinite when a pivot fails positivity.
+    """
+    n = g.size
+    a = [list(row) for row in g.rows]
+    d: list[Fraction] = [Fraction(0)] * n
+    u = [[Fraction(0)] * n for _ in range(n)]
+    for p in reversed(range(n)):
+        piv = a[p][p]
+        if piv <= 0:
+            raise NotNegativeDefinite("quadratic form is not positive definite")
+        d[p] = piv
+        for q in range(p):
+            u[p][q] = a[q][p] / piv
+        for i in range(p):
+            for j in range(i + 1):
+                a[i][j] -= u[p][i] * u[p][j] * piv
+                a[j][i] = a[i][j]
+    return d, u
+
+
+def enumerate_coset_under_bound(m: ExactMatrix, rep: Sequence[int], bound) -> Iterator[tuple[int, ...]]:
+    """Yield every vector l in rep + 2*m*Z^s with -l^T m^{-1} l <= bound.
+
+    Requires m negative definite so Q(l) = -l^T m^{-1} l is positive
+    definite.  Each vector is produced exactly once, in lexicographic
+    order of the integer parameter n where l = rep + 2*m*n (recursive
+    Fincke-Pohst style bounds from an exact rational Cholesky-type
+    decomposition; no heuristic boxes).
+    """
+    if not m.is_symmetric():
+        raise ValueError("enumeration requires a symmetric matrix")
+    if not is_negative_definite(m):
+        raise NotNegativeDefinite("matrix is not negative definite")
+    n = m.size
+    bound = Fraction(bound)
+    rep = [int(x) for x in rep]
+    g = ExactMatrix([[-x for x in row] for row in m.rows])  # positive definite
+    # l = rep + 2*m*x  gives  Q(l) = 4*(x - c)^T g (x - c),  c = -m^{-1} rep / 2
+    c = [-x / 2 for x in m.inverse().matvec(rep)]
+    d, u = _rational_ldl(g)
+    m_rows = [[int(x) for x in row] for row in m.rows]
+    xs = [0] * n
+
+    def rec(i: int, budget: Fraction) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(rep[r] + 2 * sum(m_rows[r][j] * xs[j] for j in range(n)) for r in range(n))
+            return
+        t = -c[i] + sum(u[i][j] * (xs[j] - c[j]) for j in range(i) if u[i][j])
+        lo, hi = _range_under_quadratic(d[i], t, budget)
+        for x in range(lo, hi + 1):
+            xs[i] = x
+            yield from rec(i + 1, budget - d[i] * (x + t) ** 2)
+        xs[i] = 0
+
+    yield from rec(0, bound / 4)

@@ -6,6 +6,7 @@ import random
 import time
 from fractions import Fraction
 
+from oracles import enumerate_coset_under_bound
 from zhat.brieskorn import (
     alphas,
     brieskorn_data,
@@ -23,7 +24,7 @@ from zhat.compare import (
     homology_sphere_delta_check,
 )
 from zhat.engine import compute_zhat, spin_c_representatives
-from zhat.exact import ExactMatrix, enumerate_coset_under_bound, is_negative_definite
+from zhat.exact import ExactMatrix, is_negative_definite
 from zhat.plumbing import PlumbingGraph
 
 

@@ -219,10 +219,8 @@ def theta_combination_tail(triple, order) -> QSeries:
     p = triple[0] * triple[1] * triple[2]
     al = alphas(*triple)
     shift = Fraction(al[0] ** 2, 4 * p)
-    combo = QSeries.zero(shift + order)
-    for alpha, sign in zip(al, (1, -1, -1, 1)):
-        combo = combo + false_theta(p, alpha, shift + order).scale(sign)
-    return combo.shift_exponent(-shift)
+    terms = [(e, sign * c) for alpha, sign in zip(al, (1, -1, -1, 1)) for e, c in false_theta(p, alpha, shift + order).terms]
+    return QSeries.from_terms(terms, shift + order).shift_exponent(-shift)
 
 
 def sampled_triples(seed: int, count: int):
@@ -254,7 +252,7 @@ class TestThetaProgressions:
             p = rng.randint(1, 60)
             order = Fraction(rng.randint(-3, 400), rng.randint(1, 4))
             for a in (0, p * rng.randint(-4, 4)):
-                assert false_theta(p, a, order) == QSeries.zero(order), (p, a, order)
+                assert false_theta(p, a, order) == QSeries((), order), (p, a, order)
 
 
 class TestLegDeterminantOracle:

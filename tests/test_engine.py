@@ -4,12 +4,14 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import floor
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import trees
+from oracles import enumerate_coset_under_bound
 from zhat.brieskorn import brieskorn_data, build_plumbing, zhat0_brieskorn
 from zhat.engine import (
     SpinCRep,
@@ -28,8 +30,8 @@ from zhat.engine import (
 )
 import zhat.engine
 from zhat.errors import EmptySeries, NotNegativeDefinite, SingularMatrix
-from zhat.exact import ExactMatrix, _range_under_square, enumerate_coset_under_bound, smith_normal_form
-from zhat.plumbing import PlumbingGraph
+from zhat.exact import ExactMatrix, _range_under_square, is_negative_definite, smith_normal_form
+from zhat.plumbing import PlumbingGraph, parse_plumb
 
 
 def expansion_oracle(deg: int, kmax: int) -> dict[int, Fraction]:
@@ -313,14 +315,14 @@ class TestOrientationAndErrors:
         assert res.prefactor_sign == -1  # one positive eigenvalue
 
     def test_weakly_tree_with_high_degree_vertex(self):
-        # not negative definite, but M^{-1} is negative on the degree-3
-        # vertex; exercises the block enumeration path
+        # not negative definite, but M^{-1} = adj(M) / det M is negative on
+        # the degree-3 vertex; exercises the block enumeration path
         g = PlumbingGraph((-2, -1, -3, -2, 1), ((0, 1), (1, 2), (2, 3), (1, 4)))
-        from zhat.exact import classify_definiteness, DefinitenessClass
-
-        m = g.linking_matrix()
-        assert not classify_definiteness(m, {1}) is DefinitenessClass.NEGATIVE_DEFINITE
-        assert classify_definiteness(m, {1}) is DefinitenessClass.WEAKLY_NEGATIVE_DEFINITE
+        elim = g.elimination()
+        assert not elim.is_negative_definite
+        assert g.high_degree_vertices() == (1,) and elim.det == 11
+        (column,) = g.adjugate([1])
+        assert is_negative_definite(ExactMatrix([[Fraction(column[1], elim.det)]]))
         res = compute_zhat(g, 1, order=12, allow_weakly=True)
         assert res.delta == Fraction(-4, 11)
         assert res.tail.terms[0][0] == 0
@@ -672,6 +674,47 @@ class TestIntegerWalk:
                     if all(vertex_factor_coefficient(d, -x) for d, x in zip(degrees, l))
                     and (lower is None or exponent(l) > lower)
                 }
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+class TestDeltaModOne:
+    """Every nonzero class a has Delta_a = (3 sigma - Tr M)/4 - a^T M^-1 a / 4
+    (mod 1): for l = a + 2Mx, l^T M^-1 l = a^T M^-1 a (mod 4).  Checked
+    with the dense inverse against each class the walk fills, so a vector
+    put in the wrong class fails whenever the two classes' linking values
+    differ."""
+
+    def check(self, g, allow_weakly):
+        m = g.linking_matrix()
+        minv = m.inverse()
+        e0 = Fraction(3 * m.signature_and_positive_count()[0] - sum(g.weights), 4)
+        for rep, res in compute_zhat_all(g, 1, allow_weakly=allow_weakly):
+            if not isinstance(res, EmptySeries):
+                link = sum(x * y for x, y in zip(minv.matvec(rep.vector), rep.vector))
+                assert (res.delta - e0 + link / 4).denominator == 1, (g, rep)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.one_of(st.sampled_from(WALK_GRAPHS), trees(max_size=7, weights=st.integers(-5, -1))))
+    def test_negative_definite(self, g):
+        elim = g.elimination()
+        assume(elim.is_negative_definite and abs(elim.det) <= 80)
+        self.check(g, False)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(one_node_trees(st.integers(-6, -1), st.sampled_from([-2, -1, 1, 2])))
+    def test_weakly(self, g):
+        elim = g.elimination()
+        assume(not elim.is_negative_definite and 0 < abs(elim.det) <= 80)
+        try:
+            self.check(g, True)
+        except NotNegativeDefinite:
+            assume(False)
+
+    @pytest.mark.parametrize("path", sorted(DATA.glob("*.plumb")), ids=lambda p: p.stem)
+    def test_data_files(self, path):
+        self.check(parse_plumb(path.read_text()), True)
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3, 7])

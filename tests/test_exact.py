@@ -1,20 +1,14 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import det_cofactor
+from oracles import enumerate_coset_under_bound
 from zhat.errors import NotNegativeDefinite, SingularMatrix
-from zhat.exact import (
-    DefinitenessClass,
-    ExactMatrix,
-    _ldl_ordered,
-    classify_definiteness,
-    enumerate_coset_under_bound,
-    is_negative_definite,
-    smith_normal_form,
-)
+from zhat.exact import ExactMatrix, _ldl_ordered, is_negative_definite, smith_normal_form
 
 
 def random_tree_matrix(rng: random.Random, n: int) -> ExactMatrix:
@@ -121,27 +115,74 @@ class TestNegativeDefiniteStructure:
 
 
 class TestClassify:
+    """The three classes as the engine decides them: negative definite by
+    ``is_negative_definite``, weakly by the same test on the block of the
+    inverse at the degree >= 3 vertices, and anything else."""
+
     def test_sigma_2_9_11(self, m_2_9_11):
-        assert classify_definiteness(m_2_9_11, {0}) is DefinitenessClass.NEGATIVE_DEFINITE
+        assert is_negative_definite(m_2_9_11)
 
     def test_scalar_negative(self):
-        assert classify_definiteness(ExactMatrix([[-1]]), set()) is DefinitenessClass.NEGATIVE_DEFINITE
+        assert is_negative_definite(ExactMatrix([[-1]]))
 
     def test_positive_definite_is_other(self):
-        assert (
-            classify_definiteness(ExactMatrix([[1, 0], [0, 1]]), {0})
-            is DefinitenessClass.INDEFINITE_OR_OTHER
-        )
+        m = ExactMatrix([[1, 0], [0, 1]])
+        assert not is_negative_definite(m)
+        assert not is_negative_definite(m.inverse().submatrix([0]))
 
     def test_weakly_chain(self):
         # chain with weights (0, -1): invertible, not negative definite,
-        # vacuously weak (no degree >= 3 vertex)
+        # vacuously weak (no degree >= 3 vertex: the block is 0 x 0)
         m = ExactMatrix([[0, 1], [1, -1]])
-        assert classify_definiteness(m, set()) is DefinitenessClass.WEAKLY_NEGATIVE_DEFINITE
+        assert not is_negative_definite(m)
+        assert is_negative_definite(m.inverse().submatrix([]))
 
     def test_singular(self):
+        # not negative definite, and without an inverse no weak test either
+        m = ExactMatrix([[0, 0], [0, 0]])
+        assert not is_negative_definite(m)
         with pytest.raises(SingularMatrix):
-            classify_definiteness(ExactMatrix([[0, 0], [0, 0]]), set())
+            m.inverse()
+
+
+def sylvester(m: ExactMatrix) -> bool:
+    """Sylvester's criterion from the dense determinant (Bareiss with
+    pivoting) of every leading block: the k-th minor is nonzero with sign
+    (-1)^k."""
+    if not m.is_symmetric():
+        return False
+    minors = [m.submatrix(range(k)).determinant() for k in range(1, m.size + 1)]
+    return all(d != 0 and (d < 0) == (k % 2 == 0) for k, d in enumerate(minors))
+
+
+class TestSylvester:
+    def test_against_leading_minors(self):
+        rng = random.Random(41)
+        seen = Counter()
+        for _ in range(600):
+            n = rng.randint(0, 5)
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))]
+            gram = [[sum(r[i] * r[j] for r in a) for j in range(n)] for i in range(n)]
+            kind = rng.choice(("random", "gram", "shifted gram"))
+            if kind == "random":
+                rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+                rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+            else:
+                # -(a^T a) is negative semidefinite, singular when a has
+                # fewer rows than n; the shift makes it definite
+                shift = rng.randint(1, 3) if kind == "shifted gram" else 0
+                rows = [[-gram[i][j] - shift * (i == j) for j in range(n)] for i in range(n)]
+            scale = Fraction(rng.randint(1, 5), rng.choice((1, 1, 2, 3, 7)))
+            m = ExactMatrix([[x * scale for x in row] for row in rows])
+            expected = sylvester(m)
+            assert is_negative_definite(m) == expected, m
+            seen[expected, m.determinant() == 0, n == 0] += 1
+        # definite, singular, indefinite and 0 x 0 cases all occurred
+        assert seen[True, False, False] and seen[False, True, False] and seen[True, False, True]
+        assert sum(c for (nd, singular, _), c in seen.items() if not nd and not singular) > 50
+
+    def test_not_symmetric(self):
+        assert not is_negative_definite(ExactMatrix([[-2, 1], [0, -2]]))
 
 
 class TestSmithNormalForm:

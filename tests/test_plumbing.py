@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from conftest import SIGMA_2_9_11_ROWS, det_cofactor
-from zhat.errors import FormatError, NotALeaf, NotATree
+from conftest import SIGMA_2_9_11_ROWS
+from zhat.errors import FormatError, NotATree
 from zhat.exact import ExactMatrix
 from zhat.plumbing import PlumbingGraph, format_plumb, parse_plumb
 
@@ -98,35 +98,3 @@ class TestDegrees:
     def test_star(self):
         g = PlumbingGraph((-1, -2, -2, -2), ((0, 1), (0, 2), (0, 3)))
         assert g.degree_vector() == (3, 1, 1, 1)
-
-
-class TestDeleteVertex:
-    def test_leg_one_terminal(self, g_2_9_11):
-        g1 = g_2_9_11.delete_vertex(1)
-        assert g1.weights == (-1, -5, -2, -4, -3)
-        assert abs(g1.linking_matrix().determinant()) == 50
-
-    def test_leg_three_terminal(self, g_2_9_11):
-        g3 = g_2_9_11.delete_vertex(5)
-        assert abs(g3.linking_matrix().determinant()) == 2
-
-    def test_not_a_leaf(self, g_2_9_11):
-        with pytest.raises(NotALeaf):
-            g_2_9_11.delete_vertex(0)  # center, degree 3
-        with pytest.raises(NotALeaf):
-            PlumbingGraph((-1,), ()).delete_vertex(0)  # degree 0
-
-    def test_cofactor_identity(self):
-        # deleting a leaf takes the determinant to the matching minor
-        rng = random.Random(13)
-        for _ in range(40):
-            g = random_tree(rng, rng.randint(2, 6))
-            m = g.linking_matrix()
-            leaves = [v for v, d in enumerate(g.degree_vector()) if d == 1]
-            v = rng.choice(leaves)
-            minor_rows = [
-                [int(x) for j, x in enumerate(row) if j != v]
-                for i, row in enumerate(m.rows)
-                if i != v
-            ]
-            assert g.delete_vertex(v).linking_matrix().determinant() == det_cofactor(minor_rows)

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zhat.brieskorn import false_theta
-from zhat.errors import EmptySeries
+from zhat.brieskorn import BrieskornData, brieskorn_data, false_theta
+from zhat.compare import ComparisonRow
+from zhat.engine import SpinCRep, ZhatResult, compute_zhat
+from zhat.errors import EmptySeries, FormatError
+from zhat.plumbing import PlumbingGraph
 from zhat.qseries import QSeries
 
 
@@ -25,26 +28,32 @@ def psi_oracle(p: int, a: int, n: int) -> int:
     return 0
 
 
+def add(*parts: QSeries) -> QSeries:
+    """Termwise sum, at the smallest of the orders: ``from_terms`` merges
+    equal exponents, drops zeros and cuts what lies above the order."""
+    return QSeries.from_terms([t for x in parts for t in x.terms], min(x.order for x in parts))
+
+
 class TestAdd:
     def test_cancellation(self):
         a = series([(Fraction(1, 2), 1)], 10)
         b = series([(Fraction(1, 2), -1)], 10)
-        assert (a + b).is_zero()
+        assert add(a, b).is_zero()
 
     def test_identity(self):
         x = series([(0, 1), (7, -1)], 20)
-        assert x + QSeries.zero(20) == x
+        assert add(x, QSeries((), Fraction(20))) == x
 
     def test_order_is_min(self):
         a = series([(1, 1)], 5)
-        b = series([(2, 1)], 9)
-        assert (a + b).order == 5
+        b = series([(2, 1), (7, 1)], 9)
+        assert add(a, b) == series([(1, 1), (2, 1)], 5)
 
     def test_theta_combination_exponents(self):
         # signed combination for Sigma(2, 9, 11): leading exponents are alpha_i^2/792
         p = 198
-        combo = false_theta(p, 59, 60) - false_theta(p, 95, 60) - false_theta(p, 103, 60) + false_theta(p, 139, 60)
-        exps = combo.exponents()[:4]
+        signs = zip((59, 95, 103, 139), (1, -1, -1, 1))
+        exps = QSeries.from_terms([(e, sign * c) for a, sign in signs for e, c in false_theta(p, a, 60).terms], 60).exponents()[:4]
         assert exps == (
             Fraction(59**2, 792),
             Fraction(95**2, 792),
@@ -64,8 +73,8 @@ class TestAdd:
             return series(pairs, 10)
 
         a, b, c = rand_series(data), rand_series(data), rand_series(data)
-        assert a + b == b + a
-        assert (a + b) + c == a + (b + c)
+        assert add(a, b) == add(b, a)
+        assert add(add(a, b), c) == add(a, add(b, c)) == add(a, b, c)
 
 
 class TestShift:
@@ -111,7 +120,7 @@ class TestLeadingExponent:
 
     def test_empty_raises(self):
         with pytest.raises(EmptySeries):
-            QSeries.zero(10).leading_exponent_and_normalize()
+            QSeries((), Fraction(10)).leading_exponent_and_normalize()
 
 
 class TestFalseTheta:
@@ -195,3 +204,57 @@ class TestSerialization:
         assert y.text() == "-2 + 2q"
         z = series([(Fraction(1, 2), -2)], 10)
         assert z.text() == "-2q^(1/2)"
+
+
+MISSING = object()
+
+
+def changed(obj: dict, key: str, value=MISSING) -> dict:
+    """A copy of ``obj`` with ``key`` set to ``value``, or removed."""
+    out = dict(obj)
+    if value is MISSING:
+        del out[key]
+    else:
+        out[key] = value
+    return out
+
+
+SERIES = series([(Fraction(9, 2), 1)], 200).to_json_obj()
+RESULT = compute_zhat(PlumbingGraph((-5,), ()), 1, order=3).to_json_obj()
+SPINC = RESULT["spinc"]
+ROW = ComparisonRow((2, 9, 11), Fraction(9, 2), None, QSeries.from_json_obj(SERIES), True).to_json_obj()
+BRIESKORN = brieskorn_data(2, 9, 11).to_json_obj()
+
+# For each reader: a missing key, a zero denominator, a field that is not
+# an integer (or not of its type).
+MALFORMED = {
+    "QSeries-missing": (QSeries, changed(SERIES, "order")),
+    "QSeries-zero-denominator": (QSeries, {"terms": [], "order": "1/0"}),
+    "QSeries-non-integer": (QSeries, changed(SERIES, "terms", [{"exp": 0.5, "coeff": "1"}])),
+    "QSeries-not-an-object": (QSeries, None),
+    "SpinCRep-missing": (SpinCRep, changed(SPINC, "classIndex")),
+    "SpinCRep-zero-denominator": (SpinCRep, changed(SPINC, "vector", ["1/0"])),
+    "SpinCRep-non-integer": (SpinCRep, changed(SPINC, "classIndex", 1.5)),
+    "ZhatResult-missing": (ZhatResult, {"spinc": None}),
+    "ZhatResult-zero-denominator": (ZhatResult, changed(RESULT, "delta", "1/0")),
+    "ZhatResult-non-integer": (ZhatResult, changed(RESULT, "eta", "1")),
+    "ZhatResult-bad-tail": (ZhatResult, changed(RESULT, "tail", changed(SERIES, "order", "3/0"))),
+    "ComparisonRow-missing": (ComparisonRow, changed(ROW, "mod1Check")),
+    "ComparisonRow-zero-denominator": (ComparisonRow, changed(ROW, "delta0", "9/0")),
+    "ComparisonRow-non-integer": (ComparisonRow, changed(ROW, "d", 0.5)),
+    "BrieskornData-missing": (BrieskornData, changed(BRIESKORN, "h")),
+    "BrieskornData-zero-denominator": (BrieskornData, changed(BRIESKORN, "xi", "1/0")),
+    "BrieskornData-non-integer": (BrieskornData, changed(BRIESKORN, "legFractions", [[2, 1.0]])),
+}
+
+
+class TestReadersRejectMalformed:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_format_error(self, case):
+        cls, obj = MALFORMED[case]
+        with pytest.raises(FormatError):
+            cls.from_json_obj(obj)
+
+    @pytest.mark.parametrize("cls, obj", [(QSeries, SERIES), (SpinCRep, SPINC), (ZhatResult, RESULT), (ComparisonRow, ROW), (BrieskornData, BRIESKORN)])
+    def test_well_formed_round_trips(self, cls, obj):
+        assert cls.from_json_obj(obj).to_json_obj() == obj

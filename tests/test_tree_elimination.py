@@ -67,6 +67,16 @@ class TestAgainstDenseOracles:
         if det != 0:
             assert ExactMatrix([[Fraction(x, det) for x in row] for row in adj.rows]) == m.inverse()
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(trees())
+    def test_adjugate_diagonal_is_the_minor(self, g):
+        # adj(M)[v][v] = det(M - v); for a leaf v, the tree without v
+        rows = int_rows(g)
+        full = g.adjugate()
+        for v in range(g.vertex_count):
+            minor = [[x for j, x in enumerate(row) if j != v] for i, row in enumerate(rows) if i != v]
+            assert full[v][v] == (det_cofactor(minor) if minor else 1)
+
     @PROPERTY
     @given(trees())
     @example(SINGULAR)
