@@ -81,6 +81,75 @@ def _emit(obj: dict, out) -> None:
     out.write(_json(obj) + "\n")
 
 
+def _emit_classes(command: str, inputs: dict, records, order, out) -> None:
+    """``_emit`` of the envelope whose results are ``records``, the text of
+    each class's record, written as they come: the head, one
+    ``out.write`` per class, then the tail."""
+    head, _, tail = _json(_envelope(command, inputs, [], order)).partition('"results": []')
+    written = False
+    for text in records:
+        out.write(f",\n    {text}" if written else f'{head}"results": [\n    {text}')
+        written = True
+    out.write(f"\n  ]{tail}\n" if written else f'{head}"results": []{tail}\n')
+
+
+class _ClassRecords:
+    """Each class's record as ``_json`` writes its ``to_json_obj()`` in the
+    envelope's results, built from strings made once per run: every
+    distinct rational (exponent, coefficient, order, delta) is quoted
+    once, keyed by (numerator, denominator) so that no Fraction is
+    hashed, and so is every distinct term and note."""
+
+    def __init__(self):
+        self.quoted: dict[tuple[int, int], str] = {}
+        self.terms: dict[tuple[int, int, int, int], str] = {}
+        self.notes: dict[str, str] = {}
+
+    def fraction(self, x: Fraction) -> str:
+        key = (x.numerator, x.denominator)
+        text = self.quoted.get(key)
+        if text is None:
+            text = self.quoted[key] = encode_basestring_ascii(str(x))
+        return text
+
+    @staticmethod
+    def spinc(rep) -> str:
+        vector = ",\n          ".join(map(int.__repr__, rep.vector))
+        vector = f"[\n          {vector}\n        ]" if vector else "[]"
+        return f'{{\n        "classIndex": {rep.class_index!r},\n        "vector": {vector}\n      }}'
+
+    def graph(self, rep, res) -> str:
+        """The record of class ``rep``: ``res`` is its ZhatResult or EmptySeries."""
+        if isinstance(res, EmptySeries):
+            note = str(res)
+            quoted = self.notes.get(note)
+            if quoted is None:
+                quoted = self.notes[note] = encode_basestring_ascii(note)
+            return f'{{\n      "spinc": {self.spinc(rep)},\n      "zero": true,\n      "note": {quoted}\n    }}'
+        cache, fraction, chunks = self.terms, self.fraction, []
+        for e, c in res.tail.terms:
+            key = (e.numerator, e.denominator, c.numerator, c.denominator)
+            chunk = cache.get(key)
+            if chunk is None:
+                chunk = cache[key] = (
+                    f'{{\n            "exp": {fraction(e)},\n            "coeff": {fraction(c)}\n          }}'
+                )
+            chunks.append(chunk)
+        terms = ",\n          ".join(chunks)
+        terms = f"[\n          {terms}\n        ]" if terms else "[]"
+        return (
+            f'{{\n      "spinc": {self.spinc(rep)},\n      "delta": {fraction(res.delta)},\n'
+            f'      "tail": {{\n        "terms": {terms},\n        "order": {fraction(res.tail.order)}\n      }},\n'
+            f'      "eta": {res.eta_pow2!r},\n      "prefactorSign": {res.prefactor_sign!r},\n'
+            f'      "truncationOrder": {fraction(res.truncation_order)}\n    }}'
+        )
+
+    def delta(self, rep, res) -> str:
+        """The record of class ``rep``'s delta: null for an EmptySeries."""
+        delta = "null" if isinstance(res, EmptySeries) else self.fraction(res.delta)
+        return f'{{\n      "spinc": {self.spinc(rep)},\n      "delta": {delta}\n    }}'
+
+
 def _parse_order(text: str) -> Fraction:
     try:
         order = Fraction(text)
@@ -163,16 +232,9 @@ def _cmd_graph(args, out) -> int:
     graph = parse_plumb(_read_text(args.file))
     results = _class_results(graph, args, order)
     if args.format == "json":
-        payload = [
-            res.to_json_obj()
-            if not isinstance(res, EmptySeries)
-            else {"spinc": rep.to_json_obj(), "zero": True, "note": str(res)}
-            for rep, res in results
-        ]
-        _emit(
-            _envelope("graph", {"file": args.file, "order": str(order)}, payload, order),
-            out,
-        )
+        records = _ClassRecords()
+        inputs = {"file": args.file, "order": str(order)}
+        _emit_classes("graph", inputs, (records.graph(rep, res) for rep, res in results), order, out)
         return 0
     for rep, res in results:
         label = f"class {rep.class_index} (rep {list(rep.vector)})"
@@ -188,19 +250,13 @@ def _cmd_graph(args, out) -> int:
 
 def _cmd_delta(args, out) -> int:
     graph = parse_plumb(_read_text(args.file))
-    results = [
-        (rep, None if isinstance(res, EmptySeries) else res.delta)
-        for rep, res in _class_results(graph, args, Fraction(0))
-    ]
+    results = _class_results(graph, args, Fraction(0))
     if args.format == "json":
-        payload = [
-            {"spinc": rep.to_json_obj(), "delta": None if d is None else str(d)}
-            for rep, d in results
-        ]
-        _emit(_envelope("delta", {"file": args.file}, payload, None), out)
+        records = _ClassRecords()
+        _emit_classes("delta", {"file": args.file}, (records.delta(rep, res) for rep, res in results), None, out)
         return 0
-    for rep, d in results:
-        val = "undefined (zero series)" if d is None else str(d)
+    for rep, res in results:
+        val = "undefined (zero series)" if isinstance(res, EmptySeries) else str(res.delta)
         print(f"class {rep.class_index}: delta = {val}", file=out)
     return 0
 

@@ -679,17 +679,24 @@ class _GraphSetup:
     def _result(self, rep: SpinCRep, acc: dict, order: Fraction, span: int) -> ZhatResult:
         """The tail read off the integer exponents S, 4|det M| apart in a
         class, up to S = min S + span; delta = e0 + min S / (4|det M|) is
-        one Fraction, and the terms' Fractions are the shared ones."""
+        one Fraction, and the terms' Fractions are the shared ones.  The
+        coefficients are C / 2^#high with C the nonzero integers in
+        ``acc``, so eta = max(0, #high - v2(C)) over the terms, read off
+        the lowest set bit of their OR."""
         den, keys = 4 * self.form.det, sorted(acc)
         s0 = keys[0]
         exponents, coefficients, sign = self.exponents, self.coefficients, self.sign
         terms = []
+        bits = 0
         for s in keys[: bisect_right(keys, s0 + span)]:
             e, r = divmod(s - s0, den)
             if r:
                 raise ConsistencyError(f"exponents S = {s0} and {s} of one class differ by a non-multiple of {den}")
-            terms.append((exponents[e], coefficients[sign * acc[s]]))
-        _, tail, eta = QSeries(tuple(terms), order).leading_exponent_and_normalize()
+            c = acc[s]
+            bits |= c
+            terms.append((exponents[e], coefficients[sign * c]))
+        eta = max(0, len(self.high) + 1 - (bits & -bits).bit_length())
+        tail = QSeries(tuple(terms), order)
         return ZhatResult(rep, Fraction(self.e0_scaled + s0, den), tail, eta, self.sign, order)
 
 

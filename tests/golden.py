@@ -12,10 +12,12 @@ where the repository lives.  Stdout is compared byte for byte with
 ``tests/data/golden/status.json``.
 
 Run as a script, it also checks the CLI's JSON writer against
-``json.dumps(obj, indent=2, default=str)`` on seeded random objects, so
-interpreters without pytest or Hypothesis get both checks
-(``tests/test_golden.py`` runs the same cases, and the Hypothesis
-property, under pytest).
+``json.dumps(obj, indent=2, default=str)`` on seeded random objects, and
+the per-class output of ``graph --all`` and ``delta --all`` against
+``json.dumps`` of the classes' ``to_json_obj()`` records on every input
+file and on seeded random trees, so interpreters without pytest or
+Hypothesis get every check (``tests/test_golden.py`` runs the same
+cases, and the Hypothesis property, under pytest).
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ CASES = {
         "graph", "weakly_star.plumb", "--all", "--order", "5", "--format", "json", "--experimental-weakly",
     ],
     "graph_det51_spinc": ["graph", "det51_star.plumb", "--spinc", "7", "--order", "6", "--format", "json"],
+    "graph_escalation_star_zero_spinc": [
+        "graph", "escalation_star.plumb", "--spinc", "2", "--order", "0", "--format", "json",
+    ],
     "graph_det51_star_rational": ["graph", "det51_star.plumb", "--all", "--order", "7/3", "--format", "json"],
     "graph_lens_chain_rational_text": ["graph", "lens_chain.plumb", "--all", "--order", "1/2"],
     "graph_two_node_tree_rational": ["graph", "two_node_tree.plumb", "--all", "--order", "5/2", "--format", "json"],
@@ -54,6 +59,8 @@ CASES = {
     "graph_not_negative_definite": ["graph", "weakly_star.plumb", "--all", "--format", "json"],
     "delta_lens_chain": ["delta", "lens_chain.plumb", "--all", "--format", "json"],
     "delta_det51_star": ["delta", "det51_star.plumb", "--all", "--format", "json"],
+    "delta_det51_spinc": ["delta", "det51_star.plumb", "--spinc", "7", "--format", "json"],
+    "delta_escalation_star_zero_spinc": ["delta", "escalation_star.plumb", "--spinc", "2", "--format", "json"],
     "brieskorn_2_9_11": ["brieskorn", "2", "9", "11", "--format", "json"],
     "table_d_family": ["table", "d-family", "--format", "json"],
     "check_2_9_11": ["check", "2", "9", "11", "--format", "json"],
@@ -174,6 +181,95 @@ def writer_mismatch(obj) -> str | None:
     return None if out.getvalue() == want else f"{obj!r}: wrote {out.getvalue()!r}, json.dumps gives {want!r}"
 
 
+# -- the per-class writer of graph and delta ---------------------------------
+
+DIFFERENTIAL_ORDERS = ("0", "3", "1/2", "7/3")
+DIFFERENTIAL_TREES = 40
+
+
+def oracle_output(command: str, path: str, order: str | None, weakly: bool) -> str:
+    """What ``zhat graph|delta PATH --all --format json`` printed before its
+    per-class writer: the envelope of the classes' ``to_json_obj()``
+    records, through ``json.dumps``."""
+    from zhat import __version__
+    from zhat.engine import compute_zhat_all
+    from zhat.errors import EmptySeries
+    from zhat.plumbing import parse_plumb
+
+    graph = parse_plumb(Path(path).read_text(encoding="utf-8"))
+    results = compute_zhat_all(graph, Fraction(order or 0), allow_weakly=weakly)
+    if command == "graph":
+        inputs = {"file": path, "order": str(Fraction(order))}
+        payload = [
+            {"spinc": rep.to_json_obj(), "zero": True, "note": str(res)}
+            if isinstance(res, EmptySeries) else res.to_json_obj()
+            for rep, res in results
+        ]
+    else:
+        inputs = {"file": path}
+        payload = [
+            {"spinc": rep.to_json_obj(), "delta": None if isinstance(res, EmptySeries) else str(res.delta)}
+            for rep, res in results
+        ]
+    envelope = {
+        "command": command,
+        "inputs": inputs,
+        "results": payload,
+        "toolVersion": __version__,
+        "truncationOrder": str(Fraction(order)) if command == "graph" else None,
+    }
+    return json.dumps(envelope, indent=2, default=str) + "\n"
+
+
+def streamed_mismatch(command: str, path: str, order: str | None = None, weakly: bool = False) -> str | None:
+    """How the CLI's ``--all --format json`` output differs from
+    ``oracle_output``, or None."""
+    from zhat.cli import main
+
+    argv = [command, path, "--all", "--format", "json"]
+    argv += ["--order", order] if order is not None else []
+    argv += ["--experimental-weakly"] if weakly else []
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    want = oracle_output(command, path, order, weakly)
+    if code != 0:
+        return f"{argv}: exit code {code}"
+    return None if out.getvalue() == want else f"{argv}: output differs from json.dumps of the records"
+
+
+def random_tree_plumb(rng: random.Random) -> str:
+    """PLUMB text of a random negative definite tree of at most five
+    vertices: at most one vertex of degree >= 3, whose escalation stops
+    at its certified bound."""
+    from zhat.plumbing import PlumbingGraph, format_plumb
+
+    while True:
+        n = rng.randint(1, 5)
+        edges = tuple((rng.randrange(v), v) for v in range(1, n))
+        graph = PlumbingGraph(tuple(rng.randint(-6, -1) for _ in range(n)), edges)
+        if graph.elimination().is_negative_definite:
+            return format_plumb(graph)
+
+
+def differential_cases(work: Path, trees: int, seed: int) -> list[tuple]:
+    """``streamed_mismatch`` arguments: every ``tests/data/*.plumb`` and
+    ``trees`` seeded random trees, written to ``work``, for ``delta`` and
+    for ``graph`` at every order of DIFFERENTIAL_ORDERS; the weakly star
+    with ``--experimental-weakly``."""
+    rng = random.Random(seed)
+    paths = [str(p) for p in sorted(DATA.glob("*.plumb"))]
+    for i in range(trees):
+        path = work / f"tree-{seed}-{i}.plumb"
+        path.write_text(random_tree_plumb(rng), encoding="utf-8")
+        paths.append(str(path))
+    return [
+        (command, path, order, Path(path).name == "weakly_star.plumb")
+        for path in paths
+        for command, order in [("delta", None)] + [("graph", order) for order in DIFFERENTIAL_ORDERS]
+    ]
+
+
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--record"]:
         unknown = [name for name in argv[1:] if name not in CASES]
@@ -191,10 +287,13 @@ def main(argv: list[str]) -> int:
         bad = writer_mismatch(obj)
         if bad:
             failures.append(f"writer: {bad}")
+    with tempfile.TemporaryDirectory() as work:
+        cases = differential_cases(Path(work), DIFFERENTIAL_TREES, seed=0)
+        failures += [f"streamed: {bad}" for case in cases for bad in [streamed_mismatch(*case)] if bad]
     for line in failures:
         print(line)
-    print(f"{len(CASES)} golden cases and 2000 writer objects on Python {sys.version.split()[0]}: "
-          f"{len(failures)} failures")
+    print(f"{len(CASES)} golden cases, 2000 writer objects and {len(cases)} streamed outputs "
+          f"on Python {sys.version.split()[0]}: {len(failures)} failures")
     return 1 if failures else 0
 
 

@@ -5,7 +5,8 @@ The engine walks the support of a plumbing tree in integers
 rational matrix: every vector of one Spin^c coset under a quadratic
 bound, by a rational Cholesky-type decomposition and a Fincke-Pohst
 recursion.  It shares no code with the walk beyond the definiteness
-test, so the two can check each other.
+test, so the two can check each other; ``brute_force_coset`` checks the
+recursion in turn by scanning a box point by point.
 """
 
 from __future__ import annotations
@@ -98,3 +99,27 @@ def enumerate_coset_under_bound(m: ExactMatrix, rep: Sequence[int], bound) -> It
         xs[i] = 0
 
     yield from rec(0, bound / 4)
+
+
+def brute_force_coset(m: ExactMatrix, rep, bound) -> set:
+    """Box-scan oracle: solve the coset condition directly per point."""
+    n = m.size
+    minv = m.inverse()
+    radii = [math.isqrt(int(Fraction(bound) * (-m.rows[i][i]))) + 1 for i in range(n)]
+    found = set()
+
+    def points(i, acc):
+        if i == n:
+            yield tuple(acc)
+            return
+        for x in range(-radii[i], radii[i] + 1):
+            yield from points(i + 1, acc + [x])
+
+    for l in points(0, []):
+        q = -sum(minv.rows[i][j] * l[i] * l[j] for i in range(n) for j in range(n))
+        if q > Fraction(bound):
+            continue
+        t = minv.matvec([a - b for a, b in zip(l, rep)])
+        if all(x.denominator == 1 and int(x) % 2 == 0 for x in t):
+            found.add(l)
+    return found

@@ -6,7 +6,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import enumerate_coset_under_bound
+from oracles import brute_force_coset, enumerate_coset_under_bound
 from zhat.brieskorn import (
     alphas,
     brieskorn_data,
@@ -221,8 +221,6 @@ def test_criterion_7_property_suites():
         assert len(spin_c_representatives(m, deg)) == abs(int(m.determinant()))
 
     # enumeration completeness against a brute-force box scan (500 cases)
-    from test_exact import brute_force_coset
-
     cases = 0
     while cases < 500:
         n = rng.choice((1, 2))

@@ -1,4 +1,3 @@
-import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import det_cofactor
-from oracles import enumerate_coset_under_bound
+from oracles import brute_force_coset, enumerate_coset_under_bound
 from zhat.errors import NotNegativeDefinite, SingularMatrix
 from zhat.exact import ExactMatrix, _ldl_ordered, is_negative_definite, smith_normal_form
 
@@ -229,30 +228,6 @@ class TestSmithNormalForm:
             for x in diag:
                 prod *= x
             assert prod == abs(m.determinant())
-
-
-def brute_force_coset(m: ExactMatrix, rep, bound) -> set:
-    """Box-scan oracle: solve the coset condition directly per point."""
-    n = m.size
-    minv = m.inverse()
-    radii = [math.isqrt(int(Fraction(bound) * (-m.rows[i][i]))) + 1 for i in range(n)]
-    found = set()
-
-    def points(i, acc):
-        if i == n:
-            yield tuple(acc)
-            return
-        for x in range(-radii[i], radii[i] + 1):
-            yield from points(i + 1, acc + [x])
-
-    for l in points(0, []):
-        q = -sum(minv.rows[i][j] * l[i] * l[j] for i in range(n) for j in range(n))
-        if q > Fraction(bound):
-            continue
-        t = minv.matvec([a - b for a, b in zip(l, rep)])
-        if all(x.denominator == 1 and int(x) % 2 == 0 for x in t):
-            found.add(l)
-    return found
 
 
 class TestEnumeration:

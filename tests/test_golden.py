@@ -1,18 +1,23 @@
 """CLI outputs byte for byte against the recording in tests/data/golden,
-and the CLI's JSON writer against ``json.dumps(obj, indent=2, default=str)``.
+the CLI's JSON writer against ``json.dumps(obj, indent=2, default=str)``,
+and the per-class output of ``graph --all`` / ``delta --all`` against
+``json.dumps`` of the classes' records.
 
 ``tests/golden.py`` holds the cases and runs the same checks without
 pytest; see its docstring for re-recording.
 """
 
+import contextlib
 from collections import OrderedDict
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
+from zhat.cli import main
 
 
 @pytest.mark.parametrize("name", sorted(golden.CASES))
@@ -68,3 +73,19 @@ class TestJsonWriter:
         for obj in subclassed:
             assert golden.writer_mismatch(obj) is None
             assert golden.writer_mismatch({"results": obj}) is None
+
+
+class TestPerClassWriter:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_json_dumps_of_the_records(self, tmp_path, seed):
+        cases = golden.differential_cases(tmp_path, golden.DIFFERENTIAL_TREES, seed)
+        assert [bad for case in cases for bad in [golden.streamed_mismatch(*case)] if bad] == []
+
+    def test_one_write_per_class(self):
+        writes = []
+        path = str(golden.DATA / "lens_chain.plumb")
+        with contextlib.redirect_stdout(SimpleNamespace(write=writes.append)):
+            assert main(["graph", path, "--all", "--order", "10", "--format", "json"]) == 0
+        per_write = [text.count('"classIndex"') for text in writes]
+        assert per_write.count(1) == 22 and set(per_write) <= {0, 1}
+        assert "".join(writes) == golden.oracle_output("graph", path, "10", weakly=False)
