@@ -32,10 +32,13 @@ vertex-factor tables) is built once, and each walked vector goes to its
 class by residues of the Smith form's U on the leaves and nodes, O(k)
 per vector.  The adjugate is read on those k columns only, and the
 Smith form runs only when |H_1| = |det M| > 1.  The quadratic bound
-starts at 4(order + 1) for every class; classes still empty are settled
-exactly where the probe can, the rest escalate together: with one
-degree >= 3 vertex up to a bound B* past which a class still empty is
-provably zero, with more for a fixed number of doublings.  Every later
+starts at 4(order + 1) for every class.  A class still empty that the
+support never meets is zero: the class digits of every leaf assignment,
+closed under the node columns in H_1, are the classes it meets (for
+|H_1| <= 200,000, whatever the number of vertices).  The rest escalate
+together: with one degree >= 3 vertex up to a bound B* past which a
+class still empty is provably zero, with more for a fixed number of
+doublings.  Every later
 pass (each doubling and the last top-up to order above the leading
 term) walks only the new shell floor < q <= bound of the classes it
 still needs: the class is affine in the last walked coordinate, so that
@@ -46,7 +49,6 @@ them gives the same answer.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,9 +62,9 @@ from .exact import (
     _integer_rows,
     _ldl_ordered,
     _range_under_square,
-    is_negative_definite,
     smith_normal_form,
 )
+from .exact import is_negative_definite  # noqa: F401  (bench/tracing.py wraps it here)
 from .plumbing import PlumbingGraph
 from .qseries import QSeries, json_fraction, json_ints, json_value, reading_json
 
@@ -71,6 +73,11 @@ from .qseries import QSeries, json_fraction, json_ints, json_value, reading_json
 # order.  One-node graphs stop at their certified bound instead, and
 # graphs without a node list their finite support outright.
 _MAX_BOUND_DOUBLINGS = 20
+
+# Classes still empty after the first walk are checked against the
+# classes the support meets (``_SupportForm.classes_met``) when |H_1| is
+# at most this.
+_PROBE_CLASS_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -347,6 +354,26 @@ class _SupportForm:
         for a, (_, m0, v0, res) in enumerate(assignments):
             yield from level(0, m0, res, v0, a)
 
+    def classes_met(self) -> set[int]:
+        """The classes of every l with the listed values off ``high`` and
+        any values of the right parity on it; the support meets no other
+        class.  Each assignment seeds its digits at y_h = m_h mod 2, and
+        adding 2 to y_h adds its column of U to the digits, so the rest
+        is their closure under those columns mod d."""
+        mods = [d for _, d, _ in self.classes]
+        odd = [sum(cols[i] for _, _, _, m, cols in self.levels if m % 2) for i in range(len(mods))]
+        steps = [[c % d for c, d in zip(cols, mods)] for _, _, _, _, cols in self.levels]
+        met = {tuple((r + o) // 2 % d for r, o, d in zip(res, odd, mods)) for _, _, _, res in self.assignments}
+        frontier = list(met)
+        while frontier:
+            base = frontier.pop()
+            for step in steps:
+                digits = tuple((b + c) % d for b, c, d in zip(base, step, mods))
+                if digits not in met:
+                    met.add(digits)
+                    frontier.append(digits)
+        return {sum(x * stride for x, (_, _, stride) in zip(digits, self.classes)) for digits in met}
+
     def zero_bound(self) -> int:
         """One node: B* such that a class with no term at S <= B* is zero.
         With b = D_0 and n = b y - V_x, b S = n^2 + E_x (E_x the M_0 of x).
@@ -359,59 +386,6 @@ class _SupportForm:
         n_1 = b * m + max(abs(v) for _, _, (v,), _ in self.assignments)
         n_star = max(max(es) - min(es), n_1) + 2 * m * b * self.period
         return -(-(n_star * n_star + max(es)) // b)
-
-
-_PROBE_GROUP_LIMIT = 200_000
-_PROBE_ASSIGNMENT_LIMIT = 4096
-
-
-def _classes_missing_support(ctx, windows, high, reps) -> set[int]:
-    """Exact emptiness test for the support/coset intersection, for many
-    classes at once: the indices of ``reps`` whose coset the support
-    provably never meets.
-
-    Membership of l in a + 2MZ^s reduces mod the group G = prod Z/2d_i
-    (Smith form of M): it needs U a = U l in G.  Letting the degree >= 3
-    coordinates range over all of Z, U l lies in U x + S for some
-    finite-window assignment x of the other coordinates, S the subgroup
-    of G generated by the columns of U on ``high``.  One closure of those
-    U x under the generators gives that set, and a class whose U a lies
-    outside it never meets the support.  Nothing is decided (empty set)
-    when the group or assignment count is too large to scan.
-    """
-    mods = [2 * di for di in ctx.d]
-    group_size = 1
-    for m in mods:
-        group_size *= m
-    if group_size > _PROBE_GROUP_LIMIT:
-        return set()
-    low = [v for v in range(len(windows)) if v not in set(high)]
-    n_assign = 1
-    for v in low:
-        n_assign *= len(windows[v][1])
-    if n_assign > _PROBE_ASSIGNMENT_LIMIT:
-        return set()
-
-    def image(vec) -> tuple[int, ...]:
-        return tuple(sum(r * x for r, x in zip(row, vec)) % m for row, m in zip(ctx.u_int, mods))
-
-    cols = [tuple(ctx.u_int[i][h] % mods[i] for i in range(len(mods))) for h in high]
-    reached = set()
-    l = [0] * len(windows)
-    for combo in itertools.product(*[windows[v][1] for v in low]):
-        for v, x in zip(low, combo):
-            l[v] = x
-        reached.add(image(l))
-    frontier = list(reached)
-    while frontier:
-        base = frontier.pop()
-        for col in cols:
-            for sgn in (1, -1):
-                nxt = tuple((b + sgn * c) % m for b, c, m in zip(base, col, mods))
-                if nxt not in reached:
-                    reached.add(nxt)
-                    frontier.append(nxt)
-    return {rep.class_index for rep in reps if image(rep.vector) not in reached}
 
 
 # -- Spin^c bookkeeping ----------------------------------------------------
@@ -443,6 +417,8 @@ class _SpinCContext:
             self.count *= di
 
     def index_of_vector(self, vector: Sequence[int]) -> int:
+        if len(vector) != len(self.delta):
+            raise ValueError(f"vector has length {len(vector)}, not {len(self.delta)}")
         x = []
         for lv, dv in zip(vector, self.delta):
             if (lv - dv) % 2 != 0:
@@ -556,10 +532,6 @@ class _GraphSetup:
         if not weakly:
             sigma, pi_count = elim.inertia()
         else:
-            # -M^-1 on the degree >= 3 vertices must be positive definite
-            sign = 1 if elim.det > 0 else -1
-            if not is_negative_definite(ExactMatrix([[sign * adj[i][j] for j in high] for i in high])):
-                raise NotNegativeDefinite("linking matrix is not weakly negative definite")
             # pivots may be zero off the negative definite path: dense signature
             sigma, pi_count = ExactMatrix(m).signature_and_positive_count()
 
@@ -568,17 +540,21 @@ class _GraphSetup:
         self.e0_scaled = (3 * sigma - sum(graph.weights)) * abs(elim.det)
         self.sign = -1 if pi_count % 2 else 1
         self.high = high
-        self.windows = [_support_window(d) for d in degrees]
+        windows = [_support_window(d) for d in degrees]
         classes = []
         stride = 1
         for row, di in zip(self.ctx.u_int, self.ctx.d):
             if di > 1:
                 classes.append((row, sum(r * x for r, x in zip(row, degrees)), di, stride))
             stride *= di
-        self.form = _SupportForm(adj, elim.det, high, self.windows, classes)
+        try:
+            self.form = _SupportForm(adj, elim.det, high, windows, classes)
+        except NotNegativeDefinite:
+            # -M^-1 on the degree >= 3 vertices is not positive definite
+            raise NotNegativeDefinite("linking matrix is not weakly negative definite") from None
         # c_l = (product over the leaves) * (product over ``high``) / 2^#high
         low_tables = [
-            {x: _twice_vertex_factor(degrees[v], -x) // 2 for x in self.windows[v][1]} for v in self.form.low
+            {x: _twice_vertex_factor(degrees[v], -x) // 2 for x in windows[v][1]} for v in self.form.low
         ]
         self.low_coefficients = []
         for combo, _, _, _ in self.form.assignments:
@@ -614,13 +590,13 @@ class _GraphSetup:
         (distinct classes).
 
         One walk to 4(order + 1) serves every class.  Classes still empty
-        are settled exactly where the probe can; the rest escalate
-        together, each pass walking only the new shell of the classes it
-        still needs, up to the bound B* of ``zero_bound`` on one node (a
-        class empty there is zero) or _MAX_BOUND_DOUBLINGS doublings on
-        more, and a last shell tops every class up to 4 * order above its
-        leading term.  Every q below a walked bound is complete,
-        so each result depends only on its class's series, not on which
+        that the support never meets (``classes_met``) are zero; the rest
+        escalate together, each pass walking only the new shell of the
+        classes it still needs, up to the bound B* of ``zero_bound`` on
+        one node (a class empty there is zero) or _MAX_BOUND_DOUBLINGS
+        doublings on more, and a last shell tops every class up to
+        4 * order above its leading term.  Every q below a walked bound is
+        complete, so each result depends only on its class's series, not on which
         other classes share the walk.  Bounds are kept on the scale of
         S = |det M| * q.  The escalation bounds stay exact rationals (the
         last one decides "raise order"); a class's terms are needed up to
@@ -639,12 +615,14 @@ class _GraphSetup:
                 if not acc:
                     notes[idx] = "series is identically zero (finite support exhausted)"
         else:
-            empty = [rep for rep in reps if not terms[rep.class_index]]
-            # before escalating, settle emptiness exactly where feasible
-            missed = _classes_missing_support(self.ctx, self.windows, self.high, empty) if empty else set()
-            for idx in missed:
-                notes[idx] = "series is identically zero (support never meets the coset)"
-            pending = [rep.class_index for rep in empty if rep.class_index not in missed]
+            pending = [idx for idx, acc in terms.items() if not acc]
+            # before escalating, a class the support never meets is zero
+            if pending and self.ctx.count <= _PROBE_CLASS_LIMIT:
+                met = self.form.classes_met()
+                for idx in pending:
+                    if idx not in met:
+                        notes[idx] = "series is identically zero (support never meets the coset)"
+                pending = [idx for idx in pending if idx not in notes]
             # the bound each class's terms must be complete to
             needed = {idx: min(acc) + span for idx, acc in terms.items() if acc}
             # one node: the walk stops at B*, where a class still empty is zero

@@ -55,6 +55,7 @@ CASES = {
     "graph_det51_star_rational": ["graph", "det51_star.plumb", "--all", "--order", "7/3", "--format", "json"],
     "graph_lens_chain_rational_text": ["graph", "lens_chain.plumb", "--all", "--order", "1/2"],
     "graph_two_node_tree_rational": ["graph", "two_node_tree.plumb", "--all", "--order", "5/2", "--format", "json"],
+    "graph_two_node_probe": ["graph", "two_node_probe.plumb", "--all", "--order", "0", "--format", "json"],
     "graph_non_ascii_path": ["graph", NON_ASCII_NAME, "--all", "--order", "5", "--format", "json"],
     "graph_not_negative_definite": ["graph", "weakly_star.plumb", "--all", "--format", "json"],
     "delta_lens_chain": ["delta", "lens_chain.plumb", "--all", "--format", "json"],

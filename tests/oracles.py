@@ -7,10 +7,16 @@ bound, by a rational Cholesky-type decomposition and a Fincke-Pohst
 recursion.  It shares no code with the walk beyond the definiteness
 test, so the two can check each other; ``brute_force_coset`` checks the
 recursion in turn by scanning a box point by point.
+
+``classes_missing_support`` decides which classes the support of c_l
+never meets in the group prod Z/2d_i of all Smith rows, from the full
+rows of U on every listed leaf assignment; the engine decides the same
+from its walk's class digits (``_SupportForm.classes_met``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -123,3 +129,56 @@ def brute_force_coset(m: ExactMatrix, rep, bound) -> set:
         if all(x.denominator == 1 and int(x) % 2 == 0 for x in t):
             found.add(l)
     return found
+
+
+_PROBE_GROUP_LIMIT = 200_000
+_PROBE_ASSIGNMENT_LIMIT = 4096
+
+
+def classes_missing_support(ctx, windows, high, reps) -> set[int]:
+    """Exact emptiness test for the support/coset intersection, for many
+    classes at once: the indices of ``reps`` whose coset the support
+    provably never meets.
+
+    Membership of l in a + 2MZ^s reduces mod the group G = prod Z/2d_i
+    (Smith form of M): it needs U a = U l in G.  Letting the degree >= 3
+    coordinates range over all of Z, U l lies in U x + S for some
+    finite-window assignment x of the other coordinates, S the subgroup
+    of G generated by the columns of U on ``high``.  One closure of those
+    U x under the generators gives that set, and a class whose U a lies
+    outside it never meets the support.  Nothing is decided (empty set)
+    when the group or assignment count is too large to scan.
+    """
+    mods = [2 * di for di in ctx.d]
+    group_size = 1
+    for m in mods:
+        group_size *= m
+    if group_size > _PROBE_GROUP_LIMIT:
+        return set()
+    low = [v for v in range(len(windows)) if v not in set(high)]
+    n_assign = 1
+    for v in low:
+        n_assign *= len(windows[v][1])
+    if n_assign > _PROBE_ASSIGNMENT_LIMIT:
+        return set()
+
+    def image(vec) -> tuple[int, ...]:
+        return tuple(sum(r * x for r, x in zip(row, vec)) % m for row, m in zip(ctx.u_int, mods))
+
+    cols = [tuple(ctx.u_int[i][h] % mods[i] for i in range(len(mods))) for h in high]
+    reached = set()
+    l = [0] * len(windows)
+    for combo in itertools.product(*[windows[v][1] for v in low]):
+        for v, x in zip(low, combo):
+            l[v] = x
+        reached.add(image(l))
+    frontier = list(reached)
+    while frontier:
+        base = frontier.pop()
+        for col in cols:
+            for sgn in (1, -1):
+                nxt = tuple((b + sgn * c) % m for b, c, m in zip(base, col, mods))
+                if nxt not in reached:
+                    reached.add(nxt)
+                    frontier.append(nxt)
+    return {rep.class_index for rep in reps if image(rep.vector) not in reached}

@@ -7,11 +7,11 @@ from math import floor
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import trees
-from oracles import enumerate_coset_under_bound
+from oracles import classes_missing_support, enumerate_coset_under_bound
 from zhat.brieskorn import brieskorn_data, build_plumbing, zhat0_brieskorn
 from zhat.engine import (
     SpinCRep,
@@ -159,6 +159,15 @@ class TestSpinC:
         delta = (3, 1, 2, 1, 2, 1)
         rep = spin_c_representatives(m_2_9_11, delta)[0]
         assert conjugate_spin_c(rep, m_2_9_11, delta) == rep
+
+    def test_vector_of_the_wrong_length_rejected(self):
+        g = PlumbingGraph((-2, -2, -2), ((0, 1), (1, 2)))
+        m, deg = g.linking_matrix(), g.degree_vector()
+        for vector in ([3], [], [1, 0, 1, 5, 7]):
+            with pytest.raises(ValueError, match=f"length {len(vector)}, not 3"):
+                compute_zhat(g, vector, order=2)
+        with pytest.raises(ValueError, match="length 1, not 3"):
+            conjugate_spin_c(SpinCRep((1,), 0), m, deg)
 
     def test_singular_matrix_rejected(self):
         from zhat.errors import SingularMatrix
@@ -328,6 +337,14 @@ class TestOrientationAndErrors:
         assert res.tail.terms[0][0] == 0
         for e, _ in res.tail.terms:
             assert e.denominator == 1 and e >= 0
+
+    def test_rejects_node_block_not_positive_definite(self):
+        # weakly, but -M^-1 on the node is not positive definite
+        g = PlumbingGraph((1, -3, -1, -3), ((0, 1), (0, 2), (0, 3)))
+        assert g.elimination().det == -24
+        for compute in (lambda: compute_zhat(g, 0, 2, allow_weakly=True), lambda: compute_zhat_all(g, 2, True)):
+            with pytest.raises(NotNegativeDefinite, match="^linking matrix is not weakly negative definite$"):
+                compute()
 
     def test_weakly_class_with_total_cancellation(self):
         g = PlumbingGraph((-2, -1, -3, -2, 1), ((0, 1), (1, 2), (2, 3), (1, 4)))
@@ -599,6 +616,27 @@ class TestZeroCertificate:
         self.check(g, order, allow_weakly=True)
 
 
+class TestSupportProbe:
+    """Classes the support never meets, from the walk's class digits,
+    against the oracle that closes the full rows of U in prod Z/2d_i."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(trees(max_size=8, weights=st.integers(-4, 1)))
+    # odd node degree, and node columns that do not span H_1
+    @example(PlumbingGraph((-2, -3, -3, -3), ((0, 1), (0, 2), (0, 3))))
+    def test_matches_the_oracle(self, g):
+        assume(0 < abs(g.elimination().det) <= 60)
+        try:
+            setup = _GraphSetup(g, True)
+        except NotNegativeDefinite:
+            assume(False)
+        ctx = setup.ctx
+        assert 2 ** g.vertex_count * ctx.count <= 200_000  # the oracle runs
+        windows = [_support_window(d) for d in g.degree_vector()]
+        expected = classes_missing_support(ctx, windows, setup.high, ctx.representatives())
+        assert set(range(ctx.count)) - setup.form.classes_met() == expected
+
+
 class TestShellWalk:
     @pytest.mark.parametrize(
         "name", ["g_2_9_11", "six_leaf_star", "weakly", "chain"],
@@ -840,8 +878,8 @@ def series_multiset(g: PlumbingGraph, order) -> tuple[Counter, int]:
 class TestNeumannMoves:
     """Blowing up an edge or adding a -1 leaf does not change the
     manifold, so the classes' normalized series agree as a multiset.
-    Trees have at most 6 vertices and one node of degree >= 3, before
-    and after the move, so that zero classes escalate cheaply."""
+    Drawn trees have at most 6 vertices and one node of degree >= 3,
+    before and after the move, so that zero classes escalate cheaply."""
 
     @staticmethod
     def moves(seed: int, move):
@@ -876,3 +914,20 @@ class TestNeumannMoves:
 
         for g, moved in self.moves(89, move):
             assert series_multiset(moved, 4) == series_multiset(g, 4), (g, moved)
+
+    def test_probe_verdict_survives_edge_blow_ups(self):
+        # classes 2 and 6 of this two-node tree never meet the support;
+        # 15 vertices leave the same verdict, note included
+        def verdicts(g):
+            return Counter(
+                outcome(r) if isinstance(r, EmptySeries) else (r.delta, r.tail.terms, r.eta_pow2)
+                for _, r in compute_zhat_all(g, 0)
+            )
+
+        g = PlumbingGraph((-4, -1, -4, -4, -2, -2, -1), ((0, 1), (0, 4), (0, 6), (1, 2), (1, 3), (4, 5)))
+        moved = g
+        for _ in range(8):
+            moved = edge_blow_up(moved, *moved.edges[0])
+        assert moved.vertex_count == 15
+        assert verdicts(g)["series is identically zero (support never meets the coset)"] == 2
+        assert verdicts(moved) == verdicts(g)
