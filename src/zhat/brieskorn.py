@@ -19,21 +19,23 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .engine import SpinCRep, ZhatResult
-from .errors import ConsistencyError, ExcludedTriple, InvalidFraction, InvalidTriple
+from .errors import ConsistencyError, ExcludedTriple, InvalidFraction, InvalidTriple, Record
 from .plumbing import PlumbingGraph
 from .qseries import QSeries, json_fraction, json_ints, json_value, reading_json
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class BrieskornData:
+
+class BrieskornData(Record):
     """Everything the closed form needs, fully populated."""
 
+    __slots__ = ("b", "seifert_b", "a", "p", "alphas", "leg_fractions", "h", "xi", "delta0")
     b: tuple[int, int, int]
     seifert_b: int
     a: tuple[int, int, int]
@@ -43,6 +45,17 @@ class BrieskornData:
     h: tuple[int, int, int]
     xi: Fraction
     delta0: Fraction
+
+    def __init__(self, b, seifert_b, a, p, alphas, leg_fractions, h, xi, delta0):
+        _set(self, "b", b)
+        _set(self, "seifert_b", seifert_b)
+        _set(self, "a", a)
+        _set(self, "p", p)
+        _set(self, "alphas", alphas)
+        _set(self, "leg_fractions", leg_fractions)
+        _set(self, "h", h)
+        _set(self, "xi", xi)
+        _set(self, "delta0", delta0)
 
     @property
     def vertex_count(self) -> int:
@@ -191,8 +204,9 @@ def compute_xi_delta0(
 def brieskorn_data(b1: int, b2: int, b3: int, seifert_override=None) -> BrieskornData:
     """Run the full pipeline for one triple.
 
-    ``seifert_override`` is an optional (b, a1, a2, a3) tuple; it must
-    satisfy the defining equation with a_i > 0, and building the star
+    ``seifert_override`` is an optional (b, a1, a2, a3) tuple of four
+    integers (anything else raises InvalidTriple); it must satisfy the
+    defining equation with a_i > 0, and building the star
     plumbing additionally needs a_i < b_i (which pins the canonical
     solution, so any valid override reproduces it).
     """
@@ -200,7 +214,15 @@ def brieskorn_data(b1: int, b2: int, b3: int, seifert_override=None) -> Brieskor
     if (b1, b2, b3) == (2, 3, 5):
         raise ExcludedTriple("the closed form needs an extra term for (2, 3, 5)")
     if seifert_override is not None:
-        b, a1, a2, a3 = (int(x) for x in seifert_override)
+        entries = []
+        for x in seifert_override:
+            try:
+                entries.append(operator.index(x))
+            except TypeError:
+                raise InvalidTriple(f"Seifert data entry {x!r} is not an integer") from None
+        if len(entries) != 4:
+            raise InvalidTriple(f"Seifert data needs 4 entries (b, a1, a2, a3), got {len(entries)}")
+        b, a1, a2, a3 = entries
         p = b1 * b2 * b3
         lhs = p * b + b2 * b3 * a1 + b1 * b3 * a2 + b1 * b2 * a3
         if lhs != -1:

@@ -16,15 +16,16 @@ external result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .brieskorn import brieskorn_data, tail_order_for_terms, zhat0_brieskorn
 from .engine import compute_zhat
-from .errors import ConsistencyError
+from .errors import ConsistencyError, Record
 from .plumbing import PlumbingGraph
 from .qseries import QSeries, json_fraction, json_ints, json_value, reading_json
+
+_set = object.__setattr__
 
 # d(S^3_{-1/2}(4_1)) and the matching leading exponent; external result,
 # not recomputed here (general correction terms are out of scope).
@@ -97,13 +98,20 @@ def homology_sphere_delta_check(delta: Fraction) -> bool:
     return (Fraction(delta) - Fraction(1, 2)).denominator == 1
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(Record):
+    __slots__ = ("triple", "delta0", "d_value", "series_prefix", "mod1_check")
     triple: tuple[int, int, int]
     delta0: Fraction
     d_value: int | None
     series_prefix: QSeries
     mod1_check: bool
+
+    def __init__(self, triple, delta0, d_value, series_prefix, mod1_check):
+        _set(self, "triple", triple)
+        _set(self, "delta0", delta0)
+        _set(self, "d_value", d_value)
+        _set(self, "series_prefix", series_prefix)
+        _set(self, "mod1_check", mod1_check)
 
     def to_json_obj(self) -> dict:
         return {

@@ -50,13 +50,12 @@ them gives the same answer.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor, gcd, lcm
 from operator import add
 from typing import Iterator, Mapping, Sequence
 
-from .errors import ConsistencyError, EmptySeries, NotNegativeDefinite, SingularMatrix
+from .errors import ConsistencyError, EmptySeries, NotNegativeDefinite, Record, SingularMatrix
 from .exact import (
     ExactMatrix,
     _integer_rows,
@@ -67,6 +66,8 @@ from .exact import (
 from .exact import is_negative_definite  # noqa: F401  (bench/tracing.py wraps it here)
 from .plumbing import PlumbingGraph
 from .qseries import QSeries, json_fraction, json_ints, json_value, reading_json
+
+_set = object.__setattr__
 
 # With two or more degree >= 3 vertices, empty enumeration passes double
 # the quadratic bound up to this many times before asking for a higher
@@ -80,12 +81,16 @@ _MAX_BOUND_DOUBLINGS = 20
 _PROBE_CLASS_LIMIT = 200_000
 
 
-@dataclass(frozen=True)
-class SpinCRep:
+class SpinCRep(Record):
     """Representative vector of a Spin^c class, with its canonical index."""
 
+    __slots__ = ("vector", "class_index")
     vector: tuple[int, ...]
     class_index: int
+
+    def __init__(self, vector, class_index):
+        _set(self, "vector", vector)
+        _set(self, "class_index", class_index)
 
     def to_json_obj(self) -> dict:
         return {"classIndex": self.class_index, "vector": list(self.vector)}
@@ -96,8 +101,7 @@ class SpinCRep:
             return SpinCRep(json_ints(obj["vector"]), json_value(obj["classIndex"], int))
 
 
-@dataclass(frozen=True)
-class ZhatResult:
+class ZhatResult(Record):
     """Normalized series q^delta * tail with bookkeeping.
 
     ``tail`` has nonzero constant term and exponents in Z>=0; its
@@ -107,12 +111,21 @@ class ZhatResult:
     exponents that are fully determined.
     """
 
+    __slots__ = ("spinc", "delta", "tail", "eta_pow2", "prefactor_sign", "truncation_order")
     spinc: SpinCRep | None
     delta: Fraction
     tail: QSeries
     eta_pow2: int
     prefactor_sign: int
     truncation_order: Fraction
+
+    def __init__(self, spinc, delta, tail, eta_pow2, prefactor_sign, truncation_order):
+        _set(self, "spinc", spinc)
+        _set(self, "delta", delta)
+        _set(self, "tail", tail)
+        _set(self, "eta_pow2", eta_pow2)
+        _set(self, "prefactor_sign", prefactor_sign)
+        _set(self, "truncation_order", truncation_order)
 
     def to_json_obj(self) -> dict:
         return {

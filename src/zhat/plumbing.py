@@ -19,15 +19,15 @@ also gives selected columns alone); dense
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import FormatError, NotATree
+from .errors import FormatError, NotATree, Record
 from .exact import ExactMatrix
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class TreeElimination:
+
+class TreeElimination(Record):
     """Leaf-first elimination of a tree's linking matrix, in integers.
 
     With the tree rooted at vertex 0 and T_v the linking matrix of the
@@ -38,8 +38,13 @@ class TreeElimination:
     (Sylvester's law) whenever no pivot is zero.
     """
 
+    __slots__ = ("subtree_dets", "stripped_dets")
     subtree_dets: tuple[int, ...]
     stripped_dets: tuple[int, ...]
+
+    def __init__(self, subtree_dets, stripped_dets):
+        _set(self, "subtree_dets", subtree_dets)
+        _set(self, "stripped_dets", stripped_dets)
 
     @property
     def det(self) -> int:
@@ -62,19 +67,20 @@ class TreeElimination:
         return 2 * pos - len(self.subtree_dets), pos
 
 
-@dataclass(frozen=True)
-class PlumbingGraph:
+class PlumbingGraph(Record):
     """Immutable weighted tree; validated at construction."""
 
+    __slots__ = ("weights", "edges")
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        s = len(self.weights)
+    def __init__(self, weights, edges):
+        _set(self, "weights", weights)
+        s = len(weights)
         if s == 0:
             raise NotATree("graph needs at least one vertex")
         norm = []
-        for a, b in self.edges:
+        for a, b in edges:
             if not (0 <= a < s and 0 <= b < s):
                 raise FormatError(f"edge ({a + 1}, {b + 1}) out of range")
             if a == b:
@@ -84,7 +90,7 @@ class PlumbingGraph:
             raise NotATree("repeated edge")
         if len(norm) != s - 1:
             raise NotATree(f"a tree on {s} vertices needs {s - 1} edges, got {len(norm)}")
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
+        _set(self, "edges", tuple(sorted(norm)))
         # connectivity (with s-1 edges and no repeats this also rules out cycles)
         parent = list(range(s))
 

@@ -11,11 +11,12 @@ sums of the closed form are built in :mod:`zhat.brieskorn`.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import EmptySeries, FormatError
+from .errors import EmptySeries, FormatError, Record
+
+_set = object.__setattr__
 
 
 def _fr(x) -> Fraction:
@@ -48,12 +49,16 @@ def json_fraction(x) -> Fraction:
     return Fraction(json_value(x, str, int))
 
 
-@dataclass(frozen=True)
-class QSeries:
+class QSeries(Record):
     """Sparse exact series sum_e c_e * q^e, truncated at ``order``."""
 
+    __slots__ = ("terms", "order")
     terms: tuple[tuple[Fraction, Fraction], ...]
     order: Fraction
+
+    def __init__(self, terms, order):
+        _set(self, "terms", terms)
+        _set(self, "order", order)
 
     @staticmethod
     def from_terms(terms: Iterable[tuple], order) -> "QSeries":

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,21 @@ class TestXiDelta0:
         with pytest.raises(InvalidTriple):
             # valid equation but a2 > b2: no star plumbing with legs >= 2
             brieskorn_data(2, 9, 11, seifert_override=(-2, 1, 11, 3))
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ((-1, 1.9, 1.2, 1.0), "entry 1.9 is not an integer"),  # truncates to the valid (-1, 1, 1, 1)
+            ((-1, 1, 1, Fraction(3, 2)), "entry Fraction(3, 2) is not an integer"),
+            (("-1", 1, 1, 1), "entry '-1' is not an integer"),
+            ((-1, 1, 1), "needs 4 entries (b, a1, a2, a3), got 3"),
+            ((-1, 1, 1, 1, 0), "needs 4 entries (b, a1, a2, a3), got 5"),
+        ],
+    )
+    def test_seifert_override_rejects_malformed_data(self, override, message):
+        with pytest.raises(InvalidTriple, match=re.escape(message)):
+            brieskorn_data(2, 3, 7, seifert_override=override)
+        assert brieskorn_data(2, 3, 7, seifert_override=(-1, True, 1, 1)).a == (1, 1, 1)
 
 
 class TestZhat0:
