@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -43,49 +44,15 @@ def _envelope(command: str, inputs: dict, results, order) -> dict:
     }
 
 
-def _json(obj, indent: str = "") -> str:
-    """``json.dumps(obj, indent=2, default=str)`` for dicts with string
-    keys, lists, tuples, strings, ints, bools and None, without the
-    pure-Python encoder; any other object is written as its str().
-    Exact types are dispatched first, with str and int children written
-    inline; subclasses and anything else take the isinstance path."""
-    kind = type(obj)
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    inner = indent + "  "
-    if kind is dict:
-        items = [
-            f"{inner}{encode_basestring_ascii(k)}: "
-            f"{encode_basestring_ascii(v) if type(v) is str else int.__repr__(v) if type(v) is int else _json(v, inner)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{indent}}}" if items else "{}"
-    if kind is list or kind is tuple:
-        items = [
-            encode_basestring_ascii(v) if type(v) is str else int.__repr__(v) if type(v) is int else _json(v, inner)
-            for v in obj
-        ]
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]" if items else "[]"
-    if obj is None or kind is bool:
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, (dict, list, tuple)):
-        return _json(dict(obj) if isinstance(obj, dict) else list(obj), indent)
-    return encode_basestring_ascii(obj if isinstance(obj, str) else str(obj))
-
-
 def _emit(obj: dict, out) -> None:
-    out.write(_json(obj) + "\n")
+    out.write(json.dumps(obj, indent=2, default=str) + "\n")
 
 
 def _emit_classes(command: str, inputs: dict, records, order, out) -> None:
     """``_emit`` of the envelope whose results are ``records``, the text of
     each class's record, written as they come: the head, one
     ``out.write`` per class, then the tail."""
-    head, _, tail = _json(_envelope(command, inputs, [], order)).partition('"results": []')
+    head, _, tail = json.dumps(_envelope(command, inputs, [], order), indent=2).partition('"results": []')
     written = False
     for text in records:
         out.write(f",\n    {text}" if written else f'{head}"results": [\n    {text}')
@@ -94,7 +61,7 @@ def _emit_classes(command: str, inputs: dict, records, order, out) -> None:
 
 
 class _ClassRecords:
-    """Each class's record as ``_json`` writes its ``to_json_obj()`` in the
+    """Each class's record as ``_emit`` writes its ``to_json_obj()`` in the
     envelope's results, built from strings made once per run: every
     distinct rational (exponent, coefficient, order, delta) is quoted
     once, keyed by (numerator, denominator) so that no Fraction is

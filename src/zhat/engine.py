@@ -56,13 +56,7 @@ from operator import add
 from typing import Iterator, Mapping, Sequence
 
 from .errors import ConsistencyError, EmptySeries, NotNegativeDefinite, Record, SingularMatrix
-from .exact import (
-    ExactMatrix,
-    _integer_rows,
-    _ldl_ordered,
-    _range_under_square,
-    smith_normal_form,
-)
+from .exact import _integer_rows, _ldl_ordered, _range_under_square, smith_normal_form
 from .exact import is_negative_definite  # noqa: F401  (bench/tracing.py wraps it here)
 from .plumbing import PlumbingGraph
 from .qseries import QSeries, json_fraction, json_ints, json_value, reading_json
@@ -178,16 +172,11 @@ def _twice_vertex_factor(deg: int, k: int) -> int:
     return comb(m - 1 + j, j) * (-1 if k > 0 and m % 2 else 1)
 
 
-def _support_window(deg: int):
-    """Support of l_v (note c_l evaluates the factor at -l_v; the
-    supports are parity-symmetric so the window is the same)."""
-    if deg == 0:
-        return ("set", (-2, 0, 2))
-    if deg == 1:
-        return ("set", (-1, 1))
-    if deg == 2:
-        return ("set", (0,))
-    return ("parity", deg - 2)  # |k| >= m, k = m mod 2
+def _support_window(deg: int) -> tuple[int, ...] | int:
+    """Support of l_v: its values for deg <= 2, else m = deg - 2 for the
+    values |k| >= m with k = m (mod 2).  (c_l evaluates the factor at
+    -l_v; the supports are symmetric, so the window is the same.)"""
+    return ((-2, 0, 2), (-1, 1), (0,))[deg] if deg <= 2 else deg - 2
 
 
 def _parity_runs(m: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
@@ -241,7 +230,7 @@ class _SupportForm:
         self.high = list(high)
         in_high = set(self.high)
         # degree-2 windows are {0}: those coordinates stay 0
-        self.low = [v for v in range(len(windows)) if v not in in_high and windows[v][1] != (0,)]
+        self.low = [v for v in range(len(windows)) if v not in in_high and windows[v] != (0,)]
         self.det = abs(det)
         sign = 1 if det > 0 else -1
         support = self.low + self.high
@@ -257,7 +246,7 @@ class _SupportForm:
                 minors[p],
                 minors[p + 1],
                 [-sum(r * hh[p + j][q] for j, r in enumerate(centers[p])) for q in range(p)],
-                windows[h][1],
+                windows[h],
                 [row[h] for row, _, _, _ in classes],
             )
             for p, h in enumerate(self.high)
@@ -288,7 +277,7 @@ class _SupportForm:
                     [r + x * u for r, u in zip(res, ucol)],
                 )
                 for combo, b, c, sums, res in partial
-                for x in windows[v][1]
+                for x in windows[v]
             ]
         adj0 = factors[0][1] if k else []
         self.assignments = [
@@ -414,6 +403,8 @@ class _SpinCContext:
         self.delta = tuple(int(x) for x in delta_vec)
         self.u_int, self.d, self.uinv = [], [], [[] for _ in self.delta]
         if m is not None:
+            if len(m) != len(self.delta):
+                raise ValueError(f"Spin^c offset has length {len(self.delta)}, the matrix has size {len(m)}")
             self.u_int, dmat, v = smith_normal_form(m)
             self.d = [row[i] for i, row in enumerate(dmat)]
             if any(di == 0 for di in self.d):
@@ -529,26 +520,19 @@ class _GraphSetup:
         degrees = graph.degree_vector()
         high = graph.high_degree_vertices()
         # The tree's linking matrix is eliminated in integers: its pivots
-        # decide negative definiteness and give the inertia, and
-        # M^-1 = adj(M) / det M comes one tree walk per support column.
+        # give the inertia, and M^-1 = adj(M) / det M comes one tree walk
+        # per support column.  Only the Smith form reads the matrix.
         elim = graph.elimination()
         if elim.det == 0:
             raise SingularMatrix("Spin^c classes need an invertible linking matrix")
-        weakly = not elim.is_negative_definite
-        if weakly and not allow_weakly:
+        sigma, pi_count = elim.inertia()
+        if pi_count and not allow_weakly:
             raise NotNegativeDefinite(
                 "linking matrix is not negative definite (pass allow_weakly=True for weakly negative definite input)"
             )
         support = [v for v, d in enumerate(degrees) if d != 2]
         adj = dict(zip(support, graph.adjugate(support)))
-        m = graph.linking_rows() if weakly or abs(elim.det) > 1 else None
-        if not weakly:
-            sigma, pi_count = elim.inertia()
-        else:
-            # pivots may be zero off the negative definite path: dense signature
-            sigma, pi_count = ExactMatrix(m).signature_and_positive_count()
-
-        self.ctx = _SpinCContext(m if abs(elim.det) > 1 else None, degrees)
+        self.ctx = _SpinCContext(graph.linking_rows() if abs(elim.det) > 1 else None, degrees)
         # e0 = (3 sigma - Tr M) / 4, kept on the scale of S = |det M| * q
         self.e0_scaled = (3 * sigma - sum(graph.weights)) * abs(elim.det)
         self.sign = -1 if pi_count % 2 else 1
@@ -567,7 +551,7 @@ class _GraphSetup:
             raise NotNegativeDefinite("linking matrix is not weakly negative definite") from None
         # c_l = (product over the leaves) * (product over ``high``) / 2^#high
         low_tables = [
-            {x: _twice_vertex_factor(degrees[v], -x) // 2 for x in windows[v][1]} for v in self.form.low
+            {x: _twice_vertex_factor(degrees[v], -x) // 2 for x in windows[v]} for v in self.form.low
         ]
         self.low_coefficients = []
         for combo, _, _, _ in self.form.assignments:
@@ -721,6 +705,8 @@ def compute_zhat(
     ctx = setup.ctx
     if isinstance(spinc, SpinCRep):
         rep = ctx.canonical(spinc.vector)
+    elif isinstance(spinc, bool):
+        raise TypeError("a Spin^c class is a SpinCRep, an index or a vector, not a bool")
     elif isinstance(spinc, int):
         rep = SpinCRep(ctx.vector_of_index(spinc), spinc)
     else:

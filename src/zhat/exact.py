@@ -1,17 +1,19 @@
 """Exact rational linear algebra and the integer factors of the engine walk.
 
 Everything here works over arbitrary-precision integers and
-``fractions.Fraction``; no floating point is used anywhere.  The module
-provides the dense numeric substrate for general matrices (plumbing
-trees are eliminated in integers by :mod:`zhat.plumbing` instead):
+``fractions.Fraction``; no floating point is used anywhere.  The engine
+uses
 
-* :class:`ExactMatrix` with exact determinant, inverse, trace and
-  signature,
-* Smith normal form with unimodular transforms,
+* Smith normal form with unimodular transforms, on integer rows,
 * the fraction-free factors (trailing minors and their adjugates) of a
-  positive definite integer form, and the integer range solve, that the
-  engine's support walk runs on,
-* the negative definiteness test, one run of those same factors.
+  positive definite integer form, and the integer range solve, that its
+  support walk runs on.
+
+The dense :class:`ExactMatrix` (exact determinant, inverse, trace and
+signature) and the negative definiteness test, one run of those same
+factors, are kept as independent oracles for tests and the benchmark:
+no computation path builds an ExactMatrix, since plumbing trees are
+eliminated in integers by :mod:`zhat.plumbing`, inertia included.
 
 All operations are pure functions on immutable inputs, so concurrent use
 is safe and results do not depend on evaluation order.

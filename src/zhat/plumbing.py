@@ -12,9 +12,10 @@ Lines starting with ``#`` are comments; encoding is UTF-8 with LF
 newlines.
 
 The linking matrix of a tree is eliminated in integers, leaf first
-(:meth:`PlumbingGraph.elimination`, :meth:`PlumbingGraph.adjugate`, which
-also gives selected columns alone); dense
-:class:`~zhat.exact.ExactMatrix` algebra is for general input.
+(:meth:`PlumbingGraph.elimination`, which gives det M and the inertia,
+and :meth:`PlumbingGraph.adjugate`, which also gives selected columns
+alone); :meth:`PlumbingGraph.linking_matrix` gives the dense
+:class:`~zhat.exact.ExactMatrix`, which no computation here builds.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class TreeElimination(Record):
     ``stripped_dets[v]`` is det(T_v - v), the product of det T_c over the
     children c of v.  Eliminating leaf first meets the pivot
     det T_v / det(T_v - v) at v, so the pivot signs give the inertia
-    (Sylvester's law) whenever no pivot is zero.
+    (Sylvester's law).
     """
 
     __slots__ = ("subtree_dets", "stripped_dets")
@@ -52,18 +53,21 @@ class TreeElimination(Record):
 
     @property
     def is_negative_definite(self) -> bool:
-        """Every pivot is negative (a zero pivot rules definiteness out)."""
-        return all(d != 0 and (d < 0) == (e > 0) for d, e in zip(self.subtree_dets, self.stripped_dets))
+        """det M != 0 and no eigenvalue is positive."""
+        return self.det != 0 and self.inertia()[1] == 0
 
     def inertia(self) -> tuple[int, int]:
         """(sigma, pi) = (#positive - #negative eigenvalues, #positive).
 
-        Raises ValueError when a pivot is zero: leaf-first elimination
-        then does not diagonalize the form.
+        A zero pivot (det T_v = 0) is diagonalized as Jacobs and Trevisan
+        (2011) do: v takes 2 and its parent p, whose det(T_p - p) is then
+        0, takes -1/2 and drops out of its own parent's pivot (the
+        det(T_p - p) / det T_p that pivot subtracts is 0).  Raises
+        ValueError when det M = 0.
         """
-        if 0 in self.subtree_dets:
-            raise ValueError("zero pivot in the tree elimination")
-        pos = sum((d > 0) == (e > 0) for d, e in zip(self.subtree_dets, self.stripped_dets))
+        if self.det == 0:
+            raise ValueError("the linking matrix is singular")
+        pos = sum(d == 0 or (e != 0 and (d > 0) == (e > 0)) for d, e in zip(self.subtree_dets, self.stripped_dets))
         return 2 * pos - len(self.subtree_dets), pos
 
 

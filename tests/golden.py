@@ -11,13 +11,11 @@ where the repository lives.  Stdout is compared byte for byte with
 ``tests/data/golden/<case>.stdout``; the exit code and stderr with
 ``tests/data/golden/status.json``.
 
-Run as a script, it also checks the CLI's JSON writer against
-``json.dumps(obj, indent=2, default=str)`` on seeded random objects, and
-the per-class output of ``graph --all`` and ``delta --all`` against
-``json.dumps`` of the classes' ``to_json_obj()`` records on every input
-file and on seeded random trees, so interpreters without pytest or
-Hypothesis get every check (``tests/test_golden.py`` runs the same
-cases, and the Hypothesis property, under pytest).
+Run as a script, it also checks the per-class output of ``graph --all``
+and ``delta --all`` against ``json.dumps`` of the classes'
+``to_json_obj()`` records on every input file and on seeded random
+trees, so interpreters without pytest get every check
+(``tests/test_golden.py`` runs the same cases under pytest).
 """
 
 from __future__ import annotations
@@ -30,8 +28,6 @@ import random
 import shutil
 import sys
 import tempfile
-from collections import OrderedDict
-from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,6 +43,9 @@ CASES = {
     "graph_d4_star_text": ["graph", "d4_star.plumb", "--all", "--order", "10"],
     "graph_weakly_star": [
         "graph", "weakly_star.plumb", "--all", "--order", "5", "--format", "json", "--experimental-weakly",
+    ],
+    "graph_weakly_zero_pivot": [
+        "graph", "weakly_zero_pivot.plumb", "--all", "--order", "2", "--format", "json", "--experimental-weakly",
     ],
     "graph_det51_spinc": ["graph", "det51_star.plumb", "--spinc", "7", "--order", "6", "--format", "json"],
     "graph_escalation_star_zero_spinc": [
@@ -116,70 +115,6 @@ def record(names: list[str]) -> None:
         status[name] = {"argv": CASES[name], "exit": code, "stderr": err}
     status = {name: status[name] for name in CASES if name in status}
     path.write_text(json.dumps(status, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
-
-
-# -- the JSON writer ---------------------------------------------------------
-
-TRICKY_TEXT = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "空間", "\U0001f600", "\ud800", "/"]
-
-
-class Text(str):
-    """A str subclass whose str() is not its text: JSON writes the text."""
-
-    def __str__(self) -> str:
-        return f"Text({super().__str__()!r})"
-
-
-class Items(list):
-    """A list subclass."""
-
-
-class Level(IntEnum):
-    """int subclasses whose repr is not the number's."""
-
-    LOW = -3
-    HIGH = 2**70
-
-
-def random_text(rng: random.Random) -> str:
-    return "".join(rng.choice(TRICKY_TEXT + ["a", "Z", " "]) for _ in range(rng.randrange(6)))
-
-
-def random_json_object(rng: random.Random, depth: int = 0):
-    """A nested object of the kinds the CLI emits: dicts with string keys,
-    lists, tuples, strings, ints, bools, None and Fractions; and, less
-    often, subclasses of str, int, dict and list."""
-    kind = rng.randrange(12 if depth < 4 else 7)
-    if kind == 0:
-        return random_text(rng)
-    if kind == 1:
-        return rng.choice([0, -1, 1, 2**70, -(3**50), rng.randrange(-10**6, 10**6)])
-    if kind == 2:
-        return rng.choice([True, False, None])
-    if kind == 3:
-        return Fraction(rng.randrange(-50, 50), rng.randrange(1, 12))
-    if kind in (4, 5):
-        return rng.choice([{}, [], ()])
-    if kind == 6:
-        return rng.choice([Text(random_text(rng)), Level.LOW, Level.HIGH, OrderedDict(), Items()])
-    items = [random_json_object(rng, depth + 1) for _ in range(rng.randrange(5))]
-    if kind == 7:
-        return items
-    if kind == 8:
-        return tuple(items)
-    if kind == 9:
-        return Items(items)
-    obj = {random_text(rng) if rng.random() < 0.3 else f"k{i}": x for i, x in enumerate(items)}
-    return OrderedDict(obj) if kind == 10 else obj
-
-
-def writer_mismatch(obj) -> str | None:
-    from zhat.cli import _emit
-
-    out = io.StringIO()
-    _emit(obj, out)
-    want = json.dumps(obj, indent=2, default=str) + "\n"
-    return None if out.getvalue() == want else f"{obj!r}: wrote {out.getvalue()!r}, json.dumps gives {want!r}"
 
 
 # -- the per-class writer of graph and delta ---------------------------------
@@ -256,8 +191,8 @@ def random_tree_plumb(rng: random.Random) -> str:
 def differential_cases(work: Path, trees: int, seed: int) -> list[tuple]:
     """``streamed_mismatch`` arguments: every ``tests/data/*.plumb`` and
     ``trees`` seeded random trees, written to ``work``, for ``delta`` and
-    for ``graph`` at every order of DIFFERENTIAL_ORDERS; the weakly star
-    with ``--experimental-weakly``."""
+    for ``graph`` at every order of DIFFERENTIAL_ORDERS; the weakly negative
+    definite ``weakly_*`` files with ``--experimental-weakly``."""
     rng = random.Random(seed)
     paths = [str(p) for p in sorted(DATA.glob("*.plumb"))]
     for i in range(trees):
@@ -265,7 +200,7 @@ def differential_cases(work: Path, trees: int, seed: int) -> list[tuple]:
         path.write_text(random_tree_plumb(rng), encoding="utf-8")
         paths.append(str(path))
     return [
-        (command, path, order, Path(path).name == "weakly_star.plumb")
+        (command, path, order, Path(path).name.startswith("weakly_"))
         for path in paths
         for command, order in [("delta", None)] + [("graph", order) for order in DIFFERENTIAL_ORDERS]
     ]
@@ -280,20 +215,12 @@ def main(argv: list[str]) -> int:
         record(argv[1:] or list(CASES))
         return 0
     failures = [f"{name}: {problem}" for name in CASES for problem in mismatches(name)]
-    rng = random.Random(0)
-    for _ in range(2000):
-        obj = random_json_object(rng)
-        if not isinstance(obj, dict):
-            obj = {"results": obj}
-        bad = writer_mismatch(obj)
-        if bad:
-            failures.append(f"writer: {bad}")
     with tempfile.TemporaryDirectory() as work:
         cases = differential_cases(Path(work), DIFFERENTIAL_TREES, seed=0)
         failures += [f"streamed: {bad}" for case in cases for bad in [streamed_mismatch(*case)] if bad]
     for line in failures:
         print(line)
-    print(f"{len(CASES)} golden cases, 2000 writer objects and {len(cases)} streamed outputs "
+    print(f"{len(CASES)} golden cases and {len(cases)} streamed outputs "
           f"on Python {sys.version.split()[0]}: {len(failures)} failures")
     return 1 if failures else 0
 

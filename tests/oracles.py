@@ -158,7 +158,7 @@ def classes_missing_support(ctx, windows, high, reps) -> set[int]:
     low = [v for v in range(len(windows)) if v not in set(high)]
     n_assign = 1
     for v in low:
-        n_assign *= len(windows[v][1])
+        n_assign *= len(windows[v])
     if n_assign > _PROBE_ASSIGNMENT_LIMIT:
         return set()
 
@@ -168,7 +168,7 @@ def classes_missing_support(ctx, windows, high, reps) -> set[int]:
     cols = [tuple(ctx.u_int[i][h] % mods[i] for i in range(len(mods))) for h in high]
     reached = set()
     l = [0] * len(windows)
-    for combo in itertools.product(*[windows[v][1] for v in low]):
+    for combo in itertools.product(*[windows[v] for v in low]):
         for v, x in zip(low, combo):
             l[v] = x
         reached.add(image(l))

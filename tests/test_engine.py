@@ -110,11 +110,7 @@ class TestVertexFactor:
         for deg in range(8):
             window = _support_window(deg)
             for k in range(-12, 13):
-                in_window = (
-                    k in window[1]
-                    if window[0] == "set"
-                    else abs(k) >= window[1] and (k - window[1]) % 2 == 0
-                )
+                in_window = k in window if deg <= 2 else abs(k) >= window and (k - window) % 2 == 0
                 assert in_window == (vertex_factor_coefficient(deg, -k) != 0)
 
 
@@ -168,6 +164,22 @@ class TestSpinC:
                 compute_zhat(g, vector, order=2)
         with pytest.raises(ValueError, match="length 1, not 3"):
             conjugate_spin_c(SpinCRep((1,), 0), m, deg)
+
+    def test_offset_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="length 2, the matrix has size 1"):
+            spin_c_representatives([[-2]], (0, 0))
+        with pytest.raises(ValueError, match="length 1, the matrix has size 2"):
+            spin_c_representatives([[-2, 1], [1, -2]], (0,))
+        with pytest.raises(ValueError, match="length 1, the matrix has size 2"):
+            conjugate_spin_c(SpinCRep((1,), 0), [[-3, 1], [1, -2]], (1,))
+
+    def test_bool_class_rejected(self):
+        g = PlumbingGraph((-2,), ())
+        for spinc in (True, False):
+            with pytest.raises(TypeError, match="bool"):
+                compute_zhat(g, spinc)
+        with pytest.raises(TypeError, match="bool"):
+            delta_a(g, True)
 
     def test_singular_matrix_rejected(self):
         from zhat.errors import SingularMatrix
@@ -830,6 +842,24 @@ class TestHomologySphereContext:
         for g, (one, every) in zip(HOMOLOGY_SPHERES, expected):
             assert compute_zhat(g, 0, order=4) == one
             assert compute_zhat_all(g, 4) == every
+
+    def test_weakly_sphere_builds_no_matrix(self, monkeypatch):
+        # det -1 and one positive eigenvalue; vertex 5, a weight-0 leaf
+        # below vertex 3, is a zero pivot of the elimination
+        g = PlumbingGraph((-2, -1, -2, 0, -3, 0), ((0, 1), (0, 2), (0, 4), (2, 3), (3, 5)))
+        elim = g.elimination()
+        assert elim.det == -1 and elim.subtree_dets[5] == 0 and elim.inertia() == (-4, 1)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("not needed for a homology sphere")
+
+        monkeypatch.setattr(zhat.engine, "smith_normal_form", forbidden)
+        monkeypatch.setattr(PlumbingGraph, "linking_matrix", forbidden)
+        monkeypatch.setattr(PlumbingGraph, "linking_rows", forbidden)
+        res = compute_zhat(g, 0, order=3, allow_weakly=True)
+        assert res.delta == Fraction(-1, 2) and res.prefactor_sign == -1
+        assert res.tail.terms == ((Fraction(0), Fraction(-2)), (Fraction(1), Fraction(2)))
+        assert compute_zhat_all(g, 3, allow_weakly=True) == [(res.spinc, res)]
 
     def test_one_smith_form_when_h1_is_nontrivial(self, monkeypatch):
         calls = []

@@ -28,6 +28,9 @@ SINGULAR = PlumbingGraph((1, 1), ((0, 1),))
 SEMIDEFINITE = PlumbingGraph((-1, -1), ((0, 1),))
 # nonsingular, but the leaf below the root has weight 0: a zero pivot
 ZERO_PIVOT = PlumbingGraph((1, 0), ((0, 1),))
+# det -1 with a zero pivot at vertex 5, two levels below the root: its
+# parent 3 takes -1/2 and drops out of the pivot of vertex 2
+ZERO_PIVOT_INSIDE = PlumbingGraph((-2, -1, -2, 0, -3, 0), ((0, 1), (0, 2), (0, 4), (2, 3), (3, 5)))
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -45,12 +48,14 @@ class TestAgainstDenseOracles:
     @example(SINGULAR)
     @example(SEMIDEFINITE)
     @example(ZERO_PIVOT)
+    @example(ZERO_PIVOT_INSIDE)
     def test_inertia_matches_signature(self, g):
+        # zero pivots included: only a singular matrix has no inertia here
         elim = g.elimination()
         m = g.linking_matrix()
         assert elim.is_negative_definite == is_negative_definite(m)
-        if 0 in elim.subtree_dets:
-            with pytest.raises(ValueError):
+        if elim.det == 0:
+            with pytest.raises(ValueError, match="singular"):
                 elim.inertia()
         else:
             assert elim.inertia() == m.signature_and_positive_count()
