@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .brieskorn import brieskorn_data, zhat0_brieskorn
 from .compare import counterexample_report, generate_table, rows_to_csv, sharpness_analysis
-from .engine import compute_zhat, compute_zhat_all
+from .engine import _class_stream, compute_zhat
 from .engine import spin_c_representatives  # noqa: F401  (bench/tracing.py wraps it here)
 from .errors import EmptySeries, SingularMatrix, ZhatError
 from .plumbing import parse_plumb
@@ -48,16 +48,23 @@ def _emit(obj: dict, out) -> None:
     out.write(json.dumps(obj, indent=2, default=str) + "\n")
 
 
-def _emit_classes(command: str, inputs: dict, records, order, out) -> None:
+def _emit_classes(command: str, inputs: dict[str, str], records, order, out) -> None:
     """``_emit`` of the envelope whose results are ``records``, the text of
     each class's record, written as they come: the head, one
-    ``out.write`` per class, then the tail."""
-    head, _, tail = json.dumps(_envelope(command, inputs, [], order), indent=2).partition('"results": []')
+    ``out.write`` per class, then the tail.  The head and tail hold the
+    envelope's other keys, quoted as ``json.dumps`` quotes them."""
+    quote = encode_basestring_ascii
+    fields = ",\n    ".join(f"{quote(key)}: {quote(value)}" for key, value in inputs.items())
+    head = f'{{\n  "command": {quote(command)},\n  "inputs": {{\n    {fields}\n  }},\n  "results": ['
+    tail = (
+        f'],\n  "toolVersion": {quote(__version__)},\n'
+        f'  "truncationOrder": {"null" if order is None else quote(str(order))}\n}}\n'
+    )
     written = False
     for text in records:
-        out.write(f",\n    {text}" if written else f'{head}"results": [\n    {text}')
+        out.write(f",\n    {text}" if written else f"{head}\n    {text}")
         written = True
-    out.write(f"\n  ]{tail}\n" if written else f'{head}"results": []{tail}\n')
+    out.write(f"\n  {tail}" if written else f"{head}{tail}")
 
 
 class _ClassRecords:
@@ -86,12 +93,12 @@ class _ClassRecords:
         return f'{{\n        "classIndex": {rep.class_index!r},\n        "vector": {vector}\n      }}'
 
     def graph(self, rep, res) -> str:
-        """The record of class ``rep``: ``res`` is its ZhatResult or EmptySeries."""
-        if isinstance(res, EmptySeries):
-            note = str(res)
-            quoted = self.notes.get(note)
+        """The record of class ``rep``: ``res`` is its ZhatResult or the
+        note of its zero verdict."""
+        if isinstance(res, str):
+            quoted = self.notes.get(res)
             if quoted is None:
-                quoted = self.notes[note] = encode_basestring_ascii(note)
+                quoted = self.notes[res] = encode_basestring_ascii(res)
             return f'{{\n      "spinc": {self.spinc(rep)},\n      "zero": true,\n      "note": {quoted}\n    }}'
         cache, fraction, chunks = self.terms, self.fraction, []
         for e, c in res.tail.terms:
@@ -112,8 +119,8 @@ class _ClassRecords:
         )
 
     def delta(self, rep, res) -> str:
-        """The record of class ``rep``'s delta: null for an EmptySeries."""
-        delta = "null" if isinstance(res, EmptySeries) else self.fraction(res.delta)
+        """The record of class ``rep``'s delta: null for a zero class."""
+        delta = "null" if isinstance(res, str) else self.fraction(res.delta)
         return f'{{\n      "spinc": {self.spinc(rep)},\n      "delta": {delta}\n    }}'
 
 
@@ -177,9 +184,11 @@ def _read_text(path: str) -> str:
 
 
 def _class_results(graph, args, order):
-    """(rep, ZhatResult or EmptySeries) for ``--all`` or the ``--spinc`` class."""
+    """(rep, ZhatResult or the note of a zero class) for ``--all`` or the
+    ``--spinc`` class.  Every class is computed when this returns; with
+    ``--all`` the representatives come one by one as they are read."""
     if args.all:
-        return compute_zhat_all(graph, order, allow_weakly=args.experimental_weakly)
+        return _class_stream(graph, order, allow_weakly=args.experimental_weakly)
     # one class: its representative alone, not all |det M| of them
     count = abs(graph.elimination().det)
     if count == 0:
@@ -190,7 +199,7 @@ def _class_results(graph, args, order):
     try:
         result = compute_zhat(graph, idx, order=order, allow_weakly=args.experimental_weakly)
     except EmptySeries as exc:
-        return [(exc.spinc, exc)]
+        return [(exc.spinc, str(exc))]
     return [(result.spinc, result)]
 
 
@@ -205,7 +214,7 @@ def _cmd_graph(args, out) -> int:
         return 0
     for rep, res in results:
         label = f"class {rep.class_index} (rep {list(rep.vector)})"
-        if isinstance(res, EmptySeries):
+        if isinstance(res, str):
             print(f"{label}: zhat = 0 ({res})", file=out)
         else:
             print(f"{label}: delta = {res.delta}", file=out)
@@ -223,7 +232,7 @@ def _cmd_delta(args, out) -> int:
         _emit_classes("delta", {"file": args.file}, (records.delta(rep, res) for rep, res in results), None, out)
         return 0
     for rep, res in results:
-        val = "undefined (zero series)" if isinstance(res, EmptySeries) else str(res.delta)
+        val = "undefined (zero series)" if isinstance(res, str) else str(res.delta)
         print(f"class {rep.class_index}: delta = {val}", file=out)
     return 0
 

