@@ -4,7 +4,7 @@ For pairwise coprime 0 < b1 < b2 < b3 (with b1 >= 2 and excluding
 (2, 3, 5)), the sphere is realized as a star-shaped negative definite
 plumbing: a central vertex of weight b < 0 and three legs whose weights
 are the negated continued-fraction coefficients of b_i/a_i, where
-(b, a1, a2, a3) solves
+(b, a1, a2, a3) is the one solution with 0 < a_i < b_i of
 
     b1*b2*b3*b + b2*b3*a1 + b1*b3*a2 + b1*b2*a3 = -1.
 
@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .engine import SpinCRep, ZhatResult
+from .engine import SpinCRep, ZhatResult, _checked_order
 from .errors import ConsistencyError, ExcludedTriple, InvalidFraction, InvalidTriple, Record
 from .plumbing import PlumbingGraph
 from .qseries import QSeries, json_fraction, json_ints, json_value, reading_json
@@ -201,38 +200,10 @@ def compute_xi_delta0(
     return xi, xi + Fraction(a1 * a1, 4 * p)
 
 
-def brieskorn_data(b1: int, b2: int, b3: int, seifert_override=None) -> BrieskornData:
-    """Run the full pipeline for one triple.
-
-    ``seifert_override`` is an optional (b, a1, a2, a3) tuple of four
-    integers (anything else raises InvalidTriple); it must satisfy the
-    defining equation with a_i > 0, and building the star
-    plumbing additionally needs a_i < b_i (which pins the canonical
-    solution, so any valid override reproduces it).
-    """
-    validate_triple(b1, b2, b3)
-    if (b1, b2, b3) == (2, 3, 5):
-        raise ExcludedTriple("the closed form needs an extra term for (2, 3, 5)")
-    if seifert_override is not None:
-        entries = []
-        for x in seifert_override:
-            try:
-                entries.append(operator.index(x))
-            except TypeError:
-                raise InvalidTriple(f"Seifert data entry {x!r} is not an integer") from None
-        if len(entries) != 4:
-            raise InvalidTriple(f"Seifert data needs 4 entries (b, a1, a2, a3), got {len(entries)}")
-        b, a1, a2, a3 = entries
-        p = b1 * b2 * b3
-        lhs = p * b + b2 * b3 * a1 + b1 * b3 * a2 + b1 * b2 * a3
-        if lhs != -1:
-            raise InvalidTriple(f"Seifert data {seifert_override} does not satisfy the defining equation (got {lhs})")
-        if not all(0 < ai for ai in (a1, a2, a3)):
-            raise InvalidTriple("Seifert data needs a_i > 0")
-        if not (a1 < b1 and a2 < b2 and a3 < b3):
-            raise InvalidTriple("star plumbing construction needs a_i < b_i")
-    else:
-        b, a1, a2, a3 = solve_seifert_data(b1, b2, b3)
+def brieskorn_data(b1: int, b2: int, b3: int) -> BrieskornData:
+    """Run the full pipeline for one triple, from its normalized Seifert
+    data (:func:`solve_seifert_data`, the only solution with 0 < a_i < b_i)."""
+    b, a1, a2, a3 = solve_seifert_data(b1, b2, b3)
     legs = _leg_fractions((b1, b2, b3), (a1, a2, a3))
     if not all(legs):  # a_i >= 1 and b_i >= 2 force nonempty legs
         raise ConsistencyError(f"empty leg in the star plumbing of ({b1}, {b2}, {b3})")
@@ -291,10 +262,13 @@ def zhat0_brieskorn(b1: int, b2: int, b3: int, order, data: BrieskornData | None
     """Series from the theta progressions, normalized to q^delta0 * tail.
 
     ``order`` bounds the tail exponents (integers >= 0); the tail has
-    constant term 1 and integer coefficients.
+    constant term 1 and integer coefficients.  ``data``, when given, is
+    ``brieskorn_data`` of this triple.
     """
+    order = _checked_order(order)
     d = data if data is not None else brieskorn_data(b1, b2, b3)
-    order = Fraction(order)
+    if d.b != (b1, b2, b3):
+        raise ValueError(f"data is for the triple {d.b}, not ({b1}, {b2}, {b3})")
     kept = itertools.takewhile(lambda t: t[0] <= order, _tail_terms(d.p, d.alphas))
     tail = QSeries(tuple((Fraction(e), Fraction(c)) for e, c in kept), order)
     # the star's degrees in build_plumbing_from_legs order: center, then each leg ending in a leaf

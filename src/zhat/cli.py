@@ -134,20 +134,9 @@ def _parse_order(text: str) -> Fraction:
     return order
 
 
-def _parse_seifert(text: str) -> tuple[int, int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ZhatError("--seifert expects b,a1,a2,a3")
-    try:
-        return tuple(int(x) for x in parts)  # type: ignore[return-value]
-    except ValueError as exc:
-        raise ZhatError(f"bad --seifert value {text!r}") from exc
-
-
 def _cmd_brieskorn(args, out) -> int:
     order = _parse_order(args.order)
-    override = _parse_seifert(args.seifert) if args.seifert else None
-    data = brieskorn_data(args.b1, args.b2, args.b3, seifert_override=override)
+    data = brieskorn_data(args.b1, args.b2, args.b3)
     result = zhat0_brieskorn(args.b1, args.b2, args.b3, order, data=data)
     if args.format == "json":
         _emit(
@@ -255,9 +244,13 @@ def _read_triples(path: str) -> list[tuple[int, int, int]]:
 
 def _cmd_table(args, out) -> int:
     table_id = {"batch": "brieskorn-batch"}.get(args.table_id, args.table_id)
-    triples = _read_triples(args.triples_file) if args.triples_file else None
+    if args.triples_file is not None and table_id != "brieskorn-batch":
+        raise ZhatError(f"{table_id} reads no triples file; only the batch table does")
+    if args.pmax is not None and table_id != "d-family":
+        raise ZhatError(f"{table_id} takes no --pmax; only d-family does")
+    triples = None if args.triples_file is None else _read_triples(args.triples_file)
     try:
-        rows = generate_table(table_id, pmax=args.pmax, triples=triples)
+        rows = generate_table(table_id, pmax=6 if args.pmax is None else args.pmax, triples=triples)
     except ValueError as exc:
         raise ZhatError(str(exc)) from exc
     if args.format == "json":
@@ -336,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b1", type=int)
     p.add_argument("b2", type=int)
     p.add_argument("b3", type=int)
-    p.add_argument("--seifert", help="override Seifert data as b,a1,a2,a3")
     common(p)
     p.set_defaults(func=_cmd_brieskorn)
 
@@ -359,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="recompute a reference table")
     p.add_argument("table_id", choices=("d-family", "batch", "brieskorn-batch", "hom-cob-family"))
     p.add_argument("triples_file", nargs="?", help="batch input: one 'b1 b2 b3' per line")
-    p.add_argument("--pmax", type=int, default=6)
+    p.add_argument("--pmax", type=int, help="d-family: the largest p (default 6)")
     common(p, order_default=None, formats=("text", "json", "csv"))
     p.set_defaults(func=_cmd_table)
 

@@ -735,12 +735,12 @@ def compute_zhat(
     help.  This is the one-class case of :func:`compute_zhat_all`.
     """
     order = _checked_order(order)
+    if isinstance(spinc, bool) or not isinstance(spinc, (SpinCRep, int, Sequence)):
+        raise TypeError(f"a Spin^c class is a SpinCRep, an index or a vector, not the {type(spinc).__name__} {spinc!r}")
     setup = _GraphSetup(graph, allow_weakly)
     ctx = setup.ctx
     if isinstance(spinc, SpinCRep):
         rep = ctx.canonical(spinc.vector)
-    elif isinstance(spinc, bool):
-        raise TypeError("a Spin^c class is a SpinCRep, an index or a vector, not a bool")
     elif isinstance(spinc, int):
         rep = SpinCRep(ctx.vector_of_index(spinc), spinc)
     else:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -57,6 +58,23 @@ class TestSeifertData:
             solve_seifert_data(9, 2, 11)  # unordered
         with pytest.raises(InvalidTriple):
             solve_seifert_data(1, 2, 3)  # b1 must be >= 2
+
+    def test_normalized_data_is_unique(self):
+        # a brute-force search over 0 < a_i < b_i finds one solution of the
+        # defining equation per triple, so the triple alone fixes the data
+        triples = [
+            t for t in itertools.combinations(range(2, 21), 3)
+            if all(math.gcd(x, y) == 1 for x, y in itertools.combinations(t, 2))
+        ]
+        assert len(triples) == 297
+        for b1, b2, b3 in triples:
+            p = b1 * b2 * b3
+            solutions = []
+            for a1, a2, a3 in itertools.product(range(1, b1), range(1, b2), range(1, b3)):
+                b, r = divmod(-1 - (p // b1) * a1 - (p // b2) * a2 - (p // b3) * a3, p)
+                if r == 0:
+                    solutions.append((b, a1, a2, a3))
+            assert solutions == [solve_seifert_data(b1, b2, b3)]
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(st.integers(2, 40), st.integers(2, 60), st.integers(2, 80))
@@ -161,29 +179,18 @@ class TestXiDelta0:
         with pytest.raises(ExcludedTriple):
             brieskorn_data(2, 3, 5)
 
-    def test_seifert_override(self):
-        d = brieskorn_data(2, 9, 11, seifert_override=(-1, 1, 2, 3))
-        assert d.delta0 == Fraction(9, 2)
-        with pytest.raises(InvalidTriple):
-            brieskorn_data(2, 9, 11, seifert_override=(-1, 1, 2, 4))  # equation fails
-        with pytest.raises(InvalidTriple):
-            # valid equation but a2 > b2: no star plumbing with legs >= 2
-            brieskorn_data(2, 9, 11, seifert_override=(-2, 1, 11, 3))
-
     @pytest.mark.parametrize(
-        "override, message",
+        "triple, error, message",
         [
-            ((-1, 1.9, 1.2, 1.0), "entry 1.9 is not an integer"),  # truncates to the valid (-1, 1, 1, 1)
-            ((-1, 1, 1, Fraction(3, 2)), "entry Fraction(3, 2) is not an integer"),
-            (("-1", 1, 1, 1), "entry '-1' is not an integer"),
-            ((-1, 1, 1), "needs 4 entries (b, a1, a2, a3), got 3"),
-            ((-1, 1, 1, 1, 0), "needs 4 entries (b, a1, a2, a3), got 5"),
+            ((2, 3, 5), ExcludedTriple, "the closed form needs an extra term for (2, 3, 5)"),
+            ((3, 2, 5), InvalidTriple, "need 2 <= b1 < b2 < b3, got (3, 2, 5)"),
+            ((2, 4, 5), InvalidTriple, "2 and 4 are not coprime"),
+            ((1, 2, 3), InvalidTriple, "need 2 <= b1 < b2 < b3, got (1, 2, 3)"),
         ],
     )
-    def test_seifert_override_rejects_malformed_data(self, override, message):
-        with pytest.raises(InvalidTriple, match=re.escape(message)):
-            brieskorn_data(2, 3, 7, seifert_override=override)
-        assert brieskorn_data(2, 3, 7, seifert_override=(-1, True, 1, 1)).a == (1, 1, 1)
+    def test_rejected_triple_messages(self, triple, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            brieskorn_data(*triple)
 
 
 class TestZhat0:
@@ -192,6 +199,17 @@ class TestZhat0:
         assert res.delta == Fraction(9, 2)
         assert [(int(e), int(c)) for e, c in res.tail.terms] == [(0, 1), (7, -1), (9, -1), (20, 1)]
         assert res.eta_pow2 == 0
+
+    def test_data_of_another_triple_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("data is for the triple (2, 9, 11), not (2, 3, 7)")):
+            zhat0_brieskorn(2, 3, 7, 10, data=brieskorn_data(2, 9, 11))
+        data = brieskorn_data(2, 3, 7)
+        assert zhat0_brieskorn(2, 3, 7, 10, data=data) == zhat0_brieskorn(2, 3, 7, 10)
+
+    def test_negative_order_rejected(self):
+        # as compute_zhat: the tail of order -1 would lose its constant term 1
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            zhat0_brieskorn(2, 9, 11, -1)
 
     def test_sigma_2_13_15_prefix(self):
         res = zhat0_brieskorn(2, 13, 15, 210)

@@ -11,10 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import trees
-from zhat.brieskorn import brieskorn_data
 from zhat.cli import build_parser, main
 from zhat.compare import generate_table
-from zhat.errors import ZhatError
 from zhat.plumbing import format_plumb
 
 S3_FILE = "1\n-1\n"
@@ -47,14 +45,17 @@ class TestBrieskornCommand:
         assert code == 2
         assert "coprime" in capsys.readouterr().err
 
-    def test_seifert_override(self, capsys):
-        code, out = run(capsys, "brieskorn", "2", "9", "11", "--seifert=-1,1,2,3", "--order", "10")
+    def test_takes_the_triple_alone(self, capsys, monkeypatch):
+        # the triple fixes its normalized Seifert data, which the output prints
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as exc:
+            main(["brieskorn", "--help"])
+        assert exc.value.code == 0
+        usage = "usage: zhat brieskorn [-h] [--order ORDER] [--format {text,json}] b1 b2 b3\n"
+        assert capsys.readouterr().out.startswith(usage)
+        code, out = run(capsys, "brieskorn", "2", "9", "11", "--order", "10")
         assert code == 0
-        assert "delta0 = 9/2" in out
-
-    def test_bad_seifert_override(self, capsys):
-        code = main(["brieskorn", "2", "9", "11", "--seifert=-1,1,2,4"])
-        assert code == 2
+        assert "seifert data = (b = -1; a = 1, 2, 3)" in out
 
     def test_json_format(self, capsys):
         code, out = run(capsys, "brieskorn", "2", "9", "11", "--order", "30", "--format", "json")
@@ -233,9 +234,10 @@ ORDERS = ["0", "1/2", "3/2", "5", "-1", "abc", "1/0"]
 
 def fuzzed_argv(rng: random.Random, triples_path: str) -> tuple[list[str], str]:
     """Arguments for ``brieskorn``, ``check`` or ``table``, and the text of
-    the triples file that a ``table batch`` reads from ``triples_path``.  Exponents and Seifert
-    data lie in -3..40; most triples are valid, and a ``--seifert`` is
-    the triple's own data, other numbers, or malformed."""
+    the triples file that a ``table batch`` reads from ``triples_path``.
+    Exponents lie in -3..40 and most triples are valid; ``--pmax`` goes
+    mostly to ``d-family``, and sometimes to ``hom-cob-family``, which
+    rejects it."""
 
     def triple() -> list[str]:
         if rng.random() < 0.7:
@@ -248,24 +250,12 @@ def fuzzed_argv(rng: random.Random, triples_path: str) -> tuple[list[str], str]:
     if command == "check":
         return ["check", *triple(), *order, *fmt], ""
     if command == "brieskorn":
-        b = triple()
-        seifert = []
-        kind = rng.randrange(4)
-        if kind == 1:
-            try:
-                data = brieskorn_data(*map(int, b))
-                seifert = [",".join(map(str, (data.seifert_b, *data.a)))]
-            except ZhatError:
-                pass
-        elif kind == 2:
-            seifert = [",".join(str(rng.randint(-3, 40)) for _ in range(4))]
-        elif kind == 3:
-            seifert = [rng.choice(["", "abc", "1,2", "-1,1,2,3,4", "-1,1,2,3"])]
-        return ["brieskorn", *b, *order, *fmt, *(f"--seifert={x}" for x in seifert)], ""
+        return ["brieskorn", *triple(), *order, *fmt], ""
     fmt = rng.choice([fmt, ["--format", "csv"]])
     table = rng.choice(["d-family", "hom-cob-family", "batch", "brieskorn-batch"])
     if not table.endswith("batch"):
-        return ["table", table, "--pmax", str(rng.randint(-1, 7)), *fmt], ""
+        pmax = ["--pmax", str(rng.randint(-1, 7))] if table == "d-family" or rng.random() < 0.2 else []
+        return ["table", table, *pmax, *fmt], ""
     lines = [
         " ".join(triple()) if rng.random() < 0.7 else rng.choice(["# comment", "", "2 9", "2 9 11 13", "a b c"])
         for _ in range(rng.randint(0, 3))
@@ -353,6 +343,28 @@ class TestTableCommand:
         assert main(["table", "batch", str(f), "--format", "json"]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["hom-cob-family", "--pmax", "1"], "hom-cob-family takes no --pmax; only d-family does"),
+            (["batch", "--pmax", "6"], "brieskorn-batch takes no --pmax; only d-family does"),
+            (["d-family", "TRIPLES", "--pmax", "3"], "d-family reads no triples file; only the batch table does"),
+            (["hom-cob-family", "TRIPLES"], "hom-cob-family reads no triples file; only the batch table does"),
+        ],
+    )
+    def test_input_the_table_does_not_read_is_an_error(self, tmp_path, capsys, argv, message):
+        f = tmp_path / "triples.txt"
+        f.write_text("bad line\n")
+        assert main(["table", *(str(f) if x == "TRIPLES" else x for x in argv)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    def test_empty_triples_path_is_an_error(self, capsys):
+        # an empty path names no file; it does not fall back to the built-in batch
+        assert main(["table", "batch", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
     def test_hom_cob_family(self, capsys):
         code, out = run(capsys, "table", "hom-cob-family")

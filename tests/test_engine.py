@@ -208,9 +208,14 @@ class TestSpinC:
         assert compute_zhat(g, [True, True], 1) == compute_zhat(g, [1, 1], 1)
 
     def test_bool_class_rejected(self):
+        # neither a bool nor a number that is not an int is taken for an index or a vector
         g = PlumbingGraph((-2,), ())
-        for spinc in (True, False):
-            with pytest.raises(TypeError, match="bool"):
+        for spinc, name in [
+            (True, "bool True"), (False, "bool False"), (1.0, "float 1.0"), (None, "NoneType None"),
+            (Fraction(1), "Fraction Fraction(1, 1)"),
+        ]:
+            message = f"a Spin^c class is a SpinCRep, an index or a vector, not the {name}"
+            with pytest.raises(TypeError, match=re.escape(message)):
                 compute_zhat(g, spinc)
         with pytest.raises(TypeError, match="bool"):
             delta_a(g, True)
