@@ -176,9 +176,11 @@ def build_plumbing(d: BrieskornData) -> PlumbingGraph:
 
 def leg_determinants(g: PlumbingGraph, leg_fractions) -> tuple[int, int, int]:
     """h_i = |det(M - t_i)| for leg i's terminal vertex t_i: the diagonal
-    cofactor adj(M)[t_i][t_i], from one adjugate call on the terminals."""
+    cofactor adj(M)[t_i][t_i], read off the adjugate block of one rooted
+    traversal (:meth:`~zhat.plumbing.PlumbingGraph.support_adjugate`)."""
     terminals = list(itertools.accumulate(len(f) for f in leg_fractions))  # the center is vertex 0
-    return tuple(abs(row[t]) for row, t in zip(g.adjugate(terminals), terminals))
+    _, block = g.support_adjugate(terminals)
+    return tuple(abs(block[t][t]) for t in terminals)
 
 
 def compute_xi_delta0(

@@ -30,21 +30,23 @@ All classes of a graph share one walk.  The class-independent set-up
 (elimination, adjugate, Smith form, factored form, leaf assignments,
 vertex-factor tables) is built once, and each walked vector goes to its
 class by residues of the Smith form's U on the leaves and nodes, O(k)
-per vector.  The adjugate is read on those k columns only, and the
-Smith form runs only when |H_1| = |det M| > 1.  The quadratic bound
-starts at 4(order + 1) for every class.  A class still empty that the
-support never meets is zero: the class digits of every leaf assignment,
-closed under the node columns in H_1, are the classes it meets (for
-|H_1| <= 200,000, whatever the number of vertices).  The rest escalate
-together: with one degree >= 3 vertex up to a bound B* past which a
-class still empty is provably zero, with more for a fixed number of
-doublings.  Every later
-pass (each doubling and the last top-up to order above the leading
-term) walks only the new shell floor < q <= bound of the classes it
-still needs: the class is affine in the last walked coordinate, so that
-level steps straight through the values in those classes.  A result
-depends only on its class's series, so computing one class or all of
-them gives the same answer.
+per vector.  One rooted traversal of the tree gives the elimination and
+the adjugate on those k leaves and nodes alone, each entry a product over
+the nodes of a path, and the Smith form runs only when |H_1| = |det M| >
+1.  The quadratic bound starts at 4(order + 1), and with one degree >= 3
+vertex at least at the least S of the support plus the span, so a class
+whose leading term does not cancel is walked once.  A class still empty
+that the support never meets is zero: the class digits of every leaf
+assignment, closed under the node columns in H_1, are the classes it
+meets (for |H_1| <= 200,000, whatever the number of vertices).  The rest
+escalate together: with one degree >= 3 vertex up to a bound B* past
+which a class still empty is provably zero, with more for a fixed number
+of doublings.  Every later pass (each doubling and the last top-up to
+order above the leading term) walks only the new shell floor < q <=
+bound of the classes it still needs: the class is affine in the last
+walked coordinate, so that level steps straight through the values in
+those classes.  A result depends only on its class's series, so
+computing one class or all of them gives the same answer.
 
 Only the classes with terms hold anything after the walks.  A class gets
 its dict of terms at its first walked vector, and a zero class stores
@@ -64,13 +66,13 @@ from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from math import comb, floor, gcd, lcm
-from operator import add, index
+from operator import add
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import ConsistencyError, EmptySeries, NotNegativeDefinite, Record, SingularMatrix
 from .exact import _integer_rows, _ldl_ordered, _range_under_square, smith_normal_form
 from .exact import is_negative_definite  # noqa: F401  (bench/tracing.py wraps it here)
-from .plumbing import PlumbingGraph
+from .plumbing import PlumbingGraph, _integers
 from .qseries import QSeries, json_fraction, json_ints, json_value, reading_json
 
 _set = object.__setattr__
@@ -218,13 +220,13 @@ class _SupportForm:
 
     Only leaves (l_v = +-1), an isolated vertex (l_v in {-2, 0, 2}) and
     the degree >= 3 vertices ``high`` can carry l_v != 0, and
-    B = -sign(det M) * adj(M) is an integer matrix, read on those rows
-    ``adj[v]`` only.  The principal block B_hh on ``high`` is positive
-    definite for negative definite and weakly negative definite trees
-    alike; it is factored fraction-free once (trailing minors D_p and
-    their adjugates).  The finitely many assignments x of the other
-    coordinates are listed once, each with the integers the walk needs:
-    with y the coordinates on ``high``,
+    B = -sign(det M) * adj(M) is an integer matrix, read on those
+    vertices only (``adj[u][v]``).  The principal block B_hh on ``high``
+    is positive definite for negative definite and weakly negative
+    definite trees alike; it is factored fraction-free once (trailing
+    minors D_p and their adjugates).  The finitely many assignments x of
+    the other coordinates are listed once, each with the integers the
+    walk needs: with y the coordinates on ``high``,
 
         S = l^T B l = x^T B_xx x + 2 y^T B_hx x + y^T B_hh y,
 
@@ -408,20 +410,22 @@ class _SupportForm:
         n_star = max(max(es) - min(es), n_1) + 2 * m * b * self.period
         return -(-(n_star * n_star + max(es)) // b)
 
+    def least(self) -> int:
+        """One node: the least S over every support vector.  On each
+        assignment b S = (b y - V_x)^2 + E_x is least at the y = m (mod 2)
+        nearest V_x / b, or, when that lies in the gap |y| < m, at the
+        nearer end +-m."""
+        ((b, _, _, m, _),) = self.levels
+        least = []
+        for _, e, (v,), _ in self.assignments:
+            y = m + 2 * ((v + b - b * m) // (2 * b))
+            if abs(y) < m:
+                y = m if v > 0 else -m
+            least.append((e + (b * y - v) ** 2) // b)
+        return min(least)
+
 
 # -- Spin^c bookkeeping ----------------------------------------------------
-
-
-def _integers(values: Sequence, what: str) -> tuple[int, ...]:
-    """``values`` read through ``operator.index``: a float, a Fraction or a
-    string raises TypeError naming the entry, instead of being truncated."""
-    try:
-        return tuple(map(index, values))
-    except TypeError:
-        for x in values:
-            if not hasattr(type(x), "__index__"):
-                raise TypeError(f"{what} entry {x!r} is not an integer") from None
-        raise
 
 
 class _SpinCContext:
@@ -554,10 +558,11 @@ class _GraphSetup:
     def __init__(self, graph: PlumbingGraph, allow_weakly: bool):
         degrees = graph.degree_vector()
         high = graph.high_degree_vertices()
-        # The tree's linking matrix is eliminated in integers: its pivots
-        # give the inertia, and M^-1 = adj(M) / det M comes one tree walk
-        # per support column.  Only the Smith form reads the matrix.
-        elim = graph.elimination()
+        # One rooted traversal of the tree eliminates its linking matrix in
+        # integers: the pivots give the inertia, and one pass up gives
+        # M^-1 = adj(M) / det M on the support.  Only the Smith form reads
+        # the matrix.
+        elim, adj = graph.support_adjugate()
         if elim.det == 0:
             raise SingularMatrix("Spin^c classes need an invertible linking matrix")
         sigma, pi_count = elim.inertia()
@@ -565,8 +570,6 @@ class _GraphSetup:
             raise NotNegativeDefinite(
                 "linking matrix is not negative definite (pass allow_weakly=True for weakly negative definite input)"
             )
-        support = [v for v, d in enumerate(degrees) if d != 2]
-        adj = dict(zip(support, graph.adjugate(support)))
         self.ctx = _SpinCContext(graph.linking_rows() if abs(elim.det) > 1 else None, degrees)
         # e0 = (3 sigma - Tr M) / 4, kept on the scale of S = |det M| * q
         self.e0_scaled = (3 * sigma - sum(graph.weights)) * abs(elim.det)
@@ -633,24 +636,28 @@ class _GraphSetup:
         - one node: every coefficient cancels below the bound B*;
         - more nodes: "raise order", past _MAX_BOUND_DOUBLINGS doublings.
 
-        One walk to 4(order + 1) serves every class.  Classes still empty
-        that the support never meets are zero; the rest escalate together,
-        each pass walking only the new shell of the classes it still needs,
-        up to the bound B* of ``zero_bound`` on one node or
+        One walk to 4(order + 1) serves every class; with one node it goes
+        on to the least S of the whole support plus the span, which
+        completes every class whose leading term sits there.  Classes still
+        empty that the support never meets are zero; the rest escalate
+        together, each pass walking only the new shell of the classes it
+        still needs, up to the bound B* of ``zero_bound`` on one node or
         _MAX_BOUND_DOUBLINGS doublings on more, and a last shell tops every
         class up to 4 * order above its leading term.  Every q below a
         walked bound is complete, so each result depends only on its
-        class's series, not on which other classes share the walk.  Bounds
-        are kept on the scale of S = |det M| * q.  The escalation bounds
-        stay exact rationals (the last one decides "raise order"); a
-        class's terms are needed up to the integer min S + span, span =
-        floor(4 * order * |det M|), which selects the same S since every S
-        is an integer.
+        class's series, not on which other classes share the walk or how
+        far it went.  Bounds are kept on the scale of S = |det M| * q.  The
+        escalation bounds stay exact rationals (the last one decides "raise
+        order"); a class's terms are needed up to the integer min S + span,
+        span = floor(4 * order * |det M|), which selects the same S since
+        every S is an integer.
         """
         det = self.form.det
         span = floor(4 * order * det)
         terms: dict[int, dict] = defaultdict(dict)
         bound = 4 * (order + 1) * det
+        if len(self.high) == 1:
+            bound = max(bound, self.form.least() + span)
         self._walk(terms, want, bound)
         met = None
         if self.high:
@@ -662,7 +669,7 @@ class _GraphSetup:
             # the bound each class's terms must be complete to
             needed = {idx: min(acc) + span for idx, acc in terms.items()}
             # one node: the walk stops at B*, where a class still empty is zero
-            cap = self.form.zero_bound() if len(self.high) == 1 else None
+            cap = self.form.zero_bound() if pending and len(self.high) == 1 else None
             doublings = 0
             while pending and (bound < cap if cap is not None else doublings < _MAX_BOUND_DOUBLINGS):
                 doublings += 1

@@ -11,21 +11,38 @@ format uses 1-based indices:
 Lines starting with ``#`` are comments; encoding is UTF-8 with LF
 newlines.
 
-The linking matrix of a tree is eliminated in integers, leaf first
-(:meth:`PlumbingGraph.elimination`, which gives det M and the inertia,
-and :meth:`PlumbingGraph.adjugate`, which also gives selected columns
-alone); :meth:`PlumbingGraph.linking_matrix` gives the dense
-:class:`~zhat.exact.ExactMatrix`, which no computation here builds.
+Weights and edge endpoints are integers (read through
+``operator.index``).  The linking matrix of a tree is eliminated in
+integers, leaf first, in one rooted traversal:
+:meth:`PlumbingGraph.elimination` gives det M and the inertia, and
+:meth:`PlumbingGraph.support_adjugate` adds one pass up for adj(M) on
+the leaves and nodes.  :meth:`PlumbingGraph.linking_matrix` gives the
+dense :class:`~zhat.exact.ExactMatrix`, which no computation here builds.
 """
 
 from __future__ import annotations
 
+import math
+from itertools import accumulate
+from operator import index, mul
 from typing import Sequence
 
 from .errors import FormatError, NotATree, Record
 from .exact import ExactMatrix
 
 _set = object.__setattr__
+
+
+def _integers(values: Sequence, what: str) -> tuple[int, ...]:
+    """``values`` read through ``operator.index``: a float, a Fraction or a
+    string raises TypeError naming the entry, instead of being truncated."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        for x in values:
+            if not hasattr(type(x), "__index__"):
+                raise TypeError(f"{what} entry {x!r} is not an integer") from None
+        raise
 
 
 class TreeElimination(Record):
@@ -79,12 +96,14 @@ class PlumbingGraph(Record):
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, weights, edges):
+        weights = _integers(weights, "weight")
         _set(self, "weights", weights)
         s = len(weights)
         if s == 0:
             raise NotATree("graph needs at least one vertex")
+        edges = [(a, b) for a, b in edges]  # read once: it may be an iterator
         norm = []
-        for a, b in edges:
+        for a, b in zip(_integers([a for a, _ in edges], "edge"), _integers([b for _, b in edges], "edge")):
             if not (0 <= a < s and 0 <= b < s):
                 raise FormatError(f"edge ({a + 1}, {b + 1}) out of range")
             if a == b:
@@ -95,22 +114,9 @@ class PlumbingGraph(Record):
         if len(norm) != s - 1:
             raise NotATree(f"a tree on {s} vertices needs {s - 1} edges, got {len(norm)}")
         _set(self, "edges", tuple(sorted(norm)))
-        # connectivity (with s-1 edges and no repeats this also rules out cycles)
-        parent = list(range(s))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.edges:
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                raise NotATree("cycle detected")
-            parent[ra] = rb
-        if len({find(v) for v in range(s)}) != 1:
-            raise NotATree("graph is disconnected")
+        # s - 1 distinct edges leave a vertex unreached exactly when they close a cycle
+        if len(self._rooted(self._neighbours(), 0)[0]) != s:
+            raise NotATree("cycle detected")
 
     @property
     def vertex_count(self) -> int:
@@ -132,7 +138,7 @@ class PlumbingGraph(Record):
 
     def _rooted(self, nbrs, root: int) -> tuple[list[int], list[int]]:
         """Breadth-first order from ``root`` and the parent of each vertex
-        (-1 for the root)."""
+        (-1 for the root); NotATree when a cycle is met."""
         parent = [-1] * len(nbrs)
         order = [root]
         for v in order:
@@ -140,6 +146,8 @@ class PlumbingGraph(Record):
                 if c != parent[v]:
                     parent[c] = v
                     order.append(c)
+            if len(order) > len(nbrs):
+                raise NotATree("cycle detected")
         return order, parent
 
     def _eliminate(self, order, parent) -> tuple[list[int], list[int]]:
@@ -162,42 +170,71 @@ class PlumbingGraph(Record):
         sub, stripped = self._eliminate(*self._rooted(self._neighbours(), 0))
         return TreeElimination(tuple(sub), tuple(stripped))
 
-    def adjugate(self, columns: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
-        """adj(M) = det(M) * M^-1 in integers, one O(s) tree solve per column.
+    def support_adjugate(self, vertices: Sequence[int] | None = None) -> tuple[TreeElimination, dict]:
+        """The elimination, and adj(M) = det(M) * M^-1 as ``block[u][v]`` for
+        u, v in ``vertices`` (by default the support: every vertex of degree
+        != 2), from one traversal of the tree rooted at 0.
 
-        For a tree with 1 on every edge, adj(M)[u][v] = (-1)^k det(M - P)
-        where P is the path of k edges from v to u.  With the tree rooted
-        at v, M - P splits into the subtrees of the path's vertices that
-        hang off the path, so one elimination rooted at v and one pass
-        down from v give column v.
-
-        ``columns`` lists the columns wanted, in the order returned (all
-        of them by default); k columns cost O(k * s).  adj(M) is
-        symmetric, so column v is also row v.
+        adj(M)[u][v] is (-1)^k times the product of det C over the
+        components C hanging off the path of k edges from u to v.  The pass
+        down gives det T_c below each c; the pass up gives det(T - T_c)
+        above it by the (product, sum) pairs of ``_eliminate``, so no
+        determinant is divided and zero ones stay exact.  Nothing hangs off
+        a degree-2 vertex inside the path, so an entry is a product over
+        its stops alone: the support, ``vertices`` and the root.  Raises
+        ValueError for a vertex out of range.
         """
-        nbrs = self._neighbours()
-        s = self.vertex_count
-        rows = []
-        for v in range(s) if columns is None else columns:
-            order, parent = self._rooted(nbrs, v)
-            sub, _ = self._eliminate(order, parent)
-            col = [0] * s
-            # (-1)^k times the subtrees hanging off the path from v to u, above u
-            above = [0] * s
-            above[v] = 1
-            for u in order:
-                kids = [c for c in nbrs[u] if c != parent[u]]
-                prefix = above[u]
-                for c in kids:
-                    above[c] = -prefix
-                    prefix *= sub[c]
-                col[u] = prefix
-                suffix = 1
-                for c in reversed(kids):
-                    above[c] *= suffix
-                    suffix *= sub[c]
-            rows.append(tuple(col))
-        return tuple(rows)
+        s, nbrs = self.vertex_count, self._neighbours()
+        support = [v for v in range(s) if len(nbrs[v]) != 2]
+        want = set(support if vertices is None else map(index, vertices))
+        for v in want:
+            if not 0 <= v < s:
+                raise ValueError(f"vertex {v} is out of range for a tree on {s} vertices")
+        order, parent = self._rooted(nbrs, 0)
+        sub, stripped = self._eliminate(order, parent)
+        # Down from the root, stop p carries the (product, sum) pair of the
+        # tree above it.  links[x]: per neighbour n of x, (n, det of the
+        # component through n, the stop y that the chain from n reaches,
+        # y's neighbour on it, its edges).
+        stops = want.union(support, [0])
+        links = {x: [] for x in stops}
+        todo = [(0, 1, 0)]
+        for p, prod, acc in todo:
+            kids = [c for c in nbrs[p] if c != parent[p]]
+            tails = [(1, 0)]  # tails[j]: the pair of the last j kids
+            for c in reversed(kids[1:]):
+                tail_prod, tail_acc = tails[-1]
+                tails.append((sub[c] * tail_prod, stripped[c] * tail_prod + sub[c] * tail_acc))
+            for c, (tail_prod, tail_acc) in zip(kids, reversed(tails)):
+                # det(T - T_c - p) and det(T - T_c), then down the chain from c
+                off = prod * tail_prod
+                up = self.weights[p] * off - acc * tail_prod - prod * tail_acc
+                last, y, k = p, c, 1
+                while y not in stops:  # y has degree 2: on to its child
+                    last, y, k = y, nbrs[y][nbrs[y][0] == last], k + 1
+                    off, up = up, self.weights[last] * up - off
+                links[p].append((c, sub[c], y, last, k))
+                links[y].append((last, up, p, c, k))
+                todo.append((y, up, off))
+                prod, acc = prod * sub[c], acc * sub[c] + prod * stripped[c]
+        block = {}
+        for u in want:
+            row = block[u] = {}
+            # (stop, its neighbour towards u, (-1)^k times the components off the path so far)
+            todo = [(u, -1, 1)]
+            for x, entry, acc in todo:
+                out = [link for link in links[x] if link[0] != entry]
+                if x in want:
+                    row[x] = acc * math.prod([link[1] for link in out])
+                if len(out) == 1:  # the one way on leaves no other component
+                    _, _, y, last, k = out[0]
+                    todo.append((y, last, -acc if k % 2 else acc))
+                elif out:  # each way on times the other components
+                    before = list(accumulate((link[1] for link in out), mul, initial=1))
+                    for (_, det_c, y, last, k), head in zip(reversed(out), reversed(before[:-1])):
+                        todo.append((y, last, -head * acc if k % 2 else head * acc))
+                        acc *= det_c
+        return TreeElimination(tuple(sub), tuple(stripped)), block
 
     def linking_rows(self) -> list[list[int]]:
         """The linking matrix as int rows: weights on the diagonal, 1 for every edge."""

@@ -182,3 +182,52 @@ def classes_missing_support(ctx, windows, high, reps) -> set[int]:
                     reached.add(nxt)
                     frontier.append(nxt)
     return {rep.class_index for rep in reps if image(rep.vector) not in reached}
+
+
+def adjugate(graph, columns: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
+    """adj(M) = det(M) * M^-1 of a plumbing tree in integers, one O(s)
+    tree solve per column, as rows in the order of ``columns`` (all of
+    them by default); adj(M) is symmetric, so column v is also row v.
+
+    For a tree with 1 on every edge, adj(M)[u][v] = (-1)^k det(M - P)
+    where P is the path of k edges from v to u.  With the tree rerooted
+    at v, M - P splits into the subtrees of the path's vertices that hang
+    off the path, so one elimination rooted at v and one pass down from v
+    give column v.  Raises ValueError for a vertex out of range.
+    """
+    s = graph.vertex_count
+    nbrs = [[] for _ in range(s)]
+    for a, b in graph.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    rows = []
+    for v in range(s) if columns is None else columns:
+        if not 0 <= v < s:
+            raise ValueError(f"vertex {v} is out of range for a tree on {s} vertices")
+        parent, order = [-1] * s, [v]
+        for x in order:
+            for c in nbrs[x]:
+                if c != parent[x]:
+                    parent[c] = x
+                    order.append(c)
+        # det of the subtree below each vertex, leaf first
+        sub = [0] * s
+        for x in reversed(order):
+            kids = [c for c in nbrs[x] if c != parent[x]]
+            prod = math.prod(sub[c] for c in kids)
+            # det T_x = w_x prod_c det T_c - sum_c det(T_c - c) prod_{c' != c} det T_c'
+            rest = sum(
+                math.prod(sub[d] for d in kids if d != c) * math.prod(sub[e] for e in nbrs[c] if e != x) for c in kids
+            )
+            sub[x] = graph.weights[x] * prod - rest
+        col = [0] * s
+        # (-1)^k times the subtrees hanging off the path from v to u, above u
+        above = [0] * s
+        above[v] = 1
+        for u in order:
+            kids = [c for c in nbrs[u] if c != parent[u]]
+            col[u] = above[u] * math.prod(sub[c] for c in kids)
+            for c in kids:
+                above[c] = -above[u] * math.prod(sub[d] for d in kids if d != c)
+        rows.append(tuple(col))
+    return tuple(rows)

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import trees
-from oracles import classes_missing_support, enumerate_coset_under_bound
+from oracles import adjugate, classes_missing_support, enumerate_coset_under_bound
 from zhat.brieskorn import brieskorn_data, build_plumbing, zhat0_brieskorn
 from zhat.engine import (
     SpinCRep,
@@ -330,7 +330,7 @@ class TestCrossOracle:
         high = g.high_degree_vertices()
         det = abs(int(m.determinant()))
         bound = Fraction(60)
-        form = _SupportForm(g.adjugate(), int(m.determinant()), high, windows, [])
+        form = _SupportForm(adjugate(g), int(m.determinant()), high, windows, [])
         walked = {l: s for _, l, s in support_vectors(form, m.size, int(bound * det))}
         for l, s in walked.items():
             assert s == -det * sum(minv.rows[i][j] * l[i] * l[j] for i in range(m.size) for j in range(m.size))
@@ -381,7 +381,7 @@ class TestOrientationAndErrors:
         elim = g.elimination()
         assert not elim.is_negative_definite
         assert g.high_degree_vertices() == (1,) and elim.det == 11
-        (column,) = g.adjugate([1])
+        (column,) = adjugate(g, [1])
         assert is_negative_definite(ExactMatrix([[Fraction(column[1], elim.det)]]))
         res = compute_zhat(g, 1, order=12, allow_weakly=True)
         assert res.delta == Fraction(-4, 11)
@@ -679,6 +679,59 @@ class TestZeroCertificate:
     def test_weakly(self, g, order):
         assume(not g.elimination().is_negative_definite)
         self.check(g, order, allow_weakly=True)
+
+
+class TestOneNodeSchedule:
+    """One node: the first walk reaches the least S over every support
+    vector plus the span, and B* is made only for a class still empty."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            one_node_trees(st.integers(-8, -1), st.integers(-3, -1)),
+            one_node_trees(st.integers(-6, -1), st.sampled_from([-2, -1, 1, 2])),
+        )
+    )
+    def test_least_is_the_least_exponent_of_the_walk(self, g):
+        assume(0 < abs(g.elimination().det) <= 60)
+        try:
+            form = _GraphSetup(g, True).form
+        except NotNegativeDefinite:
+            assume(False)
+        least = form.least()
+        assert list(form.walk(least - 1)) == []
+        assert min(s for _, _, _, s in form.walk(least)) == least
+
+    def test_sphere_class_is_walked_once(self, monkeypatch):
+        # the class has no cancellation at its least S; the schedule from
+        # 4(order + 1) walked 84, 172, 348 and 700
+        bounds = []
+        walk = _SupportForm.walk
+
+        def recorded(form, bound, lower=None, want=None):
+            bounds.append((bound, lower))
+            return walk(form, bound, lower, want)
+
+        monkeypatch.setattr(_SupportForm, "walk", recorded)
+        res = compute_zhat(build_plumbing(brieskorn_data(3, 10, 59)), 0, 20)
+        assert len(bounds) == 1 and bounds[0][1] is None
+        assert (res.delta, res.tail) == (lambda z: (z.delta, z.tail))(zhat0_brieskorn(3, 10, 59, 20))
+
+    def test_zero_bound_only_for_a_class_still_empty(self, monkeypatch):
+        calls = []
+        zero_bound = _SupportForm.zero_bound
+
+        def counted(form):
+            calls.append(form)
+            return zero_bound(form)
+
+        monkeypatch.setattr(_SupportForm, "zero_bound", counted)
+        for triple in [(2, 3, 7), (3, 10, 59)]:
+            compute_zhat(build_plumbing(brieskorn_data(*triple)), 0, 20)
+        assert calls == []
+        # class 2 of the escalation star is empty until B*
+        compute_zhat_all(ESCALATION_STAR, 0)
+        assert len(calls) == 1
 
 
 class TestSupportProbe:

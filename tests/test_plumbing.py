@@ -1,4 +1,6 @@
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -98,3 +100,27 @@ class TestDegrees:
     def test_star(self):
         g = PlumbingGraph((-1, -2, -2, -2), ((0, 1), (0, 2), (0, 3)))
         assert g.degree_vector() == (3, 1, 1, 1)
+
+
+class TestIntegerInput:
+    @pytest.mark.parametrize(
+        "weights, edges, entry",
+        [
+            ((-2.0, -3), ((0, 1),), "-2.0"),
+            ((Fraction(-5, 2), -3), ((0, 1),), "Fraction(-5, 2)"),
+            (("-2", -3), ((0, 1),), "'-2'"),
+            ((-2, -3), ((0, 1.0),), "1.0"),
+            ((-2, -3), ((Fraction(0), 1),), "Fraction(0, 1)"),
+        ],
+    )
+    def test_non_integer_entry_rejected(self, weights, edges, entry):
+        # a float weight used to give the float det 5.0, a Fraction det 13/2
+        with pytest.raises(TypeError, match=f"^(weight|edge) entry {re.escape(entry)} is not an integer$"):
+            PlumbingGraph(weights, edges)
+
+    def test_integers_of_any_int_type_are_stored_as_a_tuple_of_ints(self):
+        # a list of weights used to make an unhashable record
+        g = PlumbingGraph([-2, -3], [[0, True]])
+        assert g == PlumbingGraph((-2, -3), ((0, 1),)) and hash(g) == hash(PlumbingGraph((-2, -3), ((0, 1),)))
+        assert g.weights == (-2, -3) and type(g.edges[0][1]) is int and g.elimination().det == 5
+        assert PlumbingGraph(iter([-2, -3]), ((a, b) for a, b in [(1, 0)])) == g

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import det_cofactor, trees
+from oracles import adjugate
 from zhat.brieskorn import brieskorn_data, build_plumbing
-from zhat.engine import _SpinCContext
+from zhat.engine import _GraphSetup, _SpinCContext
 from zhat.exact import ExactMatrix, is_negative_definite, smith_normal_form
 from zhat.plumbing import PlumbingGraph
 
@@ -66,7 +67,7 @@ class TestAgainstDenseOracles:
     @example(ZERO_PIVOT)
     def test_adjugate_matches_inverse(self, g):
         det = g.elimination().det
-        adj = ExactMatrix(g.adjugate())
+        adj = ExactMatrix(adjugate(g))
         m = g.linking_matrix()
         assert m.matmul(adj) == ExactMatrix.diagonal([det] * g.vertex_count)
         if det != 0:
@@ -77,7 +78,7 @@ class TestAgainstDenseOracles:
     def test_adjugate_diagonal_is_the_minor(self, g):
         # adj(M)[v][v] = det(M - v); for a leaf v, the tree without v
         rows = int_rows(g)
-        full = g.adjugate()
+        full = adjugate(g)
         for v in range(g.vertex_count):
             minor = [[x for j, x in enumerate(row) if j != v] for i, row in enumerate(rows) if i != v]
             assert full[v][v] == (det_cofactor(minor) if minor else 1)
@@ -87,12 +88,12 @@ class TestAgainstDenseOracles:
     @example(SINGULAR)
     @example(ZERO_PIVOT)
     def test_adjugate_columns_are_rows_of_the_full_adjugate(self, g):
-        full = g.adjugate()
+        full = adjugate(g)
         s = g.vertex_count
         mixed = sorted(range(s), key=lambda v: (g.weights[v], -v))  # unsorted in general
         lists = [[], list(range(s)), list(range(s))[::-1], mixed, mixed[::2], [s - 1, 0, s - 1]]
         for columns in lists + [[v] for v in range(s)]:
-            assert g.adjugate(columns) == tuple(full[v] for v in columns)
+            assert adjugate(g, columns) == tuple(full[v] for v in columns)
 
     @PROPERTY
     @given(trees())
@@ -157,5 +158,68 @@ def test_wide_random_tree_inverse():
         weights[b] -= 1
     g = PlumbingGraph(tuple(weights), edges)
     det = g.elimination().det
-    inv = ExactMatrix([[Fraction(x, det) for x in row] for row in g.adjugate()])
+    inv = ExactMatrix([[Fraction(x, det) for x in row] for row in adjugate(g)])
     assert inv == g.linking_matrix().inverse()
+
+
+class TestSupportAdjugate:
+    """adj(M) on the support from one rooted traversal, against the
+    per-column rerooting oracle."""
+
+    def test_block_matches_the_oracle_on_random_trees(self):
+        rng = random.Random(41)
+        seen = {"single vertex": 0, "chain": 0, "zero subtree det": 0, "two or more nodes": 0}
+        for _ in range(2500):
+            n = rng.choice([1, 2, 3, rng.randint(4, 14)])
+            label = list(range(n))
+            rng.shuffle(label)
+            edges = tuple((label[rng.randrange(v)], label[v]) for v in range(1, n))
+            g = PlumbingGraph(tuple(rng.randint(-3, 3) for _ in range(n)), edges)
+            degrees = g.degree_vector()
+            support = [v for v, d in enumerate(degrees) if d != 2]
+            full = adjugate(g)
+            elim, block = g.support_adjugate()
+            assert elim == g.elimination()
+            assert block == {u: {v: full[u][v] for v in support} for u in support}
+            # any listed vertices, degree 2 ones too, repeated and unsorted
+            vertices = [rng.randrange(n) for _ in range(rng.randint(1, 4))]
+            assert g.support_adjugate(vertices)[1] == {u: {v: full[u][v] for v in vertices} for u in vertices}
+            seen["single vertex"] += n == 1
+            seen["chain"] += n > 2 and max(degrees) == 2
+            seen["zero subtree det"] += 0 in elim.subtree_dets
+            seen["two or more nodes"] += sum(d >= 3 for d in degrees) >= 2
+        assert min(seen.values()) >= 100, seen
+
+    def test_wide_star(self):
+        # twelve legs of three vertices: one node, 13 stops, chains between
+        weights, edges = [-13], []
+        for leg in range(12):
+            weights += [-2, -3 - leg % 3, -2]
+            edges += [(0, 3 * leg + 1), (3 * leg + 1, 3 * leg + 2), (3 * leg + 2, 3 * leg + 3)]
+        g = PlumbingGraph(tuple(weights), tuple(edges))
+        support = [0] + [3 * leg + 3 for leg in range(12)]
+        full = adjugate(g)
+        assert g.support_adjugate()[1] == {u: {v: full[u][v] for v in support} for u in support}
+
+    @pytest.mark.parametrize("vertex", [-1, 3, 5])
+    def test_vertex_out_of_range(self, vertex):
+        # on the path (-2, -2, -2), [-1] used to give ((0, 0, 0),) and [5] an IndexError
+        g = PlumbingGraph((-2, -2, -2), ((0, 1), (1, 2)))
+        message = f"^vertex {vertex} is out of range for a tree on 3 vertices$"
+        with pytest.raises(ValueError, match=message):
+            g.support_adjugate([0, vertex])
+        with pytest.raises(ValueError, match=message):
+            adjugate(g, [0, vertex])
+
+    def test_engine_set_up_roots_the_tree_once(self, monkeypatch):
+        star = PlumbingGraph((-2, -2, -3, -2, -5, -2), ((0, 1), (1, 2), (0, 3), (0, 4), (4, 5)))
+        calls = []
+        rooted = PlumbingGraph._rooted
+
+        def counted(self, nbrs, root):
+            calls.append(root)
+            return rooted(self, nbrs, root)
+
+        monkeypatch.setattr(PlumbingGraph, "_rooted", counted)
+        _GraphSetup(star, False)
+        assert calls == [0]  # per support column, the set-up rooted it 5 times
