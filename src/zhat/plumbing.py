@@ -101,9 +101,9 @@ class PlumbingGraph(Record):
         s = len(weights)
         if s == 0:
             raise NotATree("graph needs at least one vertex")
-        edges = [(a, b) for a, b in edges]  # read once: it may be an iterator
+        ends = iter(_integers([x for a, b in edges for x in (a, b)], "edge"))
         norm = []
-        for a, b in zip(_integers([a for a, _ in edges], "edge"), _integers([b for _, b in edges], "edge")):
+        for a, b in zip(ends, ends):  # the endpoints two by two
             if not (0 <= a < s and 0 <= b < s):
                 raise FormatError(f"edge ({a + 1}, {b + 1}) out of range")
             if a == b:
