@@ -703,8 +703,9 @@ class TestOneNodeSchedule:
         assert min(s for _, _, _, s in form.walk(least)) == least
 
     def test_sphere_class_is_walked_once(self, monkeypatch):
-        # the class has no cancellation at its least S; the schedule from
-        # 4(order + 1) walked 84, 172, 348 and 700
+        # the leading term sits at the least S and does not cancel, so the
+        # first walk completes the class; from 4(order + 1) = 84 alone the
+        # schedule needs four walks (84, 172, 348, 700)
         bounds = []
         walk = _SupportForm.walk
 

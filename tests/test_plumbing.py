@@ -114,12 +114,12 @@ class TestIntegerInput:
         ],
     )
     def test_non_integer_entry_rejected(self, weights, edges, entry):
-        # a float weight used to give the float det 5.0, a Fraction det 13/2
+        # no float, rational or string entry reaches the integer elimination
         with pytest.raises(TypeError, match=f"^(weight|edge) entry {re.escape(entry)} is not an integer$"):
             PlumbingGraph(weights, edges)
 
     def test_integers_of_any_int_type_are_stored_as_a_tuple_of_ints(self):
-        # a list of weights used to make an unhashable record
+        # lists and iterators are stored as tuples of ints, so the record stays hashable
         g = PlumbingGraph([-2, -3], [[0, True]])
         assert g == PlumbingGraph((-2, -3), ((0, 1),)) and hash(g) == hash(PlumbingGraph((-2, -3), ((0, 1),)))
         assert g.weights == (-2, -3) and type(g.edges[0][1]) is int and g.elimination().det == 5

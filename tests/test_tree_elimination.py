@@ -203,7 +203,7 @@ class TestSupportAdjugate:
 
     @pytest.mark.parametrize("vertex", [-1, 3, 5])
     def test_vertex_out_of_range(self, vertex):
-        # on the path (-2, -2, -2), [-1] used to give ((0, 0, 0),) and [5] an IndexError
+        # a negative index does not wrap around, and a large one names the vertex
         g = PlumbingGraph((-2, -2, -2), ((0, 1), (1, 2)))
         message = f"^vertex {vertex} is out of range for a tree on 3 vertices$"
         with pytest.raises(ValueError, match=message):
@@ -222,4 +222,4 @@ class TestSupportAdjugate:
 
         monkeypatch.setattr(PlumbingGraph, "_rooted", counted)
         _GraphSetup(star, False)
-        assert calls == [0]  # per support column, the set-up rooted it 5 times
+        assert calls == [0]  # not once more per support column
