@@ -179,7 +179,7 @@ def leg_determinants(g: PlumbingGraph, leg_fractions) -> tuple[int, int, int]:
     cofactor adj(M)[t_i][t_i], read off the adjugate block of one rooted
     traversal (:meth:`~zhat.plumbing.PlumbingGraph.support_adjugate`)."""
     terminals = list(itertools.accumulate(len(f) for f in leg_fractions))  # the center is vertex 0
-    _, block = g.support_adjugate(terminals)
+    _, block = g.support_adjugate()  # each terminal is a leaf, so in the support
     return tuple(abs(block[t][t]) for t in terminals)
 
 

@@ -170,10 +170,10 @@ class PlumbingGraph(Record):
         sub, stripped = self._eliminate(*self._rooted(self._neighbours(), 0))
         return TreeElimination(tuple(sub), tuple(stripped))
 
-    def support_adjugate(self, vertices: Sequence[int] | None = None) -> tuple[TreeElimination, dict]:
+    def support_adjugate(self) -> tuple[TreeElimination, dict]:
         """The elimination, and adj(M) = det(M) * M^-1 as ``block[u][v]`` for
-        u, v in ``vertices`` (by default the support: every vertex of degree
-        != 2), from one traversal of the tree rooted at 0.
+        u, v in the support (every vertex of degree != 2), from one
+        traversal of the tree rooted at 0.
 
         adj(M)[u][v] is (-1)^k times the product of det C over the
         components C hanging off the path of k edges from u to v.  The pass
@@ -181,22 +181,17 @@ class PlumbingGraph(Record):
         above it by the (product, sum) pairs of ``_eliminate``, so no
         determinant is divided and zero ones stay exact.  Nothing hangs off
         a degree-2 vertex inside the path, so an entry is a product over
-        its stops alone: the support, ``vertices`` and the root.  Raises
-        ValueError for a vertex out of range.
+        its stops alone: the support and the root.
         """
         s, nbrs = self.vertex_count, self._neighbours()
-        support = [v for v in range(s) if len(nbrs[v]) != 2]
-        want = set(support if vertices is None else map(index, vertices))
-        for v in want:
-            if not 0 <= v < s:
-                raise ValueError(f"vertex {v} is out of range for a tree on {s} vertices")
+        support = {v for v in range(s) if len(nbrs[v]) != 2}
         order, parent = self._rooted(nbrs, 0)
         sub, stripped = self._eliminate(order, parent)
         # Down from the root, stop p carries the (product, sum) pair of the
         # tree above it.  links[x]: per neighbour n of x, (n, det of the
         # component through n, the stop y that the chain from n reaches,
         # y's neighbour on it, its edges).
-        stops = want.union(support, [0])
+        stops = support | {0}
         links = {x: [] for x in stops}
         todo = [(0, 1, 0)]
         for p, prod, acc in todo:
@@ -218,18 +213,15 @@ class PlumbingGraph(Record):
                 todo.append((y, up, off))
                 prod, acc = prod * sub[c], acc * sub[c] + prod * stripped[c]
         block = {}
-        for u in want:
+        for u in support:
             row = block[u] = {}
             # (stop, its neighbour towards u, (-1)^k times the components off the path so far)
             todo = [(u, -1, 1)]
             for x, entry, acc in todo:
                 out = [link for link in links[x] if link[0] != entry]
-                if x in want:
+                if x in support:
                     row[x] = acc * math.prod([link[1] for link in out])
-                if len(out) == 1:  # the one way on leaves no other component
-                    _, _, y, last, k = out[0]
-                    todo.append((y, last, -acc if k % 2 else acc))
-                elif out:  # each way on times the other components
+                if out:  # each way on times the other components
                     before = list(accumulate((link[1] for link in out), mul, initial=1))
                     for (_, det_c, y, last, k), head in zip(reversed(out), reversed(before[:-1])):
                         todo.append((y, last, -head * acc if k % 2 else head * acc))

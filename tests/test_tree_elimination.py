@@ -181,9 +181,6 @@ class TestSupportAdjugate:
             elim, block = g.support_adjugate()
             assert elim == g.elimination()
             assert block == {u: {v: full[u][v] for v in support} for u in support}
-            # any listed vertices, degree 2 ones too, repeated and unsorted
-            vertices = [rng.randrange(n) for _ in range(rng.randint(1, 4))]
-            assert g.support_adjugate(vertices)[1] == {u: {v: full[u][v] for v in vertices} for u in vertices}
             seen["single vertex"] += n == 1
             seen["chain"] += n > 2 and max(degrees) == 2
             seen["zero subtree det"] += 0 in elim.subtree_dets
@@ -206,8 +203,6 @@ class TestSupportAdjugate:
         # a negative index does not wrap around, and a large one names the vertex
         g = PlumbingGraph((-2, -2, -2), ((0, 1), (1, 2)))
         message = f"^vertex {vertex} is out of range for a tree on 3 vertices$"
-        with pytest.raises(ValueError, match=message):
-            g.support_adjugate([0, vertex])
         with pytest.raises(ValueError, match=message):
             adjugate(g, [0, vertex])
 
