@@ -22,9 +22,7 @@ dense :class:`~zhat.exact.ExactMatrix`, which no computation here builds.
 
 from __future__ import annotations
 
-import math
-from itertools import accumulate
-from operator import index, mul
+from operator import index
 from typing import Sequence
 
 from .errors import FormatError, NotATree, Record
@@ -219,13 +217,15 @@ class PlumbingGraph(Record):
             todo = [(u, -1, 1)]
             for x, entry, acc in todo:
                 out = [link for link in links[x] if link[0] != entry]
+                tails = [acc]  # tails[j]: acc times the components of the last j ways on
+                for link in reversed(out[1:]):
+                    tails.append(tails[-1] * link[1])
+                head = 1  # the components of the ways on before this one
+                for (_, det_c, y, last, k), tail in zip(out, reversed(tails)):
+                    todo.append((y, last, -head * tail if k % 2 else head * tail))
+                    head *= det_c
                 if x in support:
-                    row[x] = acc * math.prod([link[1] for link in out])
-                if out:  # each way on times the other components
-                    before = list(accumulate((link[1] for link in out), mul, initial=1))
-                    for (_, det_c, y, last, k), head in zip(reversed(out), reversed(before[:-1])):
-                        todo.append((y, last, -head * acc if k % 2 else head * acc))
-                        acc *= det_c
+                    row[x] = acc * head
         return TreeElimination(tuple(sub), tuple(stripped)), block
 
     def linking_rows(self) -> list[list[int]]:
