@@ -176,11 +176,16 @@ def build_plumbing(d: BrieskornData) -> PlumbingGraph:
 
 def leg_determinants(g: PlumbingGraph, leg_fractions) -> tuple[int, int, int]:
     """h_i = |det(M - t_i)| for leg i's terminal vertex t_i: the diagonal
-    cofactor adj(M)[t_i][t_i], read off the adjugate block of one rooted
-    traversal (:meth:`~zhat.plumbing.PlumbingGraph.support_adjugate`)."""
+    cofactor adj(M)[t_i][t_i], read off the adjugate block on the support
+    (:meth:`~zhat.plumbing.PlumbingGraph.support_adjugate`)."""
     terminals = list(itertools.accumulate(len(f) for f in leg_fractions))  # the center is vertex 0
     _, block = g.support_adjugate()  # each terminal is a leaf, so in the support
     return tuple(abs(block[t][t]) for t in terminals)
+
+
+def _exclude_2_3_5(b1: int, b2: int, b3: int) -> None:
+    if (b1, b2, b3) == (2, 3, 5):
+        raise ExcludedTriple("the closed form needs an extra term for (2, 3, 5)")
 
 
 def compute_xi_delta0(
@@ -191,8 +196,7 @@ def compute_xi_delta0(
     """xi = (sum h_i - 3s - Tr(M) - b2*b3/b1 - b1*b3/b2 - b1*b2/b3)/4 and
     delta0 = xi + alpha1^2/(4p)."""
     b1, b2, b3 = b
-    if (b1, b2, b3) == (2, 3, 5):
-        raise ExcludedTriple("the closed form needs an extra term for (2, 3, 5)")
+    _exclude_2_3_5(b1, b2, b3)
     xi = (
         sum(h) - 3 * g.vertex_count - sum(g.weights)
         - Fraction(b2 * b3, b1) - Fraction(b1 * b3, b2) - Fraction(b1 * b2, b3)
@@ -238,11 +242,11 @@ def false_theta(p: int, a: int, order) -> QSeries:
 
     psi(n) is +1 on n = a mod 2p, -1 on n = -a mod 2p, 0 otherwise (so
     exactly 0 when both congruences hold, i.e. p | a).  Terms are kept
-    while n^2/4p <= order.
+    while n^2/4p <= order, which must be nonnegative.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
-    order = Fraction(order)
+    order = _checked_order(order)
     num, den = order.numerator, order.denominator
     kept = itertools.takewhile(lambda t: t[0] ** 2 * den <= 4 * p * num, _progressions(p, ((a, 1), (-a, -1))))
     return QSeries(tuple((Fraction(n * n, 4 * p), Fraction(c)) for n, c in kept), order)
@@ -280,6 +284,11 @@ def zhat0_brieskorn(b1: int, b2: int, b3: int, order, data: BrieskornData | None
 
 
 def tail_order_for_terms(b1: int, b2: int, b3: int, count: int) -> int:
-    """Smallest integer tail order that realizes ``count`` series terms: the count-th exponent."""
+    """Smallest integer tail order that realizes ``count`` series terms: the count-th exponent.
+    Raises what :func:`brieskorn_data` raises for the triple, and ValueError for a count below 1."""
+    validate_triple(b1, b2, b3)
+    _exclude_2_3_5(b1, b2, b3)
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     e, _ = next(itertools.islice(_tail_terms(b1 * b2 * b3, alphas(b1, b2, b3)), count - 1, None))
     return e

@@ -30,13 +30,14 @@ All classes of a graph share one walk.  The class-independent set-up
 (elimination, adjugate, Smith form, factored form, leaf assignments,
 vertex-factor tables) is built once, and each walked vector goes to its
 class by residues of the Smith form's U on the leaves and nodes, O(k)
-per vector.  One rooted traversal of the tree gives the elimination and
-the adjugate on those k leaves and nodes alone, each entry a product over
-the nodes of a path, and the Smith form runs only when |H_1| = |det M| >
-1.  The quadratic bound starts at 4(order + 1), and with one degree >= 3
-vertex at least at the least S of the support plus the span, so a class
-whose leading term does not cancel is walked once.  A class still empty
-that the support never meets is zero: the class digits of every leaf
+per vector.  The graph's one rooted traversal, made when it is built,
+gives the elimination; one pass up from it gives the adjugate on those k
+leaves and nodes alone, each entry a product over the nodes of a path,
+and the Smith form runs only when |H_1| = |det M| > 1.  The quadratic
+bound starts at 4(order + 1), and with one degree >= 3 vertex at least
+at the least S of the support plus the span, so a class whose leading
+term does not cancel is walked once.  A class still empty that the
+support never meets is zero: the class digits of every leaf
 assignment, closed under the node columns in H_1, are the classes it
 meets (for |H_1| <= 200,000, whatever the number of vertices).  The rest
 escalate together: with one degree >= 3 vertex up to a bound B* past
@@ -557,11 +558,10 @@ class _GraphSetup:
 
     def __init__(self, graph: PlumbingGraph, allow_weakly: bool):
         degrees = graph.degree_vector()
-        high = graph.high_degree_vertices()
-        # One rooted traversal of the tree eliminates its linking matrix in
-        # integers: the pivots give the inertia, and one pass up gives
-        # M^-1 = adj(M) / det M on the support.  Only the Smith form reads
-        # the matrix.
+        high = tuple(v for v, d in enumerate(degrees) if d >= 3)
+        # The pivots of the elimination made with the graph give the inertia,
+        # and one pass up gives M^-1 = adj(M) / det M on the support.  Only
+        # the Smith form reads the matrix.
         elim, adj = graph.support_adjugate()
         if elim.det == 0:
             raise SingularMatrix("Spin^c classes need an invertible linking matrix")

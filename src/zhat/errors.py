@@ -9,8 +9,9 @@ class Record:
 
     A subclass lists its new fields, in order, as ``__slots__`` and sets
     them in its own ``__init__`` through ``object.__setattr__``; its
-    ``_fields`` are its base's followed by these.  Equality holds only
-    between records of the same type; ``repr`` is
+    ``_fields`` are its base's followed by these, less the slots named
+    ``_...``: private state that ``__init__`` derives from the fields.
+    Equality holds only between records of the same type; ``repr`` is
     ``Name(field=value, ...)``; ``copy`` and ``pickle`` rebuild through
     ``__init__``, with the fields as positional arguments.
     """
@@ -21,7 +22,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+        cls._fields += tuple(name for name in cls.__dict__.get("__slots__", ()) if name[0] != "_")
         if len(cls._fields) > 1:  # attrgetter of one name gives the bare value
             cls._values = property(attrgetter(*cls._fields))
 

@@ -12,8 +12,8 @@ Lines starting with ``#`` are comments; encoding is UTF-8 with LF
 newlines.
 
 Weights and edge endpoints are integers (read through
-``operator.index``).  The linking matrix of a tree is eliminated in
-integers, leaf first, in one rooted traversal:
+``operator.index``).  Construction is the one traversal of a tree: rooted
+at vertex 0, it eliminates the linking matrix in integers, leaf first.
 :meth:`PlumbingGraph.elimination` gives det M and the inertia, and
 :meth:`PlumbingGraph.support_adjugate` adds one pass up for adj(M) on
 the leaves and nodes.  :meth:`PlumbingGraph.linking_matrix` gives the
@@ -87,9 +87,11 @@ class TreeElimination(Record):
 
 
 class PlumbingGraph(Record):
-    """Immutable weighted tree; validated at construction."""
+    """Immutable weighted tree, validated at construction, which is its one
+    traversal: the readers take the neighbour lists and the leaf-first
+    elimination it keeps in private slots."""
 
-    __slots__ = ("weights", "edges")
+    __slots__ = ("weights", "edges", "_nbrs", "_elimination")
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
@@ -100,55 +102,46 @@ class PlumbingGraph(Record):
         if s == 0:
             raise NotATree("graph needs at least one vertex")
         ends = iter(_integers([x for a, b in edges for x in (a, b)], "edge"))
-        norm = []
+        norm, nbrs = [], [[] for _ in weights]
         for a, b in zip(ends, ends):  # the endpoints two by two
             if not (0 <= a < s and 0 <= b < s):
                 raise FormatError(f"edge ({a + 1}, {b + 1}) out of range")
             if a == b:
                 raise NotATree("self-loop")
             norm.append((min(a, b), max(a, b)))
+            nbrs[a].append(b)
+            nbrs[b].append(a)
         if len(set(norm)) != len(norm):
             raise NotATree("repeated edge")
         if len(norm) != s - 1:
             raise NotATree(f"a tree on {s} vertices needs {s - 1} edges, got {len(norm)}")
         _set(self, "edges", tuple(sorted(norm)))
+        order, parent = self._rooted(nbrs)
         # s - 1 distinct edges leave a vertex unreached exactly when they close a cycle
-        if len(self._rooted(self._neighbours(), 0)[0]) != s:
+        if len(order) != s:
             raise NotATree("cycle detected")
+        _set(self, "_nbrs", nbrs)
+        _set(self, "_elimination", self._eliminate(order, parent))
 
     @property
     def vertex_count(self) -> int:
         return len(self.weights)
 
     def degree_vector(self) -> tuple[int, ...]:
-        deg = [0] * self.vertex_count
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return tuple(deg)
+        return tuple(map(len, self._nbrs))
 
-    def _neighbours(self) -> list[list[int]]:
-        nbrs: list[list[int]] = [[] for _ in self.weights]
-        for a, b in self.edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        return nbrs
-
-    def _rooted(self, nbrs, root: int) -> tuple[list[int], list[int]]:
-        """Breadth-first order from ``root`` and the parent of each vertex
-        (-1 for the root); NotATree when a cycle is met."""
+    def _rooted(self, nbrs) -> tuple[list[int], list[int]]:
+        """Breadth-first order from vertex 0, and the parents (-1 for the root and the vertices not reached)."""
         parent = [-1] * len(nbrs)
-        order = [root]
+        order = [0]
         for v in order:
             for c in nbrs[v]:
-                if c != parent[v]:
+                if c and parent[c] < 0:  # not reached yet
                     parent[c] = v
                     order.append(c)
-            if len(order) > len(nbrs):
-                raise NotATree("cycle detected")
         return order, parent
 
-    def _eliminate(self, order, parent) -> tuple[list[int], list[int]]:
+    def _eliminate(self, order, parent) -> TreeElimination:
         """One post-order pass: det T_v and det(T_v - v) for every v, from
         det T_v = w_v * prod_c det T_c - sum_c det(T_c - c) * prod_{c' != c} det T_c'."""
         s = self.vertex_count
@@ -161,17 +154,16 @@ class PlumbingGraph(Record):
             if p >= 0:
                 acc[p] = acc[p] * sub[v] + prod[v] * prod[p]
                 prod[p] *= sub[v]
-        return sub, prod
+        return TreeElimination(tuple(sub), tuple(prod))
 
     def elimination(self) -> TreeElimination:
-        """det M and the pivots of leaf-first elimination, in O(s)."""
-        sub, stripped = self._eliminate(*self._rooted(self._neighbours(), 0))
-        return TreeElimination(tuple(sub), tuple(stripped))
+        """det M and the pivots of leaf-first elimination, made at construction."""
+        return self._elimination
 
     def support_adjugate(self) -> tuple[TreeElimination, dict]:
         """The elimination, and adj(M) = det(M) * M^-1 as ``block[u][v]`` for
-        u, v in the support (every vertex of degree != 2), from one
-        traversal of the tree rooted at 0.
+        u, v in the support (every vertex of degree != 2), from the
+        traversal of the tree rooted at 0 that construction made.
 
         adj(M)[u][v] is (-1)^k times the product of det C over the
         components C hanging off the path of k edges from u to v.  The pass
@@ -181,19 +173,18 @@ class PlumbingGraph(Record):
         a degree-2 vertex inside the path, so an entry is a product over
         its stops alone: the support and the root.
         """
-        s, nbrs = self.vertex_count, self._neighbours()
-        support = {v for v in range(s) if len(nbrs[v]) != 2}
-        order, parent = self._rooted(nbrs, 0)
-        sub, stripped = self._eliminate(order, parent)
+        nbrs, elim = self._nbrs, self._elimination
+        sub, stripped = elim.subtree_dets, elim.stripped_dets
+        support = {v for v, n in enumerate(nbrs) if len(n) != 2}
         # Down from the root, stop p carries the (product, sum) pair of the
         # tree above it.  links[x]: per neighbour n of x, (n, det of the
         # component through n, the stop y that the chain from n reaches,
         # y's neighbour on it, its edges).
         stops = support | {0}
         links = {x: [] for x in stops}
-        todo = [(0, 1, 0)]
-        for p, prod, acc in todo:
-            kids = [c for c in nbrs[p] if c != parent[p]]
+        todo = [(0, -1, 1, 0)]  # (stop, its parent, the pair)
+        for p, parent, prod, acc in todo:
+            kids = [c for c in nbrs[p] if c != parent]
             tails = [(1, 0)]  # tails[j]: the pair of the last j kids
             for c in reversed(kids[1:]):
                 tail_prod, tail_acc = tails[-1]
@@ -208,7 +199,7 @@ class PlumbingGraph(Record):
                     off, up = up, self.weights[last] * up - off
                 links[p].append((c, sub[c], y, last, k))
                 links[y].append((last, up, p, c, k))
-                todo.append((y, up, off))
+                todo.append((y, last, up, off))
                 prod, acc = prod * sub[c], acc * sub[c] + prod * stripped[c]
         block = {}
         for u in support:
@@ -226,7 +217,7 @@ class PlumbingGraph(Record):
                     head *= det_c
                 if x in support:
                     row[x] = acc * head
-        return TreeElimination(tuple(sub), tuple(stripped)), block
+        return elim, block
 
     def linking_rows(self) -> list[list[int]]:
         """The linking matrix as int rows: weights on the diagonal, 1 for every edge."""
@@ -244,7 +235,7 @@ class PlumbingGraph(Record):
         return ExactMatrix(self.linking_rows())
 
     def high_degree_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v, d in enumerate(self.degree_vector()) if d >= 3)
+        return tuple(v for v, n in enumerate(self._nbrs) if len(n) >= 3)
 
 
 def parse_plumb(text: str) -> PlumbingGraph:
@@ -276,8 +267,6 @@ def parse_plumb(text: str) -> PlumbingGraph:
             a, b = int(toks[0]), int(toks[1])
         except ValueError as exc:
             raise FormatError(f"bad edge line {ln!r}") from exc
-        if not (1 <= a <= s and 1 <= b <= s):
-            raise FormatError(f"edge ({a}, {b}) out of range")
         edges.append((a - 1, b - 1))
     return PlumbingGraph(weights, tuple(edges))
 

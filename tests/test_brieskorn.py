@@ -284,9 +284,27 @@ class TestThetaProgressions:
         rng = random.Random(79)
         for _ in range(100):
             p = rng.randint(1, 60)
-            order = Fraction(rng.randint(-3, 400), rng.randint(1, 4))
+            order = Fraction(rng.randint(0, 400), rng.randint(1, 4))
             for a in (0, p * rng.randint(-4, 4)):
                 assert false_theta(p, a, order) == QSeries((), order), (p, a, order)
+
+    @pytest.mark.parametrize("order", [-5, Fraction(-1, 4)])
+    def test_false_theta_rejects_a_negative_order(self, order):
+        for a in (1, 3):  # a series with terms and one without
+            with pytest.raises(ValueError, match="^order must be nonnegative$"):
+                false_theta(3, a, order)
+
+    @pytest.mark.parametrize("triple", [(2, 4, 6), (3, 2, 7), (2, 3, 5), (1, 2, 3), (2, 4, 5)])
+    def test_tail_order_for_terms_rejects_what_brieskorn_data_rejects(self, triple):
+        with pytest.raises((InvalidTriple, ExcludedTriple)) as expected:
+            brieskorn_data(*triple)
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            tail_order_for_terms(*triple, 3)
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_tail_order_for_terms_needs_a_count_of_at_least_1(self, count):
+        with pytest.raises(ValueError, match=f"^count must be at least 1, got {count}$"):
+            tail_order_for_terms(2, 9, 11, count)
 
 
 class TestLegDeterminantOracle:

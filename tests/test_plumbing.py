@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -5,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import SIGMA_2_9_11_ROWS
-from zhat.errors import FormatError, NotATree
+from zhat.errors import FormatError, NotATree, Record
 from zhat.exact import ExactMatrix
 from zhat.plumbing import PlumbingGraph, format_plumb, parse_plumb
 
@@ -62,6 +64,43 @@ class TestParse:
         rng = random.Random(2)
         for g in [g_2_9_11] + [random_tree(rng, rng.randint(1, 10)) for _ in range(50)]:
             assert parse_plumb(format_plumb(g)) == g
+
+
+    @pytest.mark.parametrize("text, edge", [("2\n-1 -2\n1 5\n", "(1, 5)"), ("2\n-1 -2\n0 2\n", "(0, 2)")])
+    def test_edge_out_of_range_is_named_1_based(self, text, edge):
+        with pytest.raises(FormatError, match=f"^edge {re.escape(edge)} out of range$"):
+            parse_plumb(text)
+
+
+class Doubled(Record):
+    """A field and a private slot that ``__init__`` derives from it."""
+
+    __slots__ = ("value", "_double")
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_double", 2 * value)
+
+
+class TestPrivateSlots:
+    def test_a_private_slot_is_not_a_field(self):
+        a, b = Doubled(3), Doubled(3)
+        object.__setattr__(b, "_double", -1)  # same field, other private state
+        assert Doubled._fields == ("value",)
+        assert a == b and hash(a) == hash(b) and repr(b) == "Doubled(value=3)"
+        assert a != Doubled(4)
+        for rebuilt in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+            assert rebuilt == b and rebuilt._double == 6  # rebuilt by __init__, not copied
+
+    def test_copied_and_pickled_graphs_keep_their_traversal(self, g_2_9_11):
+        rng = random.Random(5)
+        for g in [g_2_9_11] + [random_tree(rng, rng.randint(1, 12)) for _ in range(20)]:
+            for other in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+                assert other == g and hash(other) == hash(g) and repr(other) == repr(g)
+                assert other.elimination() == g.elimination()
+                assert other.support_adjugate() == g.support_adjugate()
+                assert other.degree_vector() == g.degree_vector()
+                assert other.high_degree_vertices() == g.high_degree_vertices()
 
 
 class TestLinkingMatrix:

@@ -8,6 +8,7 @@ indefinite and singular linking matrices are covered too.
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +16,8 @@ from hypothesis import example, given, settings
 from conftest import det_cofactor, trees
 from oracles import adjugate
 from zhat.brieskorn import brieskorn_data, build_plumbing
-from zhat.engine import _GraphSetup, _SpinCContext
+from zhat.cli import main
+from zhat.engine import _SpinCContext
 from zhat.exact import ExactMatrix, is_negative_definite, smith_normal_form
 from zhat.plumbing import PlumbingGraph
 
@@ -32,6 +34,8 @@ ZERO_PIVOT = PlumbingGraph((1, 0), ((0, 1),))
 # det -1 with a zero pivot at vertex 5, two levels below the root: its
 # parent 3 takes -1/2 and drops out of the pivot of vertex 2
 ZERO_PIVOT_INSIDE = PlumbingGraph((-2, -1, -2, 0, -3, 0), ((0, 1), (0, 2), (0, 4), (2, 3), (3, 5)))
+
+DATA = Path(__file__).parent / "data"
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -206,15 +210,24 @@ class TestSupportAdjugate:
         with pytest.raises(ValueError, match=message):
             adjugate(g, [0, vertex])
 
-    def test_engine_set_up_roots_the_tree_once(self, monkeypatch):
-        star = PlumbingGraph((-2, -2, -3, -2, -5, -2), ((0, 1), (1, 2), (0, 3), (0, 4), (4, 5)))
+    def test_each_path_roots_and_eliminates_the_tree_once(self, monkeypatch, capsys):
+        # the construction of the graph is its one traversal: no reader,
+        # and no support column, roots or eliminates the tree again
         calls = []
-        rooted = PlumbingGraph._rooted
+        for name in ("_rooted", "_eliminate"):
 
-        def counted(self, nbrs, root):
-            calls.append(root)
-            return rooted(self, nbrs, root)
+            def counted(self, *args, name=name, method=getattr(PlumbingGraph, name)):
+                calls.append(name)
+                return method(self, *args)
 
-        monkeypatch.setattr(PlumbingGraph, "_rooted", counted)
-        _GraphSetup(star, False)
-        assert calls == [0]  # not once more per support column
+            monkeypatch.setattr(PlumbingGraph, name, counted)
+        star = str(DATA / "d4_star.plumb")
+        for run in (
+            lambda: main(["graph", star, "--spinc", "0", "--order", "2"]),
+            lambda: main(["graph", star, "--all", "--order", "2"]),
+            lambda: brieskorn_data(2, 9, 11),
+        ):
+            calls.clear()
+            run()
+            assert calls == ["_rooted", "_eliminate"]
+        assert "class 3" in capsys.readouterr().out
