@@ -10,9 +10,13 @@ are the negated continued-fraction coefficients of b_i/a_i, where
 
 From the tree one reads off h_i (cofactors of the legs' terminal
 vertices), the normalization exponent xi, the leading exponent delta0 =
-xi + alpha1^2/(4p), and the tail: a signed sum over n >= 0 in the eight
-residue progressions +-alpha_i mod 2p, with integer exponents
-(n^2 - alpha1^2)/4p, listed by the generator that :func:`false_theta` uses.
+xi + alpha1^2/(4p), both from one integer numerator over 4p, and the
+tail: a signed sum over n >= 0 in the eight residue progressions
++-alpha_i mod 2p, with integer exponents e = (n^2 - alpha1^2)/4p.  The
+tail is integer at the core: exactness is checked once per residue r
+(every n = r + 2pk has n^2 = r^2 mod 4p), n = r + 2pk steps e as
+e_r + k(r + pk), the series is cut at the integer part of the order, and
+the coefficients come from one shared table of Fractions.
 """
 
 from __future__ import annotations
@@ -133,9 +137,14 @@ def hj_continued_fraction(num: int, den: int) -> list[int]:
 
 
 def evaluate_hj(ks: list[int]) -> Fraction:
-    """Evaluate [k1, ..., ks] back to a fraction (round-trip check)."""
+    """Evaluate [k1, ..., ks] back to a fraction (round-trip check).
+    Raises InvalidFraction for an empty list, or one whose tail evaluates to 0."""
+    if not ks:
+        raise InvalidFraction(f"cannot evaluate the empty continued fraction {ks}")
     val = Fraction(ks[-1])
     for k in reversed(ks[:-1]):
+        if not val:
+            raise InvalidFraction(f"continued fraction {ks} divides by a zero tail")
         val = k - 1 / val
     return val
 
@@ -194,16 +203,14 @@ def compute_xi_delta0(
     g: PlumbingGraph,
 ) -> tuple[Fraction, Fraction]:
     """xi = (sum h_i - 3s - Tr(M) - b2*b3/b1 - b1*b3/b2 - b1*b2/b3)/4 and
-    delta0 = xi + alpha1^2/(4p)."""
+    delta0 = xi + alpha1^2/(4p), from one integer numerator over 4p
+    (p/b1 = b2*b3, and so on)."""
     b1, b2, b3 = b
     _exclude_2_3_5(b1, b2, b3)
-    xi = (
-        sum(h) - 3 * g.vertex_count - sum(g.weights)
-        - Fraction(b2 * b3, b1) - Fraction(b1 * b3, b2) - Fraction(b1 * b2, b3)
-    ) / 4
     p = b1 * b2 * b3
+    num = p * (sum(h) - 3 * g.vertex_count - sum(g.weights)) - (b2 * b3) ** 2 - (b1 * b3) ** 2 - (b1 * b2) ** 2
     a1 = alphas(b1, b2, b3)[0]
-    return xi, xi + Fraction(a1 * a1, 4 * p)
+    return Fraction(num, 4 * p), Fraction(num + a1 * a1, 4 * p)
 
 
 def brieskorn_data(b1: int, b2: int, b3: int) -> BrieskornData:
@@ -221,20 +228,18 @@ def brieskorn_data(b1: int, b2: int, b3: int) -> BrieskornData:
     )
 
 
-def _progressions(p: int, offsets: Sequence[tuple[int, int]]) -> Iterator[tuple[int, int]]:
-    """(n, c) for n >= 0 in increasing order, c != 0 the sum of the signs of
-    the (residue, sign) ``offsets`` with n = residue mod 2p.  Endless,
-    unless every c is 0: then it yields nothing."""
+# one Fraction per coefficient: the eight signs of the tail sum to at most 8 in size
+_COEFFICIENTS = {c: Fraction(c) for c in range(-8, 9)}
+
+
+def _residues(p: int, offsets: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """(r, c) in increasing r, 0 <= r < 2p, c != 0 the sum of the signs of
+    the (residue, sign) ``offsets`` with residue = r mod 2p."""
     twop = 2 * p
     coefficients = Counter()
     for residue, sign in offsets:
         coefficients[residue % twop] += sign
-    steps = sorted((r, c) for r, c in coefficients.items() if c)
-    if not steps:
-        return
-    for base in itertools.count(0, twop):
-        for r, c in steps:
-            yield base + r, c
+    return sorted((r, c) for r, c in coefficients.items() if c)
 
 
 def false_theta(p: int, a: int, order) -> QSeries:
@@ -247,21 +252,30 @@ def false_theta(p: int, a: int, order) -> QSeries:
     if p < 1:
         raise ValueError("p must be a positive integer")
     order = _checked_order(order)
-    num, den = order.numerator, order.denominator
-    kept = itertools.takewhile(lambda t: t[0] ** 2 * den <= 4 * p * num, _progressions(p, ((a, 1), (-a, -1))))
-    return QSeries(tuple((Fraction(n * n, 4 * p), Fraction(c)) for n, c in kept), order)
+    top = math.isqrt(4 * p * order.numerator // order.denominator)  # n^2 <= 4p * order iff n <= top
+    terms = sorted((n, c) for r, c in _residues(p, ((a, 1), (-a, -1))) for n in range(r, top + 1, 2 * p))
+    return QSeries(tuple((Fraction(n * n, 4 * p), _COEFFICIENTS[c]) for n, c in terms), order)
 
 
 def _tail_terms(p: int, al: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """(e, c) in increasing e: the tail exponents e = (n^2 - alpha1^2)/4p,
-    integers, and their coefficients, over the progressions +-alpha_i
-    mod 2p with the signs (+, -, -, +) of alpha_1..alpha_4."""
+    """(e, c) in increasing e, endless: the tail exponents e = (n^2 -
+    alpha1^2)/4p, integers, and their coefficients, over the progressions
+    +-alpha_i mod 2p with the signs (+, -, -, +) of alpha_1..alpha_4.
+
+    Each residue r is checked once: n = r + 2pk has n^2 = r^2 (mod 4p),
+    and its exponent is e_r + k(r + pk)."""
     offsets = [(s * a, s * sign) for a, sign in zip(al, (1, -1, -1, 1)) for s in (1, -1)]
-    for n, c in _progressions(p, offsets):
-        e, r = divmod(n * n - al[0] ** 2, 4 * p)
-        if r:
-            raise ConsistencyError(f"tail exponent ({n}^2 - {al[0]}^2)/{4 * p} is not an integer")
-        yield e, c
+    rows = []
+    for r, c in _residues(p, offsets):
+        e, rem = divmod(r * r - al[0] ** 2, 4 * p)
+        if rem:
+            raise ConsistencyError(f"tail exponent ({r}^2 - {al[0]}^2)/{4 * p} is not an integer")
+        rows.append((e, r, c))
+    if not rows:
+        return
+    for k in itertools.count():
+        for e, r, c in rows:
+            yield e + k * (r + p * k), c
 
 
 def zhat0_brieskorn(b1: int, b2: int, b3: int, order, data: BrieskornData | None = None) -> ZhatResult:
@@ -275,8 +289,13 @@ def zhat0_brieskorn(b1: int, b2: int, b3: int, order, data: BrieskornData | None
     d = data if data is not None else brieskorn_data(b1, b2, b3)
     if d.b != (b1, b2, b3):
         raise ValueError(f"data is for the triple {d.b}, not ({b1}, {b2}, {b3})")
-    kept = itertools.takewhile(lambda t: t[0] <= order, _tail_terms(d.p, d.alphas))
-    tail = QSeries(tuple((Fraction(e), Fraction(c)) for e, c in kept), order)
+    cut = order.numerator // order.denominator  # the exponents are integers
+    terms = []
+    for e, c in _tail_terms(d.p, d.alphas):
+        if e > cut:
+            break
+        terms.append((Fraction(e), _COEFFICIENTS[c]))
+    tail = QSeries(tuple(terms), order)
     # the star's degrees in build_plumbing_from_legs order: center, then each leg ending in a leaf
     degrees = (3,) + sum(((2,) * (len(f) - 1) + (1,) for f in d.leg_fractions), ())
     rep = SpinCRep(degrees, 0)  # unique class of a ZHS
@@ -285,9 +304,12 @@ def zhat0_brieskorn(b1: int, b2: int, b3: int, order, data: BrieskornData | None
 
 def tail_order_for_terms(b1: int, b2: int, b3: int, count: int) -> int:
     """Smallest integer tail order that realizes ``count`` series terms: the count-th exponent.
-    Raises what :func:`brieskorn_data` raises for the triple, and ValueError for a count below 1."""
+    Raises what :func:`brieskorn_data` raises for the triple, TypeError for a count that is
+    a bool or not an integer, and ValueError for a count below 1."""
     validate_triple(b1, b2, b3)
     _exclude_2_3_5(b1, b2, b3)
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise TypeError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     e, _ = next(itertools.islice(_tail_terms(b1 * b2 * b3, alphas(b1, b2, b3)), count - 1, None))

@@ -717,6 +717,10 @@ class _GraphSetup:
 
 
 def _checked_order(order) -> Fraction:
+    """``order`` as a nonnegative Fraction.  It must be exact: an int, a
+    Fraction or a string such as "5/2"; a bool or a float raises TypeError."""
+    if isinstance(order, (bool, float)):
+        raise TypeError(f"order must be an integer, a Fraction or a string such as '5/2', not {order!r}")
     order = Fraction(order)
     if order < 0:
         raise ValueError("order must be nonnegative")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zhat.brieskorn import (
+    BrieskornData,
     alphas,
     brieskorn_data,
     build_plumbing,
@@ -20,6 +21,7 @@ from zhat.brieskorn import (
     zhat0_brieskorn,
 )
 from zhat.compare import homology_sphere_delta_check
+from zhat.engine import compute_zhat
 from zhat.errors import ConsistencyError, ExcludedTriple, InvalidFraction, InvalidTriple
 from zhat.qseries import QSeries
 
@@ -111,6 +113,15 @@ class TestContinuedFraction:
         ks = hj_continued_fraction(num, den)
         assert all(k >= 2 for k in ks)
         assert evaluate_hj(ks) == Fraction(num, den)
+
+    def test_evaluate_empty_list_is_named(self):
+        with pytest.raises(InvalidFraction, match=re.escape("[]")):
+            evaluate_hj([])
+
+    def test_evaluate_zero_tail_is_named(self):
+        # [1, 1] evaluates to 1 - 1/1 = 0, so [1, 1, 1] would divide by it
+        with pytest.raises(InvalidFraction, match=re.escape("[1, 1, 1]")):
+            evaluate_hj([1, 1, 1])
 
 
 class TestAlphas:
@@ -305,6 +316,92 @@ class TestThetaProgressions:
     def test_tail_order_for_terms_needs_a_count_of_at_least_1(self, count):
         with pytest.raises(ValueError, match=f"^count must be at least 1, got {count}$"):
             tail_order_for_terms(2, 9, 11, count)
+
+    @pytest.mark.parametrize("count", [True, False, 2.0])
+    def test_tail_order_for_terms_needs_an_integer_count(self, count):
+        with pytest.raises(TypeError, match=f"^count must be an integer, got {count!r}$"):
+            tail_order_for_terms(2, 9, 11, count)
+
+    @pytest.mark.parametrize("order", [2.5, 3.0, True, False])
+    def test_inexact_orders_are_rejected(self, order):
+        # a float is not exact and a bool is not an order; each raises naming the value
+        message = re.escape(repr(order))
+        with pytest.raises(TypeError, match=message):
+            zhat0_brieskorn(2, 3, 7, order)
+        with pytest.raises(TypeError, match=message):
+            false_theta(3, 1, order)
+        with pytest.raises(TypeError, match=message):
+            compute_zhat(build_plumbing(brieskorn_data(2, 3, 7)), 0, order)
+
+    @pytest.mark.parametrize("order", [5, Fraction(5, 2), "5/2", "2.5"])
+    def test_exact_orders_are_taken(self, order):
+        assert zhat0_brieskorn(2, 3, 7, order).tail.order == Fraction(order)
+        assert false_theta(3, 1, order).order == Fraction(order)
+
+
+def theta_tail_oracle(data: BrieskornData, order) -> tuple:
+    """The tail from its definition, in Fractions: the coefficient of n >= 0
+    is the sum of the signs (+, -, -, +) of the alpha_i with n = +-alpha_i
+    mod 2p (the sign negated for -alpha_i), its exponent (n^2 - alpha1^2)/4p,
+    and n is kept while that exponent is <= order, compared as Fractions.
+    Only the n in the eight progressions are visited (the others have
+    coefficient 0): a scan of every n up to order p would take ~10^8 steps
+    over the triples below."""
+    p, al = data.p, data.alphas
+    order = Fraction(order)
+    coefficients: dict[int, int] = {}
+    for alpha, sign in zip(al, (1, -1, -1, 1)):
+        for s in (1, -1):
+            n = (s * alpha) % (2 * p)
+            while Fraction(n * n - al[0] ** 2, 4 * p) <= order:
+                coefficients[n] = coefficients.get(n, 0) + s * sign
+                n += 2 * p
+    return tuple(
+        (Fraction(n * n - al[0] ** 2, 4 * p), Fraction(c)) for n, c in sorted(coefficients.items()) if c
+    )
+
+
+def _replaced(data: BrieskornData, **fields) -> BrieskornData:
+    return BrieskornData(**{**{f: getattr(data, f) for f in BrieskornData.__slots__}, **fields})
+
+
+class TestIntegerKernel:
+    """The integer tail kernel (integer cut, one exactness check per
+    residue, exponents stepped as e_r + k(r + pk)) against the oracle,
+    on every coprime triple with b3 <= 40."""
+
+    TRIPLES = [
+        (b1, b2, b3)
+        for b3 in range(4, 41)
+        for b2 in range(3, b3)
+        for b1 in range(2, b2)
+        if math.gcd(b1, b2) == math.gcd(b1, b3) == math.gcd(b2, b3) == 1 and (b1, b2, b3) != (2, 3, 5)
+    ]
+
+    def test_every_triple_has_the_oracle_tail(self):
+        for triple in self.TRIPLES:
+            data = brieskorn_data(*triple)
+            # below order p every n is a residue (k = 0); order 8p steps to k = 2
+            for order in (0, Fraction(7, 2), 30, data.p, 8 * data.p):
+                tail = zhat0_brieskorn(*triple, order, data=data).tail
+                assert tail.terms == theta_tail_oracle(data, order), (triple, order)
+
+    def test_tail_order_for_terms_is_the_oracle_exponent(self):
+        for triple in self.TRIPLES:
+            data = brieskorn_data(*triple)
+            order = 1
+            while len(terms := theta_tail_oracle(data, order)) < 10:
+                order *= 2
+            assert [tail_order_for_terms(*triple, k) for k in range(1, 11)] == [e for e, _ in terms[:10]], triple
+
+    def test_data_off_by_one_raises(self):
+        for triple in self.TRIPLES:
+            data = brieskorn_data(*triple)
+            alpha1_off = _replaced(data, alphas=(data.alphas[0] + 1,) + data.alphas[1:])
+            for tampered in (alpha1_off, _replaced(data, p=data.p + 1)):
+                for order in (0, Fraction(7, 2), 30, data.p):
+                    with pytest.raises(ConsistencyError, match=r"^tail exponent \(\d+\^2 - \d+\^2\)/\d+ is not an integer$"):
+                        zhat0_brieskorn(*triple, order, data=tampered)
 
 
 class TestLegDeterminantOracle:
