@@ -28,7 +28,6 @@ from .engine import (
     compute_zhat_all,
     conjugate_spin_c,
     delta_a,
-    delta_orientation_reversal,
     spin_c_representatives,
     vertex_factor_coefficient,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "counterexample_report",
     "d_correction_family",
     "delta_a",
-    "delta_orientation_reversal",
     "false_theta",
     "format_plumb",
     "generate_table",

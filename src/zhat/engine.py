@@ -37,17 +37,18 @@ and the Smith form runs only when |H_1| = |det M| > 1.  The quadratic
 bound starts at 4(order + 1), and with one degree >= 3 vertex at least
 at the least S of the support plus the span, so a class whose leading
 term does not cancel is walked once.  A class still empty that the
-support never meets is zero: the class digits of every leaf
-assignment, closed under the node columns in H_1, are the classes it
-meets (for |H_1| <= 200,000, whatever the number of vertices).  The rest
-escalate together: with one degree >= 3 vertex up to a bound B* past
-which a class still empty is provably zero, with more for a fixed number
-of doublings.  Every later pass (each doubling and the last top-up to
-order above the leading term) walks only the new shell floor < q <=
-bound of the classes it still needs: the class is affine in the last
-walked coordinate, so that level steps straight through the values in
-those classes.  A result depends only on its class's series, so
-computing one class or all of them gives the same answer.
+support never meets is zero: the classes it meets are the cosets, one
+per leaf assignment, of the subgroup of H_1 the node columns span, so
+one reduction of the class's digits by a triangular basis of that
+subgroup decides it, for any |H_1|.  The rest escalate together: with
+one degree >= 3 vertex up to a bound B* past which a class still empty
+is provably zero, with more for a fixed number of doublings.  Every
+later pass (each doubling and the last top-up to order above the
+leading term) walks only the new shell floor < q <= bound of the
+classes it still needs: the class is affine in the last walked
+coordinate, so that level steps straight through the values in those
+classes.  A result depends only on its class's series, so computing one
+class or all of them gives the same answer.
 
 Only the classes with terms hold anything after the walks.  A class gets
 its dict of terms at its first walked vector, and a zero class stores
@@ -83,11 +84,6 @@ _set = object.__setattr__
 # order.  One-node graphs stop at their certified bound instead, and
 # graphs without a node list their finite support outright.
 _MAX_BOUND_DOUBLINGS = 20
-
-# Classes still empty after the first walk are checked against the
-# classes the support meets (``_SupportForm.classes_met``) when |H_1| is
-# at most this.
-_PROBE_CLASS_LIMIT = 200_000
 
 # The note of a zero class, one per rule that decides it, shared by every
 # class the rule decides.
@@ -378,25 +374,35 @@ class _SupportForm:
         for a, (_, m0, v0, res) in enumerate(assignments):
             yield from level(0, m0, res, v0, a)
 
-    def classes_met(self) -> set[int]:
-        """The classes of every l with the listed values off ``high`` and
-        any values of the right parity on it; the support meets no other
-        class.  Each assignment seeds its digits at y_h = m_h mod 2, and
-        adding 2 to y_h adds its column of U to the digits, so the rest
-        is their closure under those columns mod d."""
+    def coset_test(self) -> Callable[[int], bool]:
+        """Whether the support meets a class.  Each assignment seeds its
+        digits at y_h = m_h mod 2, and adding 2 to y_h adds its column of
+        U, so the support meets the seeds' cosets of the subgroup G the
+        node columns span mod d, and no other class.  G + (d_i e_i) gets
+        an upper-triangular basis, one Euclid pass per column and node;
+        reducing each digit in turn into [0, pivot) by its row gives the
+        canonical point of a coset, once per seed and once per class."""
         mods = [d for _, d, _ in self.classes]
+        basis = [[d * (i == j) for j in range(len(mods))] for i, d in enumerate(mods)]
+        for _, _, _, _, cols in self.levels:
+            g = list(cols)
+            for i in range(len(mods)):
+                while g[i]:
+                    q = g[i] // basis[i][i]
+                    g = [(x - q * y) % d for x, y, d in zip(g, basis[i], mods)]
+                    if g[i]:
+                        basis[i], g = g, basis[i]
+
+        def reduced(digits: list[int]) -> tuple[int, ...]:
+            for i, row in enumerate(basis):
+                q = digits[i] // row[i]
+                if q:
+                    digits = [x - q * y for x, y in zip(digits, row)]
+            return tuple(digits)
+
         odd = [sum(cols[i] for _, _, _, m, cols in self.levels if m % 2) for i in range(len(mods))]
-        steps = [[c % d for c, d in zip(cols, mods)] for _, _, _, _, cols in self.levels]
-        met = {tuple((r + o) // 2 % d for r, o, d in zip(res, odd, mods)) for _, _, _, res in self.assignments}
-        frontier = list(met)
-        while frontier:
-            base = frontier.pop()
-            for step in steps:
-                digits = tuple((b + c) % d for b, c, d in zip(base, step, mods))
-                if digits not in met:
-                    met.add(digits)
-                    frontier.append(digits)
-        return {sum(x * stride for x, (_, _, stride) in zip(digits, self.classes)) for digits in met}
+        seeds = {reduced([(r + o) // 2 % d for r, o, d in zip(res, odd, mods)]) for _, _, _, res in self.assignments}
+        return lambda idx: reduced([idx // stride % d for _, d, stride in self.classes]) in seeds
 
     def zero_bound(self) -> int:
         """One node: B* such that a class with no term at S <= B* is zero.
@@ -523,11 +529,6 @@ def conjugate_spin_c(rep: SpinCRep, m, delta_vec: Sequence[int]) -> SpinCRep:
     return ctx.canonical([-x for x in _integers(rep.vector, "Spin^c vector")])
 
 
-def delta_orientation_reversal(delta: Fraction) -> Fraction:
-    """Leading exponent of the orientation-reversed manifold."""
-    return -delta
-
-
 # -- the main computation --------------------------------------------------
 
 
@@ -632,18 +633,18 @@ class _GraphSetup:
         which a class of ``want`` without terms gets from its rule alone:
 
         - no node: the walk listed the whole finite support;
-        - not in ``classes_met``: the support never meets the class;
+        - failing ``coset_test``: the support never meets the class;
         - one node: every coefficient cancels below the bound B*;
         - more nodes: "raise order", past _MAX_BOUND_DOUBLINGS doublings.
 
         One walk to 4(order + 1) serves every class; with one node it goes
         on to the least S of the whole support plus the span, which
         completes every class whose leading term sits there.  Classes still
-        empty that the support never meets are zero; the rest escalate
-        together, each pass walking only the new shell of the classes it
-        still needs, up to the bound B* of ``zero_bound`` on one node or
-        _MAX_BOUND_DOUBLINGS doublings on more, and a last shell tops every
-        class up to 4 * order above its leading term.  Every q below a
+        empty that the support never meets are zero, for any |H_1|; the
+        rest escalate together, each pass walking only the new shell of the
+        classes it still needs, up to the bound B* of ``zero_bound`` on one
+        node or _MAX_BOUND_DOUBLINGS doublings on more, and a last shell
+        tops every class up to 4 * order above its leading term.  Every q below a
         walked bound is complete, so each result depends only on its
         class's series, not on which other classes share the walk or how
         far it went.  Bounds are kept on the scale of S = |det M| * q.  The
@@ -659,13 +660,13 @@ class _GraphSetup:
         if len(self.high) == 1:
             bound = max(bound, self.form.least() + span)
         self._walk(terms, want, bound)
-        met = None
+        pending = []
         if self.high:
-            pending = [idx for idx in (range(self.ctx.count) if want is None else want) if idx not in terms]
-            # before escalating, a class the support never meets is zero
-            if pending and self.ctx.count <= _PROBE_CLASS_LIMIT:
-                met = self.form.classes_met()
-                pending = [idx for idx in pending if idx in met]
+            classes = range(self.ctx.count) if want is None else want
+            if len(terms) < len(classes):
+                # before escalating, a class the support never meets is zero
+                meets = self.form.coset_test()
+                pending = [idx for idx in classes if idx not in terms and meets(idx)]
             # the bound each class's terms must be complete to
             needed = {idx: min(acc) + span for idx, acc in terms.items()}
             # one node: the walk stops at B*, where a class still empty is zero
@@ -686,9 +687,10 @@ class _GraphSetup:
             if top > reached:
                 self._walk(terms, [idx for idx, need in needed.items() if need > reached], top, reached)
         rule = _FINITE_SUPPORT if not self.high else _BELOW_ZERO_BOUND if len(self.high) == 1 else _RAISE_ORDER
+        escalated = set(pending)
 
         def verdict(idx: int) -> str:
-            return _NEVER_MET if met is not None and idx not in met else rule
+            return rule if not self.high or idx in escalated else _NEVER_MET
 
         return {idx: self._result(acc, order, span) for idx, acc in terms.items()}, verdict
 

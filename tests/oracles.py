@@ -11,7 +11,8 @@ recursion in turn by scanning a box point by point.
 ``classes_missing_support`` decides which classes the support of c_l
 never meets in the group prod Z/2d_i of all Smith rows, from the full
 rows of U on every listed leaf assignment; the engine decides the same
-from its walk's class digits (``_SupportForm.classes_met``).
+class by class, by a coset test on its walk's class digits
+(``_SupportForm.coset_test``).
 """
 
 from __future__ import annotations

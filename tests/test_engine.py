@@ -25,7 +25,6 @@ from zhat.engine import (
     compute_zhat_all,
     conjugate_spin_c,
     delta_a,
-    delta_orientation_reversal,
     spin_c_representatives,
     vertex_factor_coefficient,
 )
@@ -33,6 +32,8 @@ import zhat.engine
 from zhat.errors import EmptySeries, NotNegativeDefinite, SingularMatrix
 from zhat.exact import ExactMatrix, _range_under_square, is_negative_definite, smith_normal_form
 from zhat.plumbing import PlumbingGraph, parse_plumb
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def expansion_oracle(deg: int, kmax: int) -> dict[int, Fraction]:
@@ -352,11 +353,6 @@ class TestCrossOracle:
 
 
 class TestOrientationAndErrors:
-    def test_orientation_reversal(self):
-        assert delta_orientation_reversal(Fraction(9, 2)) == Fraction(-9, 2)
-        assert delta_orientation_reversal(Fraction(0)) == 0
-        assert delta_orientation_reversal(Fraction(-1, 2)) == Fraction(1, 2)
-
     def test_rejects_positive_definite(self):
         with pytest.raises(NotNegativeDefinite):
             compute_zhat(PlumbingGraph((1,), ()), 0)
@@ -736,13 +732,18 @@ class TestOneNodeSchedule:
 
 
 class TestSupportProbe:
-    """Classes the support never meets, from the walk's class digits,
-    against the oracle that closes the full rows of U in prod Z/2d_i."""
+    """Classes the support never meets, from the coset test on the walk's
+    class digits, against the oracle that closes the full rows of U in
+    prod Z/2d_i."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(trees(max_size=8, weights=st.integers(-4, 1)))
     # odd node degree, and node columns that do not span H_1
     @example(PlumbingGraph((-2, -3, -3, -3), ((0, 1), (0, 2), (0, 3))))
+    # two nodes
+    @example(parse_plumb((DATA / "two_node_probe.plumb").read_text()))
+    # two nodes and Smith digits 2 and 4, with the triangular basis (1 2; 0 4)
+    @example(PlumbingGraph((-2, -2, -3, -4, -5, -5, -1), ((0, 1), (0, 2), (1, 3), (1, 4), (4, 5), (0, 6))))
     def test_matches_the_oracle(self, g):
         assume(0 < abs(g.elimination().det) <= 60)
         try:
@@ -753,7 +754,17 @@ class TestSupportProbe:
         assert 2 ** g.vertex_count * ctx.count <= 200_000  # the oracle runs
         windows = [_support_window(d) for d in g.degree_vector()]
         expected = classes_missing_support(ctx, windows, setup.high, ctx.representatives())
-        assert set(range(ctx.count)) - setup.form.classes_met() == expected
+        meets = setup.form.coset_test()
+        assert {idx for idx in range(ctx.count) if not meets(idx)} == expected
+
+    def test_never_met_above_200000_classes(self):
+        # |H_1| = 619,300: a zero class is decided by its own coset test,
+        # which holds nothing of size |H_1|
+        star = PlumbingGraph((-3, -50, -60, -70), ((0, 1), (0, 2), (0, 3)))
+        for idx in (2, 3):
+            with pytest.raises(EmptySeries, match="support never meets the coset"):
+                compute_zhat(star, idx, 0)
+        assert compute_zhat(star, 619_299, 0).delta == Fraction(1430351253, 5630)
 
 
 class TestShellWalk:
@@ -831,9 +842,6 @@ class TestIntegerWalk:
                     if all(vertex_factor_coefficient(d, -x) for d, x in zip(degrees, l))
                     and (lower is None or exponent(l) > lower)
                 }
-
-
-DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestDeltaModOne:
