@@ -43,7 +43,7 @@ from .errors import (
     SingularMatrix,
     ZhatError,
 )
-from .exact import ExactMatrix, smith_normal_form
+from .exact import smith_normal_form
 from .plumbing import PlumbingGraph, format_plumb, parse_plumb
 from .qseries import QSeries
 
@@ -54,7 +54,6 @@ __all__ = [
     "ComparisonRow",
     "ConsistencyError",
     "EmptySeries",
-    "ExactMatrix",
     "ExcludedTriple",
     "FormatError",
     "InvalidFraction",

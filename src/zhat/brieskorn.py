@@ -15,8 +15,8 @@ tail: a signed sum over n >= 0 in the eight residue progressions
 +-alpha_i mod 2p, with integer exponents e = (n^2 - alpha1^2)/4p.  The
 tail is integer at the core: exactness is checked once per residue r
 (every n = r + 2pk has n^2 = r^2 mod 4p), n = r + 2pk steps e as
-e_r + k(r + pk), the series is cut at the integer part of the order, and
-the coefficients come from one shared table of Fractions.
+e_r + k(r + pk), and the series is cut at the integer part of the order.
+Its exponents and coefficients stay the ints the kernel computes.
 """
 
 from __future__ import annotations
@@ -228,10 +228,6 @@ def brieskorn_data(b1: int, b2: int, b3: int) -> BrieskornData:
     )
 
 
-# one Fraction per coefficient: the eight signs of the tail sum to at most 8 in size
-_COEFFICIENTS = {c: Fraction(c) for c in range(-8, 9)}
-
-
 def _residues(p: int, offsets: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     """(r, c) in increasing r, 0 <= r < 2p, c != 0 the sum of the signs of
     the (residue, sign) ``offsets`` with residue = r mod 2p."""
@@ -254,7 +250,7 @@ def false_theta(p: int, a: int, order) -> QSeries:
     order = _checked_order(order)
     top = math.isqrt(4 * p * order.numerator // order.denominator)  # n^2 <= 4p * order iff n <= top
     terms = sorted((n, c) for r, c in _residues(p, ((a, 1), (-a, -1))) for n in range(r, top + 1, 2 * p))
-    return QSeries(tuple((Fraction(n * n, 4 * p), _COEFFICIENTS[c]) for n, c in terms), order)
+    return QSeries(tuple((Fraction(n * n, 4 * p), c) for n, c in terms), order)
 
 
 def _tail_terms(p: int, al: Sequence[int]) -> Iterator[tuple[int, int]]:
@@ -291,10 +287,10 @@ def zhat0_brieskorn(b1: int, b2: int, b3: int, order, data: BrieskornData | None
         raise ValueError(f"data is for the triple {d.b}, not ({b1}, {b2}, {b3})")
     cut = order.numerator // order.denominator  # the exponents are integers
     terms = []
-    for e, c in _tail_terms(d.p, d.alphas):
-        if e > cut:
+    for term in _tail_terms(d.p, d.alphas):
+        if term[0] > cut:
             break
-        terms.append((Fraction(e), _COEFFICIENTS[c]))
+        terms.append(term)
     tail = QSeries(tuple(terms), order)
     # the star's degrees in build_plumbing_from_legs order: center, then each leg ending in a leaf
     degrees = (3,) + sum(((2,) * (len(f) - 1) + (1,) for f in d.leg_fractions), ())

@@ -36,13 +36,6 @@ SURGERY_SHARPNESS_DATUM = {
     "status": "external result (not recomputed)",
 }
 
-# Members of the two families below bound contractible 4-manifolds and
-# are therefore homology cobordant to S^3; external result.
-HOMOLOGY_COBORDANT_FAMILIES = (
-    "Sigma(p, p*q - 1, p*q + 1) for p even, q odd",
-    "Sigma(p, p*q + 1, p*q + 2) for p odd, any q",
-)
-
 # (triple, number of displayed series terms) for the reference tables.
 D_FAMILY_PREFIX_TERMS = {3: 4, 4: 6, 5: 5, 6: 5}
 
@@ -59,6 +52,8 @@ BATCH_TABLE_ROWS: tuple[tuple[tuple[int, int, int], int], ...] = (
     ((42, 43, 95), 6),
 )
 
+# All nine are Sigma(p, p*q - 1, p*q + 1) with p even and q odd: they bound
+# contractible 4-manifolds, so are homology cobordant to S^3; external result.
 HOM_COB_TABLE_ROWS: tuple[tuple[tuple[int, int, int], int], ...] = (
     ((2, 13, 15), 6),
     ((2, 21, 23), 4),
@@ -139,8 +134,7 @@ def _row(triple: tuple[int, int, int], prefix_terms: int, d_value: int | None) -
     b1, b2, b3 = triple
     data = brieskorn_data(b1, b2, b3)
     order = tail_order_for_terms(b1, b2, b3, prefix_terms)
-    tail = zhat0_brieskorn(b1, b2, b3, order, data=data).tail
-    prefix = tail.prefix(prefix_terms)
+    prefix = zhat0_brieskorn(b1, b2, b3, order, data=data).tail  # cut at its prefix_terms-th exponent
     if d_value is not None:
         check = check_mod1_relation(data.delta0, d_value)
     else:

@@ -21,7 +21,8 @@ quadratic bound.  The walk is integer throughout: it runs on the form
 B = |det M| * (-M^-1) = -sign(det M) * adj(M), factored fraction-free
 (trailing minors and their adjugates), so each level's range is one
 integer square root and each vector comes with the integer exponent
-S = l^T B l; a Fraction is made only once per output term.  Every
+S = l^T B l; the tail keeps its integer exponents, and a Fraction is
+made only where the result divides: delta, and c_l / 2^#high.  Every
 support vector lies in 2Z^s + delta, so sorting the walk by Spin^c
 class gives the same series as enumerating each full coset, since
 everything dropped has c_l = 0.
@@ -548,7 +549,7 @@ class _GraphSetup:
     """Everything one graph's series share across Spin^c classes: the
     tree elimination and inertia, the adjugate on the support, one Smith
     form (none when |H_1| = 1), one factored support form, e0, the sign,
-    the vertex-factor tables and the Fractions of the output terms.
+    the vertex-factor tables and the coefficient Fractions c / 2^#high.
 
     ``series`` computes any set of classes from shared walks of the
     support.  Each walked vector l goes to its class by the residues of U
@@ -599,8 +600,7 @@ class _GraphSetup:
                 c *= table[x]
             self.low_coefficients.append(c)
         self.tables = [_Memo(lambda k, deg=degrees[h]: _twice_vertex_factor(deg, -k)) for h in high]
-        # Fractions are immutable, so every class shares one per exponent and one per coefficient
-        self.exponents = _Memo(Fraction)
+        # Fractions are immutable, so every class shares one per coefficient
         scale = 2 ** len(high)
         self.coefficients = _Memo(lambda c: Fraction(c, scale))
 
@@ -697,14 +697,14 @@ class _GraphSetup:
     def _result(self, acc: dict, order: Fraction, span: int) -> tuple:
         """The fields of a class's ZhatResult after the representative:
         the tail read off the integer exponents S, 4|det M| apart in a
-        class, up to S = min S + span; delta = e0 + min S / (4|det M|) is
-        one Fraction, and the terms' Fractions are the shared ones.  The
-        coefficients are C / 2^#high with C the nonzero integers in
-        ``acc``, so eta = max(0, #high - v2(C)) over the terms, read off
-        the lowest set bit of their OR."""
+        class, up to S = min S + span, as the integer exponents (S - min
+        S) / (4|det M|); delta = e0 + min S / (4|det M|) is one Fraction.
+        The coefficients are the shared Fractions C / 2^#high with C the
+        nonzero integers in ``acc``, so eta = max(0, #high - v2(C)) over
+        the terms, read off the lowest set bit of their OR."""
         den, keys = 4 * self.form.det, sorted(acc)
         s0 = keys[0]
-        exponents, coefficients, sign = self.exponents, self.coefficients, self.sign
+        coefficients, sign = self.coefficients, self.sign
         terms = []
         bits = 0
         for s in keys[: bisect_right(keys, s0 + span)]:
@@ -713,7 +713,7 @@ class _GraphSetup:
                 raise ConsistencyError(f"exponents S = {s0} and {s} of one class differ by a non-multiple of {den}")
             c = acc[s]
             bits |= c
-            terms.append((exponents[e], coefficients[sign * c]))
+            terms.append((e, coefficients[sign * c]))
         eta = max(0, len(self.high) + 1 - (bits & -bits).bit_length())
         return Fraction(self.e0_scaled + s0, den), QSeries(tuple(terms), order), eta, self.sign, order
 

@@ -3,9 +3,11 @@
 A :class:`QSeries` is a finite list of (exponent, coefficient) pairs with
 strictly increasing exponents, plus a truncation order: every exponent
 up to and including the order is fully determined, so "coefficient is
-zero" and "not computed" stay distinguishable.  Values are immutable and
-all arithmetic is exact.  This is the generic series type; the theta
-sums of the closed form are built in :mod:`zhat.brieskorn`.
+zero" and "not computed" stay distinguishable.  Each number is an exact
+rational, an int or a Fraction: a kernel stores the int it computes, and
+makes a Fraction only where it divides.  Values are immutable and all
+arithmetic is exact.  This is the generic series type; the theta sums of
+the closed form are built in :mod:`zhat.brieskorn`.
 """
 
 from __future__ import annotations
@@ -50,11 +52,14 @@ def json_fraction(x) -> Fraction:
 
 
 class QSeries(Record):
-    """Sparse exact series sum_e c_e * q^e, truncated at ``order``."""
+    """Sparse exact series sum_e c_e * q^e, truncated at ``order``.  Each
+    number is an int or a Fraction: equal values compare and hash equal
+    (``hash(Fraction(7)) == hash(7)``) and print the same, so only the
+    ``repr`` shows which."""
 
     __slots__ = ("terms", "order")
-    terms: tuple[tuple[Fraction, Fraction], ...]
-    order: Fraction
+    terms: tuple[tuple[int | Fraction, int | Fraction], ...]
+    order: int | Fraction
 
     def __init__(self, terms, order):
         _set(self, "terms", terms)
@@ -76,14 +81,15 @@ class QSeries(Record):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, e) -> Fraction:
+    def coefficient(self, e) -> int | Fraction:
+        """The coefficient of q^e; 0 when no term has that exponent."""
         e = _fr(e)
         for exp, c in self.terms:
             if exp == e:
                 return c
-        return Fraction(0)
+        return 0
 
-    def exponents(self) -> tuple[Fraction, ...]:
+    def exponents(self) -> tuple[int | Fraction, ...]:
         return tuple(e for e, _ in self.terms)
 
     def prefix(self, count: int) -> "QSeries":
@@ -99,7 +105,7 @@ class QSeries(Record):
             return self
         return QSeries(tuple((e + r, c) for e, c in self.terms), self.order + r)
 
-    def leading_exponent_and_normalize(self) -> tuple[Fraction, "QSeries", int]:
+    def leading_exponent_and_normalize(self) -> tuple[int | Fraction, "QSeries", int]:
         """(delta, tail, eta) with self = q^delta * tail, tail(0) != 0.
 
         ``eta`` is the least e >= 0 with 2^e * (all coefficients) integral.
@@ -150,7 +156,7 @@ class QSeries(Record):
             return QSeries.from_terms(terms, json_fraction(obj["order"]))
 
 
-def _term_text(e: Fraction, c: Fraction) -> str:
+def _term_text(e: int | Fraction, c: int | Fraction) -> str:
     if e == 0:
         return str(c)
     if e == 1:

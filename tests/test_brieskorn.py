@@ -20,6 +20,7 @@ from zhat.brieskorn import (
     tail_order_for_terms,
     zhat0_brieskorn,
 )
+from zhat.checks import run_invariant_suite
 from zhat.compare import homology_sphere_delta_check
 from zhat.engine import compute_zhat
 from zhat.errors import ConsistencyError, ExcludedTriple, InvalidFraction, InvalidTriple
@@ -385,6 +386,8 @@ class TestIntegerKernel:
             for order in (0, Fraction(7, 2), 30, data.p, 8 * data.p):
                 tail = zhat0_brieskorn(*triple, order, data=data).tail
                 assert tail.terms == theta_tail_oracle(data, order), (triple, order)
+                # the kernel's ints, not Fractions of them
+                assert all(type(x) is int for term in tail.terms for x in term), (triple, order)
 
     def test_tail_order_for_terms_is_the_oracle_exponent(self):
         for triple in self.TRIPLES:
@@ -402,6 +405,12 @@ class TestIntegerKernel:
                 for order in (0, Fraction(7, 2), 30, data.p):
                     with pytest.raises(ConsistencyError, match=r"^tail exponent \(\d+\^2 - \d+\^2\)/\d+ is not an integer$"):
                         zhat0_brieskorn(*triple, order, data=tampered)
+
+
+@pytest.mark.parametrize("triple", [(2, 3, 7), (2, 9, 11), (3, 4, 5)])
+def test_invariant_suite_passes_its_engine_cross_check(triple):
+    results = {name: ok for name, ok, _ in run_invariant_suite(*triple, order=30)}
+    assert results["engine-cross-check"] and all(results.values())
 
 
 class TestLegDeterminantOracle:

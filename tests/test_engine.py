@@ -467,8 +467,10 @@ class TestDeterminism:
         assert json.dumps(a.to_json_obj()) == json.dumps(b.to_json_obj())
 
     def test_result_round_trip(self, g_2_9_11):
-        res = compute_zhat(g_2_9_11, 0, order=40)
-        assert ZhatResult.from_json_obj(json.loads(json.dumps(res.to_json_obj()))) == res
+        # int terms are read back as the equal Fractions: equal records, equal hashes
+        for res in (compute_zhat(g_2_9_11, 0, order=40), zhat0_brieskorn(2, 9, 11, 40)):
+            back = ZhatResult.from_json_obj(json.loads(json.dumps(res.to_json_obj())))
+            assert back == res and hash(back) == hash(res)
 
 
 # The pair whose zero class the first walk does not settle: the star is
@@ -880,6 +882,14 @@ class TestDeltaModOne:
     @pytest.mark.parametrize("path", sorted(DATA.glob("*.plumb")), ids=lambda p: p.stem)
     def test_data_files(self, path):
         self.check(parse_plumb(path.read_text()), True)
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.plumb")), ids=lambda p: p.stem)
+def test_tail_exponents_are_ints(path):
+    # the coefficients stay the shared Fractions c / 2^#high
+    for _, r in compute_zhat_all(parse_plumb(path.read_text()), 2, allow_weakly=True):
+        if not isinstance(r, EmptySeries):
+            assert all(type(e) is int and type(c) is Fraction for e, c in r.tail.terms), r
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3, 7])

@@ -170,6 +170,7 @@ class TestFalseTheta:
                     expected[Fraction(n * n, 4 * p)] = Fraction(c)
                 n += 1
             assert dict(th.terms) == expected
+            assert all(type(c) is int for _, c in th.terms)
 
     def test_gap_integrality(self):
         # every exponent differs from a^2/4p by an integer, nonnegative
@@ -185,6 +186,21 @@ class TestFalseTheta:
                 assert gap.denominator == 1
                 if a <= p:
                     assert gap >= 0
+
+
+class TestIntOrFractionTerms:
+    """Terms are ints or Fractions; equal values are the same series."""
+
+    def test_ints_and_fractions_are_equal_with_equal_hashes(self):
+        ints = QSeries(((0, 1), (7, -1), (9, -2)), 10)
+        fractions = QSeries(((Fraction(0), Fraction(1)), (Fraction(7), Fraction(-1)), (Fraction(9), Fraction(-2))), Fraction(10))
+        assert ints == fractions and hash(ints) == hash(fractions)
+        assert ints.to_json_obj() == fractions.to_json_obj() and ints.text() == fractions.text()
+
+    def test_absent_coefficient_is_the_int_zero(self):
+        x = series([(Fraction(1, 2), 3)], 10)
+        assert x.coefficient(Fraction(1, 2)) == 3
+        assert type(x.coefficient(5)) is int and x.coefficient(5) == 0
 
 
 class TestSerialization:
