@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
-from .brieskorn import brieskorn_data, tail_order_for_terms, zhat0_brieskorn
+from .brieskorn import _tail_terms, brieskorn_data, zhat0_brieskorn
 from .engine import compute_zhat
 from .errors import ConsistencyError, Record
 from .plumbing import PlumbingGraph
@@ -131,10 +132,9 @@ class ComparisonRow(Record):
 
 
 def _row(triple: tuple[int, int, int], prefix_terms: int, d_value: int | None) -> ComparisonRow:
-    b1, b2, b3 = triple
-    data = brieskorn_data(b1, b2, b3)
-    order = tail_order_for_terms(b1, b2, b3, prefix_terms)
-    prefix = zhat0_brieskorn(b1, b2, b3, order, data=data).tail  # cut at its prefix_terms-th exponent
+    data = brieskorn_data(*triple)
+    terms = tuple(islice(_tail_terms(data.p, data.alphas), prefix_terms))  # one pass of the kernel
+    prefix = QSeries(terms, Fraction(terms[-1][0]))  # cut at the last term's exponent
     if d_value is not None:
         check = check_mod1_relation(data.delta0, d_value)
     else:

@@ -30,26 +30,26 @@ everything dropped has c_l = 0.
 All classes of a graph share one walk.  The class-independent set-up
 (elimination, adjugate, Smith form, factored form, leaf assignments,
 vertex-factor tables) is built once, and each walked vector goes to its
-class by residues of the Smith form's U on the leaves and nodes, O(k)
-per vector.  The graph's one rooted traversal, made when it is built,
-gives the elimination; one pass up from it gives the adjugate on those k
-leaves and nodes alone, each entry a product over the nodes of a path,
-and the Smith form runs only when |H_1| = |det M| > 1.  The quadratic
-bound starts at 4(order + 1), and with one degree >= 3 vertex at least
-at the least S of the support plus the span, so a class whose leading
-term does not cancel is walked once.  A class still empty that the
-support never meets is zero: the classes it meets are the cosets, one
-per leaf assignment, of the subgroup of H_1 the node columns span, so
-one reduction of the class's digits by a triangular basis of that
-subgroup decides it, for any |H_1|.  The rest escalate together: with
-one degree >= 3 vertex up to a bound B* past which a class still empty
-is provably zero, with more for a fixed number of doublings.  Every
-later pass (each doubling and the last top-up to order above the
-leading term) walks only the new shell floor < q <= bound of the
-classes it still needs: the class is affine in the last walked
-coordinate, so that level steps straight through the values in those
-classes.  A result depends only on its class's series, so computing one
-class or all of them gives the same answer.
+class by residues of the Smith form's U on the leaves and nodes, one row
+per invariant factor d_j > 1, O(k) per vector.  The graph's one rooted
+traversal, made when it is built, gives the elimination; one pass up
+from it gives the adjugate on those k leaves and nodes alone, each entry
+a product over the nodes of a path, and the Smith form runs only when
+|H_1| = |det M| > 1.  The quadratic bound starts at 4(order + 1), and
+with one degree >= 3 vertex at least at the least S of the support plus
+the span, so a class whose leading term does not cancel is walked once.
+A class still empty that the support never meets is zero: the classes it
+meets are the cosets, one per leaf assignment, of the subgroup of H_1
+the node columns span, so one reduction of the class's digits by a
+triangular basis of that subgroup decides it, for any |H_1|.  The rest
+escalate together: with one degree >= 3 vertex up to a bound B* past
+which a class still empty is provably zero, with more for a fixed number
+of doublings.  Every later pass (each doubling and the last top-up to
+order above the leading term) walks only the new shell floor < q <=
+bound of the classes it still needs: the class is affine in the last
+walked coordinate, so that level steps straight through the values in
+those classes.  A result depends only on its class's series, so
+computing one class or all of them gives the same answer.
 
 Only the classes with terms hold anything after the walks.  A class gets
 its dict of terms at its first walked vector, and a zero class stores
@@ -68,7 +68,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
-from math import comb, floor, gcd, lcm
+from math import comb, floor, gcd, lcm, prod
 from operator import add
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -237,8 +237,8 @@ class _SupportForm:
     range is one integer square root and M_(p+1) follows by one exact
     division.  Exponents come out as the integers S, l^T N l = S/|det M|.
 
-    Each vector also gets its Spin^c class index from ``classes``, rows
-    (row of U, offset U delta, d, stride) of the Smith form for d > 1:
+    Each vector also gets its Spin^c class index from ``classes``, one
+    (row of U, offset U delta, d, stride) per invariant factor d > 1:
     digit (U l - U delta) / 2 mod d.  Adding 2 to the last coordinate
     adds its column of U mod d to the digits, so the class is affine in
     it with some period; when only some classes are wanted, the last
@@ -437,9 +437,12 @@ class _SupportForm:
 
 
 class _SpinCContext:
-    """Smith-form data for canonicalizing Spin^c classes of one integer matrix.
-
-    ``m`` None stands for |det m| = 1: no Smith rows, one class, delta.
+    """The group H_1 = (+) Z/d_j of the Spin^c classes of one integer matrix
+    m.  With U m V = D its Smith form, only the invariant factors d_j > 1
+    are kept: the r factors ``d``, their rows ``u_int`` of U and columns
+    ``uinv`` of U^-1.  A class index reads the digits (U(l - delta))_j / 2
+    mod d_j in mixed radix, the first lowest.  ``m`` None stands for
+    |det m| = 1: the empty group (r = 0, one class, delta), no Smith form.
     """
 
     def __init__(self, m: Sequence[Sequence[int]] | None, delta_vec: Sequence[int]):
@@ -448,20 +451,17 @@ class _SpinCContext:
         if m is not None:
             if len(m) != len(self.delta):
                 raise ValueError(f"Spin^c offset has length {len(self.delta)}, the matrix has size {len(m)}")
-            self.u_int, dmat, v = smith_normal_form(m)
-            self.d = [row[i] for i, row in enumerate(dmat)]
-            if any(di == 0 for di in self.d):
+            u, dmat, v = smith_normal_form(m)
+            factors = [row[j] for j, row in enumerate(dmat)]
+            if 0 in factors:
                 raise SingularMatrix("Spin^c classes need an invertible linking matrix")
+            keep = [j for j, dj in enumerate(factors) if dj > 1]
+            self.u_int, self.d = [u[j] for j in keep], [factors[j] for j in keep]
             # U m V = D gives U^-1 = m V D^-1: column j of m V divides exactly
             # by d_j.  Only the nonzero entries of m are touched (3s - 2 for a tree).
             m_nonzero = [[(k, x) for k, x in enumerate(row) if x] for row in m]
-            self.uinv = [
-                [sum(x * v[k][j] for k, x in row) // dj for j, dj in enumerate(self.d)]
-                for row in m_nonzero
-            ]
-        self.count = 1
-        for di in self.d:
-            self.count *= di
+            self.uinv = [[sum(x * v[k][j] for k, x in row) // factors[j] for j in keep] for row in m_nonzero]
+        self.count = prod(self.d)
 
     def index_of_vector(self, vector: Sequence[int]) -> int:
         if len(vector) != len(self.delta):
@@ -472,10 +472,7 @@ class _SpinCContext:
                 raise ValueError("vector is not in 2Z^s + delta")
             x.append((lv - dv) // 2)
         y = [sum(a * b for a, b in zip(row, x)) % d for row, d in zip(self.u_int, self.d)]
-        idx = 0
-        for yi, di in zip(reversed(y), reversed(self.d)):
-            idx = idx * di + yi
-        return idx
+        return sum(yj * prod(self.d[:j]) for j, yj in enumerate(y))
 
     def vector_of_index(self, idx: int) -> tuple[int, ...]:
         if not (0 <= idx < self.count):
@@ -492,7 +489,7 @@ class _SpinCContext:
         The digits y step like an odometer: each step adds one column of
         2U^-1 to the vector, or takes d_j - 1 of them away where digit j
         wraps to 0."""
-        digits = [(dj, [2 * row[j] for row in self.uinv]) for j, dj in enumerate(self.d) if dj > 1]
+        digits = [(dj, [2 * row[j] for row in self.uinv]) for j, dj in enumerate(self.d)]
         y = [0] * len(digits)
         vector = self.delta
         yield vector
@@ -552,15 +549,16 @@ class _GraphSetup:
     the vertex-factor tables and the coefficient Fractions c / 2^#high.
 
     ``series`` computes any set of classes from shared walks of the
-    support.  Each walked vector l goes to its class by the residues of U
-    (Smith form U M V = D) mod 2d_i on the support coordinates, for the
-    rows with d_i > 1: the class index has digits (U(l - delta))_i / 2
-    mod d_i, O(k) per vector for k leaves and nodes.
+    support.  Each walked vector l goes to its class by the residues mod
+    2d_j, on the support coordinates, of the context's rows of U (Smith
+    form U M V = D, one row per factor d_j > 1): the class index has
+    digits (U(l - delta))_j / 2 mod d_j, O(k) per vector for k leaves and
+    nodes.
     """
 
     def __init__(self, graph: PlumbingGraph, allow_weakly: bool):
         degrees = graph.degree_vector()
-        high = tuple(v for v, d in enumerate(degrees) if d >= 3)
+        high = graph.high_degree_vertices()
         # The pivots of the elimination made with the graph give the inertia,
         # and one pass up gives M^-1 = adj(M) / det M on the support.  Only
         # the Smith form reads the matrix.
@@ -578,12 +576,10 @@ class _GraphSetup:
         self.sign = -1 if pi_count % 2 else 1
         self.high = high
         windows = [_support_window(d) for d in degrees]
-        classes = []
-        stride = 1
-        for row, di in zip(self.ctx.u_int, self.ctx.d):
-            if di > 1:
-                classes.append((row, sum(r * x for r, x in zip(row, degrees)), di, stride))
-            stride *= di
+        classes = [
+            (row, sum(r * x for r, x in zip(row, degrees)), dj, prod(self.ctx.d[:j]))
+            for j, (row, dj) in enumerate(zip(self.ctx.u_int, self.ctx.d))
+        ]
         try:
             self.form = _SupportForm(adj, elim.det, high, windows, classes)
         except NotNegativeDefinite:
@@ -669,14 +665,13 @@ class _GraphSetup:
                 pending = [idx for idx in classes if idx not in terms and meets(idx)]
             # the bound each class's terms must be complete to
             needed = {idx: min(acc) + span for idx, acc in terms.items()}
-            # one node: the walk stops at B*, where a class still empty is zero
-            cap = self.form.zero_bound() if pending and len(self.high) == 1 else None
-            doublings = 0
-            while pending and (bound < cap if cap is not None else doublings < _MAX_BOUND_DOUBLINGS):
-                doublings += 1
-                lower, bound = bound, 2 * bound + 4 * det
-                if cap is not None:
-                    bound = min(bound, cap)
+            # more nodes: the last doubling's bound, as b + 4|det M| doubles each
+            # pass; one node: B*, where a class still empty is zero
+            stop = 2**_MAX_BOUND_DOUBLINGS * (bound + 4 * det) - 4 * det if pending else bound
+            if pending and len(self.high) == 1:
+                stop = self.form.zero_bound()
+            while pending and bound < stop:
+                lower, bound = bound, min(2 * bound + 4 * det, stop)
                 self._walk(terms, pending + [idx for idx, need in needed.items() if need > lower], bound, lower)
                 for idx in pending:
                     if idx in terms:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import NotNegativeDefinite, SingularMatrix
@@ -220,10 +221,14 @@ def _det_bareiss(rows) -> Fraction:
 
 
 def _integer_rows(m) -> list[list[int]]:
-    """New int rows of a square integer ExactMatrix or matrix of rows."""
+    """New int rows of a square integer ExactMatrix or matrix of rows; a float is a TypeError."""
     rows = m.rows if isinstance(m, ExactMatrix) else m
-    ints = [[int(x) for x in row] for row in rows]
-    if any(len(row) != len(ints) for row in ints) or any(x != y for r, i in zip(rows, ints) for x, y in zip(r, i)):
+    try:
+        ints, integral = [list(map(index, row)) for row in rows], True
+    except TypeError:  # Fraction entries, which must be integral; any other stays a TypeError
+        ints = [[x.numerator if isinstance(x, Fraction) else index(x) for x in row] for row in rows]
+        integral = all(x == y for r, i in zip(rows, ints) for x, y in zip(r, i))
+    if not integral or any(len(row) != len(ints) for row in ints):
         raise ValueError("Smith normal form requires a square matrix with integer entries")
     return ints
 

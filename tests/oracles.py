@@ -136,13 +136,15 @@ _PROBE_GROUP_LIMIT = 200_000
 _PROBE_ASSIGNMENT_LIMIT = 4096
 
 
-def classes_missing_support(ctx, windows, high, reps) -> set[int]:
+def classes_missing_support(u, d, windows, high, reps) -> set[int]:
     """Exact emptiness test for the support/coset intersection, for many
     classes at once: the indices of ``reps`` whose coset the support
     provably never meets.
 
     Membership of l in a + 2MZ^s reduces mod the group G = prod Z/2d_i
-    (Smith form of M): it needs U a = U l in G.  Letting the degree >= 3
+    (Smith form U M V = D, ``u`` every row of U and ``d`` the diagonal of
+    D, the factors d_i = 1 included: their rows carry the parity of the
+    coordinates): it needs U a = U l in G.  Letting the degree >= 3
     coordinates range over all of Z, U l lies in U x + S for some
     finite-window assignment x of the other coordinates, S the subgroup
     of G generated by the columns of U on ``high``.  One closure of those
@@ -150,7 +152,7 @@ def classes_missing_support(ctx, windows, high, reps) -> set[int]:
     outside it never meets the support.  Nothing is decided (empty set)
     when the group or assignment count is too large to scan.
     """
-    mods = [2 * di for di in ctx.d]
+    mods = [2 * di for di in d]
     group_size = 1
     for m in mods:
         group_size *= m
@@ -164,9 +166,9 @@ def classes_missing_support(ctx, windows, high, reps) -> set[int]:
         return set()
 
     def image(vec) -> tuple[int, ...]:
-        return tuple(sum(r * x for r, x in zip(row, vec)) % m for row, m in zip(ctx.u_int, mods))
+        return tuple(sum(r * x for r, x in zip(row, vec)) % m for row, m in zip(u, mods))
 
-    cols = [tuple(ctx.u_int[i][h] % mods[i] for i in range(len(mods))) for h in high]
+    cols = [tuple(u[i][h] % mods[i] for i in range(len(mods))) for h in high]
     reached = set()
     l = [0] * len(windows)
     for combo in itertools.product(*[windows[v] for v in low]):

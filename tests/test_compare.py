@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+import zhat.brieskorn
+import zhat.compare
+from zhat.brieskorn import tail_order_for_terms, zhat0_brieskorn
 from zhat.compare import (
+    BATCH_TABLE_ROWS,
+    D_FAMILY_PREFIX_TERMS,
+    DEFAULT_PREFIX_TERMS,
+    HOM_COB_TABLE_ROWS,
     ComparisonRow,
     check_mod1_relation,
     counterexample_report,
@@ -100,6 +107,36 @@ class TestHomCobTable:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             generate_table("no-such-table")
+
+
+class TestOneKernelPassPerRow:
+    TABLES = {
+        "d-family": [((p, p + 1, p * (p + 1) - 1), D_FAMILY_PREFIX_TERMS.get(p, DEFAULT_PREFIX_TERMS)) for p in range(3, 12)],
+        "brieskorn-batch": list(BATCH_TABLE_ROWS),
+        "hom-cob-family": list(HOM_COB_TABLE_ROWS),
+    }
+
+    @pytest.mark.parametrize("table_id", sorted(TABLES))
+    def test_each_row_walks_the_tail_kernel_once(self, monkeypatch, table_id):
+        calls = []
+        kernel = zhat.brieskorn._tail_terms
+
+        def counted(p, alphas):
+            calls.append(p)
+            return kernel(p, alphas)
+
+        monkeypatch.setattr(zhat.brieskorn, "_tail_terms", counted)
+        monkeypatch.setattr(zhat.compare, "_tail_terms", counted, raising=False)
+        rows = generate_table(table_id, pmax=11)
+        assert len(rows) == len(self.TABLES[table_id]) and len(calls) == len(rows)
+
+    @pytest.mark.parametrize("table_id", sorted(TABLES))
+    def test_prefix_is_the_closed_form_tail_cut_at_its_last_term(self, table_id):
+        rows = generate_table(table_id, pmax=11)
+        for row, (triple, k) in zip(rows, self.TABLES[table_id]):
+            tail = zhat0_brieskorn(*triple, tail_order_for_terms(*triple, k)).tail
+            assert row.triple == triple and len(tail.terms) == k
+            assert repr(row.series_prefix) == repr(tail) and row.series_prefix.to_json_obj() == tail.to_json_obj()
 
 
 class TestCounterexampleReport:

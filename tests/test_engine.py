@@ -123,6 +123,30 @@ class TestSpinC:
         assert [r.vector for r in reps] == [(0,), (2,), (4,), (6,), (8,)]
         assert [r.class_index for r in reps] == [0, 1, 2, 3, 4]
 
+    @pytest.mark.parametrize(
+        "g, factors",
+        [
+            # a lens space: H_1 = Z/8 from a Smith form with two unit factors
+            (PlumbingGraph((-2, -3, -2), ((0, 1), (1, 2))), [8]),
+            # Smith digits 2 and 4 (the two-node example of TestSupportProbe)
+            (PlumbingGraph((-2, -2, -3, -4, -5, -5, -1), ((0, 1), (0, 2), (1, 3), (1, 4), (4, 5), (0, 6))), [2, 4]),
+        ],
+    )
+    def test_context_keeps_the_nontrivial_factors(self, g, factors):
+        _, dmat, _ = smith_normal_form(g.linking_rows())
+        assert [row[i] for i, row in enumerate(dmat) if row[i] > 1] == factors
+        ctx = _GraphSetup(g, True).ctx
+        assert ctx.d == factors and len(ctx.u_int) == len(factors)
+        assert [len(row) for row in ctx.uinv] == [len(factors)] * g.vertex_count
+        assert [ctx.index_of_vector(r.vector) for r in ctx.representatives()] == list(range(ctx.count))
+
+    @pytest.mark.parametrize("entry", [-3.0, 2.5])
+    def test_float_matrix_is_a_type_error(self, entry):
+        with pytest.raises(TypeError):
+            spin_c_representatives([[entry]], (1,))
+        with pytest.raises(TypeError):
+            conjugate_spin_c(SpinCRep((1,), 0), [[entry]], (1,))
+
     def test_zhs_single_class(self, m_2_9_11):
         reps = spin_c_representatives(m_2_9_11, (3, 1, 2, 1, 2, 1))
         assert len(reps) == 1
@@ -755,7 +779,11 @@ class TestSupportProbe:
         ctx = setup.ctx
         assert 2 ** g.vertex_count * ctx.count <= 200_000  # the oracle runs
         windows = [_support_window(d) for d in g.degree_vector()]
-        expected = classes_missing_support(ctx, windows, setup.high, ctx.representatives())
+        # every row of U: the oracle steps node coordinates by +-1, so it needs
+        # the rows of the unit factors too, which the context leaves out
+        u, dmat, _ = smith_normal_form(g.linking_rows())
+        diagonal = [row[i] for i, row in enumerate(dmat)]
+        expected = classes_missing_support(u, diagonal, windows, setup.high, ctx.representatives())
         meets = setup.form.coset_test()
         assert {idx for idx in range(ctx.count) if not meets(idx)} == expected
 
@@ -930,8 +958,9 @@ class TestHomologySphereContext:
         m = g.linking_matrix()
         rows = [[int(x) for x in row] for row in m.rows]
         ctx, dense = _SpinCContext(None, degrees), _SpinCContext(rows, degrees)
-        assert ctx.d == [] and ctx.u_int == [] and ctx.uinv == [[]] * g.vertex_count
-        assert ctx.count == dense.count == 1
+        # the empty group, field for field: the Smith path keeps no unit factor
+        fields = [(c.d, c.u_int, c.uinv, c.count) for c in (ctx, dense)]
+        assert fields == [([], [], [[]] * g.vertex_count, 1)] * 2
         assert ctx.vector_of_index(0) == dense.vector_of_index(0) == tuple(degrees)
         rng = random.Random(g.vertex_count)
         for _ in range(10):

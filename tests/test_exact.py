@@ -218,6 +218,15 @@ class TestSmithNormalForm:
         with pytest.raises(ValueError, match="integer entries"):
             smith_normal_form([[Fraction(3, 2)]])
 
+    @pytest.mark.parametrize("rows", [[[2.0]], [[-3, 1], [1, -2.0]], [[2.5]]])
+    def test_float_entry_is_a_type_error(self, rows):
+        # read through operator.index, as weights and edges are, not truncated by int()
+        with pytest.raises(TypeError):
+            smith_normal_form(rows)
+
+    def test_integral_fraction_rows_are_read(self):
+        assert smith_normal_form([[Fraction(-3), Fraction(1)], [1, -2]]) == smith_normal_form([[-3, 1], [1, -2]])
+
     def test_random(self):
         rng = random.Random(5)
         for _ in range(60):

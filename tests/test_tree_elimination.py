@@ -105,10 +105,8 @@ class TestAgainstDenseOracles:
     def test_integer_smith_inverse_matches_dense(self, g):
         if g.elimination().det == 0:
             return
-        m = g.linking_matrix()
         ctx = _SpinCContext(g.linking_rows(), g.degree_vector())
-        u, _d, _v = smith_normal_form(m)
-        assert ExactMatrix(ctx.uinv) == ExactMatrix(u).inverse()
+        assert_uinv_is_dense_columns(ctx, g.linking_matrix())
 
     @PROPERTY
     @given(trees())
@@ -116,6 +114,16 @@ class TestAgainstDenseOracles:
         if g.elimination().det == 0:
             return
         check_representatives(_SpinCContext(g.linking_rows(), g.degree_vector()))
+
+
+def assert_uinv_is_dense_columns(ctx: _SpinCContext, m) -> None:
+    """The context keeps the factors d_j > 1 of the Smith form U m V = D,
+    their rows of U and their columns of the dense U^-1."""
+    u, dmat, _v = smith_normal_form(m)
+    keep = [j for j, row in enumerate(dmat) if row[j] > 1]
+    inverse = ExactMatrix(u).inverse()
+    assert ctx.d == [dmat[j][j] for j in keep] and ctx.u_int == [u[j] for j in keep]
+    assert ctx.uinv == [[inverse.entry(i, j) for j in keep] for i in range(len(u))]
 
 
 def check_representatives(ctx: _SpinCContext) -> None:
@@ -136,9 +144,8 @@ def test_integer_smith_inverse_general_matrices():
         m = ExactMatrix(rows)
         if m.determinant() == 0:
             continue
-        u, _d, _v = smith_normal_form(m)
         ctx = _SpinCContext(rows, [rng.randint(-3, 3) for _ in range(n)])
-        assert ExactMatrix(ctx.uinv) == ExactMatrix(u).inverse()
+        assert_uinv_is_dense_columns(ctx, m)
         check_representatives(ctx)
         checked += 1
 
