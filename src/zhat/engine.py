@@ -20,9 +20,12 @@ block of -M^-1 there is positive definite) finds the rest under the
 quadratic bound.  The walk is integer throughout: it runs on the form
 B = |det M| * (-M^-1) = -sign(det M) * adj(M), factored fraction-free
 (trailing minors and their adjugates), so each level's range is one
-integer square root and each vector comes with the integer exponent
-S = l^T B l; the tail keeps its integer exponents, and a Fraction is
-made only where the result divides: delta, and c_l / 2^#high.  Every
+integer square root.  The walk hands out runs of its last coordinate,
+not vectors: each run carries the integers that give every vector's
+exponent S = l^T B l by one square and one exact division, and its
+class when the run fixes it, and the series steps each run in one flat
+loop; the tail keeps its integer exponents, and a Fraction is made only
+where the result divides: delta, and c_l / 2^#high.  Every
 support vector lies in 2Z^s + delta, so sorting the walk by Spin^c
 class gives the same series as enumerating each full coset, since
 everything dropped has c_l = 0.
@@ -47,9 +50,10 @@ which a class still empty is provably zero, with more for a fixed number
 of doublings.  Every later pass (each doubling and the last top-up to
 order above the leading term) walks only the new shell floor < q <=
 bound of the classes it still needs: the class is affine in the last
-walked coordinate, so that level steps straight through the values in
-those classes.  A result depends only on its class's series, so
-computing one class or all of them gives the same answer.
+walked coordinate, so that level hands out runs stepped straight
+through the values in those classes.  A result depends only on its
+class's series, so computing one class or all of them gives the same
+answer.
 
 Only the classes with terms hold anything after the walks.  A class gets
 its dict of terms at its first walked vector, and a zero class stores
@@ -69,7 +73,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from math import comb, floor, gcd, lcm, prod
-from operator import add
+from operator import add, mul
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import ConsistencyError, EmptySeries, NotNegativeDefinite, Record, SingularMatrix
@@ -198,17 +202,19 @@ def _support_window(deg: int) -> tuple[int, ...] | int:
     return ((-2, 0, 2), (-1, 1), (0,))[deg] if deg <= 2 else deg - 2
 
 
-def _parity_runs(m: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+def _parity_runs(m: int, lo: int, hi: int) -> list[tuple[int, int]]:
     """The values k = m (mod 2) with |k| >= m in [lo, hi], the support of
     a degree m + 2 vertex, as runs (first, last) stepped by 2; first has
     the right parity, last may not."""
-    first = lo + (lo - m) % 2
-    if first <= min(hi, -m):
-        yield first, min(hi, -m)
+    runs = []
+    first, last = lo + (lo - m) % 2, min(hi, -m)
+    if first <= last:
+        runs.append((first, last))
     first = max(lo, m)
     first += (first - m) % 2
     if first <= hi:
-        yield first, hi
+        runs.append((first, hi))
+    return runs
 
 
 class _SupportForm:
@@ -237,12 +243,15 @@ class _SupportForm:
     range is one integer square root and M_(p+1) follows by one exact
     division.  Exponents come out as the integers S, l^T N l = S/|det M|.
 
-    Each vector also gets its Spin^c class index from ``classes``, one
-    (row of U, offset U delta, d, stride) per invariant factor d > 1:
-    digit (U l - U delta) / 2 mod d.  Adding 2 to the last coordinate
-    adds its column of U mod d to the digits, so the class is affine in
-    it with some period; when only some classes are wanted, the last
-    level jumps straight to the values that land in one of them.
+    The last level hands out each stretch of its coordinate as one run
+    (see ``walk``) instead of one vector per value.  Each vector's Spin^c
+    class index comes from ``classes``, one (row of U, offset U delta, d,
+    stride) per invariant factor d > 1: digit (U l - U delta) / 2 mod d.
+    Adding 2 to the last coordinate adds its column of U mod d to the
+    digits, so the class is affine in it with some ``period``.  With
+    period 1 (always for a homology sphere) a run has one class; when only
+    some classes are wanted, a long run becomes one progression of step
+    2 * period per wanted class it meets, found through ``hits``.
     """
 
     def __init__(self, adj: Mapping[int, Sequence[int]], det: int, high: Sequence[int], windows: list, classes: list):
@@ -271,6 +280,7 @@ class _SupportForm:
             for p, h in enumerate(self.high)
         ]
         self.classes = [(2 * d, d, stride) for _, _, d, stride in classes]
+        self.steps = []
         if k:
             # the digit step of the last coordinate and the cyclic group it spans
             step = [c % d for c, (_, d, _) in zip(self.levels[-1][4], self.classes)]
@@ -281,99 +291,118 @@ class _SupportForm:
                 sum(j * c % d * stride for c, (_, d, stride) in zip(step, self.classes)): j
                 for j in range(self.period)
             }
-        # One low coordinate at a time: B_hx x, x^T B_xx x, the running
-        # B_xx x and the class residues U x - U delta all grow by one term.
-        partial = [((), [0] * k, 0, [0] * n_low, [-offset for _, offset, _, _ in classes])]
-        for j, v in enumerate(self.low):
-            col = [row[j] for row in form]
-            ucol = [row[v] for row, _, _, _ in classes]
-            partial = [
-                (
-                    combo + (x,),
-                    [bi + x * a for bi, a in zip(b, col[n_low:])],
-                    c + x * (2 * sums[j] + x * col[j]),
-                    [t + x * a for t, a in zip(sums, col)],
-                    [r + x * u for r, u in zip(res, ucol)],
-                )
-                for combo, b, c, sums, res in partial
-                for x in windows[v]
-            ]
+            # the last coordinate's U column, modulus 2d and stride per digit
+            self.steps = [(c, mod, stride) for c, (mod, _, stride) in zip(self.levels[-1][4], self.classes)]
+        # With b = B_hx x, M_0 = D_0 x^T B_xx x - b^T adj(B_hh) b = x^T Q x and
+        # V^0 = W x.  One low coordinate x_j at a time, x^T Q x, W x and the
+        # class residues U x - U delta each grow by one term, from row j of
+        # Q up to the diagonal, column j of W and the U column.
+        bx = [[row[j] for row in form[n_low:]] for j in range(n_low)]  # columns of B_hx
         adj0 = factors[0][1] if k else []
-        self.assignments = [
-            (
-                combo,
-                minors[0] * c - sum(x * sum(a * y for a, y in zip(row, b)) for x, row in zip(b, adj0)),
-                [-sum(r * x for r, x in zip(centers[p], b[p:])) for p in range(k)],
-                res,
-            )
-            for combo, b, c, _, res in partial
-        ]
+        adj_bx = [[sum(map(mul, row, col)) for row in adj0] for col in bx]
+        partial = [((), 0, [0] * k, [-offset for _, offset, _, _ in classes])]
+        for j, v in enumerate(self.low):
+            qrow = [minors[0] * form[j][i] - sum(map(mul, bx[j], adj_bx[i])) for i in range(j + 1)]
+            diag = qrow[j]
+            wcol = [-sum(map(mul, c, bx[j][p:])) for p, c in enumerate(centers)]
+            ucol = [row[v] for row, _, _, _ in classes]
+            grown = []
+            for combo, m, v0, res in partial:
+                twice = 2 * sum(map(mul, qrow, combo))
+                for x in windows[v]:
+                    grown.append(
+                        (
+                            combo + (x,),
+                            m + x * (twice + x * diag),
+                            [y + x * a for y, a in zip(v0, wcol)],
+                            [r + x * u for r, u in zip(res, ucol)],
+                        )
+                    )
+            partial = grown
+        self.assignments = partial
+        # the digits of each wanted class, made once per class and kept for
+        # every walk (escalation passes walk the same classes again)
+        mods = [(d, stride) for _, d, stride in self.classes]
+        self.digits = _Memo(lambda w: [w // stride % d for d, stride in mods])
 
-    def walk(
-        self, bound: int, lower: int | None = None, want: Sequence[int] | None = None
-    ) -> Iterator[tuple[int, int, tuple[int, ...], int]]:
-        """Every window-feasible support vector l with S = l^T B l <= bound,
-        as (class index, assignment index, y on ``high``, S); with
-        ``lower`` only those with S > lower (one shell), with ``want``
-        only those in the listed classes.  Without degree >= 3 vertices
-        every assignment is yielded (above ``lower``, if given),
-        whatever the bound."""
+    def walk(self, bound: int, lower: int | None = None, want: Sequence[int] | None = None) -> list[tuple]:
+        """Every window-feasible support vector l with S = l^T B l <= bound
+        (with ``lower`` only those with S > lower: one shell; with ``want``
+        only those in the listed classes), as runs of its last coordinate
+        y_(k-1) = first, first + step, ..., <= last, each
+
+            (class index or None, assignment index, y_0 .. y_(k-2),
+             first, last, step, M, D, centre, residues),
+
+        with S = (M + (D y_(k-1) - centre)^2) / D exactly.  A run carries
+        its class when the run fixes it: when the last column of U steps
+        no digit (period 1, always so for a homology sphere), or as one
+        ``want`` progression of step 2 * period through ``hits``.  Else the
+        class index is None and each y_(k-1) = v has the digits (r + c v)
+        mod 2d / 2 of the residues r, read with ``steps``; with ``want``
+        the caller keeps only the listed classes.  Without degree >= 3
+        vertices each assignment is one run of the single value 0, with
+        D = 1, centre 0 and M = S, whatever the bound (above ``lower``, if
+        given)."""
         wanted = None if want is None else set(want)
         assignments, levels, classes = self.assignments, self.levels, self.classes
+        runs = []
         k = len(levels)
         if not k:
             for a, (_, s, _, res) in enumerate(assignments):
                 idx = sum(r % mod // 2 * stride for r, (mod, _, stride) in zip(res, classes))
                 if (lower is None or s > lower) and (wanted is None or idx in wanted):
-                    yield idx, a, (), s
-            return
-        digits = [(w, [w // stride % d for _, d, stride in classes]) for w in want or ()]
+                    runs.append((idx, a, (), 0, 0, 1, s, 1, 0, None))
+            return runs
+        digits = self.digits
         hits, period = self.hits, self.period
         ys = [0] * k
         last = k - 1
 
-        def level(p: int, m: int, res: list[int], v0: list[int], a: int):
+        def level(p: int, m: int, res: list[int], v0: list[int], a: int) -> None:
             det_p, det_next, row, parity, cols = levels[p]
-            center = v0[p] + sum(r * y for r, y in zip(row, ys))
+            center = v0[p] + sum(map(mul, row, ys))
             lo, hi = _range_under_square(det_p, -center, det_next * (det_p * bound - m))
             if p < last:
                 for first, end in _parity_runs(parity, lo, hi):
                     for v in range(first, end + 1, 2):
                         ys[p] = v
                         z = det_p * v - center
-                        yield from level(
-                            p + 1, (det_next * m + z * z) // det_p, [r + c * v for r, c in zip(res, cols)], v0, a
-                        )
+                        level(p + 1, (det_next * m + z * z) // det_p, [r + c * v for r, c in zip(res, cols)], v0, a)
                 return
+            fixed = None
+            if period == 1:
+                # every v here has the parity of the window, so one class
+                fixed = (
+                    sum((r + c * parity) % mod // 2 * stride for r, c, (mod, _, stride) in zip(res, cols, classes))
+                    if classes
+                    else 0
+                )
+                if wanted is not None and fixed not in wanted:
+                    return
             spans = [(lo, hi)]
             if lower is not None:
                 inner_lo, inner_hi = _range_under_square(det_p, -center, det_p * lower - m)
                 if inner_lo <= inner_hi:
                     spans = [(lo, inner_lo - 1), (inner_hi + 1, hi)]
+            head = tuple(ys[:last])
             for span_lo, span_hi in spans:
                 for first, end in _parity_runs(parity, span_lo, span_hi):
-                    if wanted is None or len(wanted) > (end - first) // 2:
-                        for v in range(first, end + 1, 2):
-                            idx = sum(
-                                (r + c * v) % mod // 2 * stride for r, c, (mod, _, stride) in zip(res, cols, classes)
-                            )
-                            if wanted is None or idx in wanted:
-                                ys[p] = v
-                                z = det_p * v - center
-                                yield idx, a, tuple(ys), (m + z * z) // det_p
-                        continue
-                    base = [(r + c * first) % mod // 2 for r, c, (mod, _, _) in zip(res, cols, classes)]
-                    for idx, w in digits:
-                        j = hits.get(sum((x - y) % d * stride for x, y, (_, d, stride) in zip(w, base, classes)))
-                        if j is None:
-                            continue
-                        for v in range(first + 2 * j, end + 1, 2 * period):
-                            ys[p] = v
-                            z = det_p * v - center
-                            yield idx, a, tuple(ys), (m + z * z) // det_p
+                    if fixed is not None:
+                        runs.append((fixed, a, head, first, end, 2, m, det_p, center, None))
+                    elif wanted is None or len(wanted) > (end - first) // 2:
+                        runs.append((None, a, head, first, end, 2, m, det_p, center, res))
+                    else:
+                        base = [(r + c * first) % mod // 2 for r, c, (mod, _, _) in zip(res, cols, classes)]
+                        for idx in want:
+                            gap = sum((x - y) % d * stride for x, y, (_, d, stride) in zip(digits[idx], base, classes))
+                            j = hits.get(gap)
+                            if j is not None and first + 2 * j <= end:
+                                runs.append((idx, a, head, first + 2 * j, end, 2 * period, m, det_p, center, None))
 
         for a, (_, m0, v0, res) in enumerate(assignments):
-            yield from level(0, m0, res, v0, a)
+            level(0, m0, res, v0, a)
+        return runs
 
     def coset_test(self) -> Callable[[int], bool]:
         """Whether the support meets a class.  Each assignment seeds its
@@ -477,6 +506,8 @@ class _SpinCContext:
     def vector_of_index(self, idx: int) -> tuple[int, ...]:
         if not (0 <= idx < self.count):
             raise ValueError(f"class index {idx} out of range [0, {self.count})")
+        if not self.d:
+            return self.delta
         y = []
         for di in self.d:
             y.append(idx % di)
@@ -605,16 +636,38 @@ class _GraphSetup:
         = |det M| * l^T N l (no ``lower``: S <= bound), of the classes
         ``want`` (None: every class), to ``terms[class of l][S]`` as
         2^#high * c_l; ``terms`` makes a class's dict at its first vector.
-        Then drop the zeros, and the walked classes left with none."""
+        Each run of the walk is stepped in one flat loop: the coefficient
+        of its assignment and earlier coordinates once, then per value of
+        the last coordinate S, its table entry and, where the run does not
+        fix the class, the class digits.  Then drop the zeros, and the
+        walked classes left with none."""
         if want is not None and len(want) == self.ctx.count:
             want = None
-        low, tables = self.low_coefficients, self.tables
-        for idx, a, ys, s in self.form.walk(floor(bound), None if lower is None else floor(lower), want):
+        wanted = None if want is None else set(want)
+        low, form = self.low_coefficients, self.form
+        # without a node every run is the one value 0 of no coordinate
+        *tables, last_table = self.tables or [{0: 1}]
+        steps = form.steps
+        for idx, a, head, first, last, step, m, det_p, center, res in form.walk(
+            floor(bound), None if lower is None else floor(lower), want
+        ):
             c = low[a]
-            for table, y in zip(tables, ys):
+            for table, y in zip(tables, head):
                 c *= table[y]
-            acc = terms[idx]
-            acc[s] = acc.get(s, 0) + c
+            if idx is not None:
+                acc = terms[idx]
+                for v in range(first, last + 1, step):
+                    z = det_p * v - center
+                    s = (m + z * z) // det_p
+                    acc[s] = acc.get(s, 0) + c * last_table[v]
+                continue
+            for v in range(first, last + 1, step):
+                idx = sum((r + u * v) % mod // 2 * stride for r, (u, mod, stride) in zip(res, steps))
+                if wanted is None or idx in wanted:
+                    z = det_p * v - center
+                    s = (m + z * z) // det_p
+                    acc = terms[idx]
+                    acc[s] = acc.get(s, 0) + c * last_table[v]
         for idx in list(terms) if want is None else [idx for idx in want if idx in terms]:
             acc = terms[idx]
             for s in [s for s, c in acc.items() if not c]:
@@ -672,7 +725,8 @@ class _GraphSetup:
                 stop = self.form.zero_bound()
             while pending and bound < stop:
                 lower, bound = bound, min(2 * bound + 4 * det, stop)
-                self._walk(terms, pending + [idx for idx, need in needed.items() if need > lower], bound, lower)
+                walked = floor(lower)  # every need is an integer
+                self._walk(terms, pending + [idx for idx, need in needed.items() if need > walked], bound, lower)
                 for idx in pending:
                     if idx in terms:
                         needed[idx] = min(terms[idx]) + span

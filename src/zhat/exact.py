@@ -28,8 +28,16 @@ from typing import Iterable, Sequence
 
 from .errors import NotNegativeDefinite, SingularMatrix
 
+def _exact_entry(x) -> Fraction:
+    """``x`` as a Fraction; a float raises TypeError naming the entry,
+    since Fraction(x) would take its binary value."""
+    if isinstance(x, float):
+        raise TypeError(f"matrix entry {x!r} is a float, not an exact number (an int, a Fraction or a string)")
+    return Fraction(x)
+
+
 def _as_fraction_rows(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(map(_exact_entry, row)) for row in rows)
 
 
 class ExactMatrix:

@@ -8,6 +8,11 @@ recursion.  It shares no code with the walk beyond the definiteness
 test, so the two can check each other; ``brute_force_coset`` checks the
 recursion in turn by scanning a box point by point.
 
+``run_vectors`` expands the runs of the engine walk
+(``_SupportForm.walk``) into its vectors one at a time, and
+``per_vector_terms`` sums their coefficients vector by vector, the
+reference for the engine's flat loop over each run (``_GraphSetup._walk``).
+
 ``classes_missing_support`` decides which classes the support of c_l
 never meets in the group prod Z/2d_i of all Smith rows, from the full
 rows of U on every listed leaf assignment; the engine decides the same
@@ -22,6 +27,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from zhat.engine import vertex_factor_coefficient
 from zhat.errors import NotNegativeDefinite
 from zhat.exact import ExactMatrix, is_negative_definite
 
@@ -234,3 +240,42 @@ def adjugate(graph, columns: Sequence[int] | None = None) -> tuple[tuple[int, ..
                 above[c] = -above[u] * math.prod(sub[d] for d in kids if d != c)
         rows.append(tuple(col))
     return tuple(rows)
+
+
+def run_vectors(form, runs, want=None) -> Iterator[tuple[int, int, tuple[int, ...], int]]:
+    """The vectors of ``runs``, the runs of the last coordinate that
+    ``form.walk`` gives, one at a time as (class index, assignment index,
+    y on ``form.high``, S).  Each run steps y = first, first + step, ...
+    up to last, with S = (M + (D y - centre)^2) / D, which must divide
+    exactly.  A run without a class reads it for each y from its residues
+    r and ``form.steps``, digit (r + c y) mod 2d / 2, and keeps only the
+    classes in ``want`` (all of them when None)."""
+    for idx, a, head, first, last, step, m, det_p, center, res in runs:
+        for y in range(first, last + 1, step):
+            s, rest = divmod(m + (det_p * y - center) ** 2, det_p)
+            assert rest == 0, (m, det_p, center, y)
+            cls = idx
+            if cls is None:
+                cls = sum((r + c * y) % mod // 2 * stride for r, (c, mod, stride) in zip(res, form.steps))
+                if want is not None and cls not in want:
+                    continue
+            yield cls, a, (head + (y,) if form.high else ()), s
+
+
+def per_vector_terms(graph, form, bound: int, lower: int | None = None, want=None) -> dict[int, dict[int, int]]:
+    """class -> {S: 2^#high * c_l summed over the vectors l of that class
+    and S} for one walk of ``form`` (the support form of ``graph``),
+    accumulated one expanded vector at a time with c_l the product of the
+    public vertex factors at -l_v; zero sums and classes left with none
+    are dropped."""
+    degrees = graph.degree_vector()
+    scale = 2 ** len(form.high)
+    terms: dict[int, dict[int, int]] = {}
+    for idx, a, ys, s in run_vectors(form, form.walk(bound, lower, want), want):
+        c = Fraction(scale)
+        for v, x in zip(form.low + form.high, form.assignments[a][0] + ys):
+            c *= vertex_factor_coefficient(degrees[v], -x)
+        assert c.denominator == 1
+        acc = terms.setdefault(idx, {})
+        acc[s] = acc.get(s, 0) + int(c)
+    return {idx: {s: c for s, c in acc.items() if c} for idx, acc in terms.items() if any(acc.values())}

@@ -2,7 +2,7 @@ import functools
 import json
 import random
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from math import floor
 from pathlib import Path
@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import trees
-from oracles import adjugate, classes_missing_support, enumerate_coset_under_bound
+from oracles import adjugate, classes_missing_support, enumerate_coset_under_bound, per_vector_terms, run_vectors
 from zhat.brieskorn import brieskorn_data, build_plumbing, zhat0_brieskorn
 from zhat.engine import (
     SpinCRep,
@@ -146,6 +146,11 @@ class TestSpinC:
             spin_c_representatives([[entry]], (1,))
         with pytest.raises(TypeError):
             conjugate_spin_c(SpinCRep((1,), 0), [[entry]], (1,))
+        # wrapping the rows does not let a float through
+        with pytest.raises(TypeError, match=re.escape(f"matrix entry {entry!r} is a float")):
+            spin_c_representatives(ExactMatrix([[entry]]), (1,))
+        with pytest.raises(TypeError, match=re.escape(f"matrix entry {entry!r} is a float")):
+            conjugate_spin_c(SpinCRep((1,), 0), ExactMatrix([[entry]]), (1,))
 
     def test_zhs_single_class(self, m_2_9_11):
         reps = spin_c_representatives(m_2_9_11, (3, 1, 2, 1, 2, 1))
@@ -512,9 +517,10 @@ def outcome(res):
 
 
 def support_vectors(form, size, bound, lower=None, want=None):
-    """The walk of ``form`` as (class index, full vector l, S) triples."""
+    """The walk of ``form``, its runs expanded, as (class index, full
+    vector l, S) triples."""
     out = []
-    for idx, a, ys, s in form.walk(bound, lower, want):
+    for idx, a, ys, s in run_vectors(form, form.walk(bound, lower, want), want):
         l = [0] * size
         for v, x in zip(form.low, form.assignments[a][0]):
             l[v] = x
@@ -721,8 +727,8 @@ class TestOneNodeSchedule:
         except NotNegativeDefinite:
             assume(False)
         least = form.least()
-        assert list(form.walk(least - 1)) == []
-        assert min(s for _, _, _, s in form.walk(least)) == least
+        assert list(run_vectors(form, form.walk(least - 1))) == []
+        assert min(s for _, _, _, s in run_vectors(form, form.walk(least))) == least
 
     def test_sphere_class_is_walked_once(self, monkeypatch):
         # the leading term sits at the least S and does not cancel, so the
@@ -809,22 +815,25 @@ class TestShellWalk:
         }.get(name) or request.getfixturevalue(name)
         form = _GraphSetup(g, allow_weakly=True).form
         bound = 60 * form.det
-        walked = list(form.walk(bound))
+        walked = list(run_vectors(form, form.walk(bound)))
         ss = sorted({s for _, _, _, s in walked})
         # below, at and between attained values, and the bound itself
         for lower in [-1, ss[0], ss[len(ss) // 2], ss[-1] - 1, 30 * form.det, bound]:
-            assert list(form.walk(bound, lower)) == [entry for entry in walked if entry[3] > lower]
+            assert list(run_vectors(form, form.walk(bound, lower))) == [entry for entry in walked if entry[3] > lower]
 
 
 # Graphs the walk must handle besides random trees: one node, two nodes,
-# a degree-5 node (window gap |l_h| < 3) next to a degree-4 one, and a
-# weakly negative definite tree with many classes.
+# a degree-5 node (window gap |l_h| < 3) next to a degree-4 one, a
+# weakly negative definite tree with many classes, and a star with
+# H_1 = Z/2 whose node column steps no class digit (period 1), so each
+# run has one class, read at the odd parity of its degree-3 node.
 WALK_GRAPHS = [
     SIX_LEAF_STAR,
     PlumbingGraph((-4, -4, -2, -2, -2, -2), ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5))),
     PlumbingGraph((-7, -6, -2, -3, -2, -3, -2, -2, -5), ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6), (1, 7), (1, 8))),
     PlumbingGraph((-2, -1, 1, 1, -1, -2), ((0, 1), (1, 2), (0, 3), (3, 4), (0, 5))),
     ESCALATION_STAR,
+    PlumbingGraph((-2, -2, -1, -4), ((0, 1), (0, 2), (0, 3))),
 ]
 
 
@@ -872,6 +881,67 @@ class TestIntegerWalk:
                     if all(vertex_factor_coefficient(d, -x) for d, x in zip(degrees, l))
                     and (lower is None or exponent(l) > lower)
                 }
+
+
+@st.composite
+def trees_with_nodes(draw, nodes, weights=st.integers(-5, -1), node_weights=st.integers(-8, -2)):
+    """A tree with exactly ``nodes`` (0, 1 or 2) vertices of degree >= 3:
+    a chain of one to five vertices, or a node with three to five legs,
+    or two nodes joined by a path of one to three edges, each with two to
+    four more legs; every leg has one or two vertices.  The nodes draw
+    from ``node_weights``, every other vertex from ``weights``."""
+    w, edges = [draw(node_weights if nodes else weights)], []
+
+    def path(start, length, last_weights=weights):
+        for i in range(length):
+            w.append(draw(last_weights if i == length - 1 else weights))
+            edges.append((start, len(w) - 1))
+            start = len(w) - 1
+        return start
+
+    if nodes == 0:
+        path(0, draw(st.integers(0, 4)))
+    else:
+        ends = [0]
+        if nodes == 2:
+            ends.append(path(0, draw(st.integers(1, 3)), node_weights))
+        for node in ends:
+            for _ in range(draw(st.integers(3, 5)) - (nodes - 1)):
+                path(node, draw(st.integers(1, 2)))
+    return PlumbingGraph(tuple(w), tuple(edges))
+
+
+class TestRunAccumulation:
+    """The flat loop over each run of the walk adds the same terms as a
+    per-vector accumulation over the expanded runs (``per_vector_terms``),
+    with bounds, floors and ``want`` drawn as in TestIntegerWalk."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            st.sampled_from(WALK_GRAPHS),
+            st.sampled_from([0, 1, 2]).flatmap(trees_with_nodes),
+        ),
+        st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(5), Fraction(23, 2), Fraction(601, 2)]),
+        st.data(),
+    )
+    def test_flat_loop_is_the_per_vector_sum(self, g, bound_q, data):
+        assume(g.elimination().det != 0)
+        try:
+            setup = _GraphSetup(g, allow_weakly=True)
+        except NotNegativeDefinite:
+            assume(False)
+        form, ctx = setup.form, setup.ctx
+        # no dense coset walk here, so more classes than TestIntegerWalk takes
+        assume(ctx.count <= 400)
+        bound = floor(bound_q * form.det)
+        lower = data.draw(st.sampled_from([None, -1, 0, floor(bound_q * form.det / 3), bound - 1]))
+        want = data.draw(
+            st.one_of(st.none(), st.lists(st.integers(0, ctx.count - 1), min_size=1, max_size=4, unique=True))
+        )
+        terms = defaultdict(dict)
+        setup._walk(terms, want, bound, lower)
+        assert terms == per_vector_terms(g, form, bound, lower, want)
 
 
 class TestDeltaModOne:

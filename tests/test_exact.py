@@ -218,11 +218,18 @@ class TestSmithNormalForm:
         with pytest.raises(ValueError, match="integer entries"):
             smith_normal_form([[Fraction(3, 2)]])
 
-    @pytest.mark.parametrize("rows", [[[2.0]], [[-3, 1], [1, -2.0]], [[2.5]]])
+    @pytest.mark.parametrize("rows", [[[2.0]], [[-3, 1], [1, -2.0]], [[2.5]], [[0.1]]])
     def test_float_entry_is_a_type_error(self, rows):
         # read through operator.index, as weights and edges are, not truncated by int()
         with pytest.raises(TypeError):
             smith_normal_form(rows)
+        # nor taken at its binary value: Fraction(0.1) is 3602879701896397/36028797018963968
+        with pytest.raises(TypeError, match="is a float"):
+            ExactMatrix(rows)
+
+    def test_exact_entries_are_kept(self):
+        m = ExactMatrix([[Fraction(1, 10), 2], ["3/7", -1]])
+        assert m.rows == ((Fraction(1, 10), Fraction(2)), (Fraction(3, 7), Fraction(-1)))
 
     def test_integral_fraction_rows_are_read(self):
         assert smith_normal_form([[Fraction(-3), Fraction(1)], [1, -2]]) == smith_normal_form([[-3, 1], [1, -2]])
