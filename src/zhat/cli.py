@@ -20,8 +20,11 @@ import argparse
 import functools
 import json
 import sys
+from collections import deque
 from fractions import Fraction
+from itertools import islice
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from . import __version__
 from .brieskorn import brieskorn_data, zhat0_brieskorn
@@ -48,36 +51,62 @@ def _emit(obj: dict, out) -> None:
     out.write(json.dumps(obj, indent=2, default=str) + "\n")
 
 
-def _emit_classes(command: str, inputs: dict[str, str], records, order, out) -> None:
-    """``_emit`` of the envelope whose results are ``records``, the text of
-    each class's record, written as they come: the head, one
-    ``out.write`` per class, then the tail.  The head and tail hold the
-    envelope's other keys, quoted as ``json.dumps`` quotes them."""
+def _envelope_ends(command: str, inputs: dict[str, str], order) -> tuple[str, str]:
+    """The text ``_emit`` writes of the envelope before its first result
+    and after its last, with the envelope's other keys quoted as
+    ``json.dumps`` quotes them."""
     quote = encode_basestring_ascii
     fields = ",\n    ".join(f"{quote(key)}: {quote(value)}" for key, value in inputs.items())
-    head = f'{{\n  "command": {quote(command)},\n  "inputs": {{\n    {fields}\n  }},\n  "results": ['
+    head = f'{{\n  "command": {quote(command)},\n  "inputs": {{\n    {fields}\n  }},\n  "results": [\n    '
     tail = (
-        f'],\n  "toolVersion": {quote(__version__)},\n'
+        f'\n  ],\n  "toolVersion": {quote(__version__)},\n'
         f'  "truncationOrder": {"null" if order is None else quote(str(order))}\n}}\n'
     )
-    written = False
-    for text in records:
-        out.write(f",\n    {text}" if written else f"{head}\n    {text}")
-        written = True
-    out.write(f"\n  {tail}" if written else f"{head}{tail}")
+    return head, tail
+
+
+def _write_classes(out, stream, record, zero, head: str = "", sep: str = "", tail: str = "") -> None:
+    """Write every class of ``stream`` = (rows, results, default), as
+    ``_class_stream`` gives it, in one ``out.write`` each, ``head`` before
+    the first and ``sep`` before every later one, then ``tail``.  A class
+    with terms is written as ``record(row, fields)``, a zero class as
+    ``zero(note) % row``, where ``zero`` gives the %-template of a row
+    (index, *vector) for a note.  The default-note classes between the
+    others are one template mapped over an ``islice`` of the rows."""
+    rows, results, default = stream
+    write = out.write
+
+    def text(row, res) -> str:
+        return zero(res) % row if isinstance(res, str) else record(row, res)
+
+    later = sep + zero(default)
+    row = next(rows)
+    write(head + text(row, results.get(row[0], default)))
+    done = row[0] + 1
+    for idx in sorted(results):
+        if idx >= done:
+            deque(map(write, map(later.__mod__, islice(rows, idx - done))), 0)
+            write(sep + text(next(rows), results[idx]))
+            done = idx + 1
+    deque(map(write, map(later.__mod__, rows)), 0)
+    write(tail)
 
 
 class _ClassRecords:
     """Each class's record as ``_emit`` writes its ``to_json_obj()`` in the
-    envelope's results, built from strings made once per run: every
-    distinct rational (exponent, coefficient, order, delta) is quoted
-    once, keyed by (numerator, denominator) so that no Fraction is
-    hashed, and so is every distinct term and note."""
+    envelope's results, from its row (index, *vector) of ``size``
+    coordinates.  A class with terms is built from strings made once per
+    run: every distinct rational (exponent, coefficient, order, delta) is
+    quoted once, keyed by (numerator, denominator) so that no Fraction is
+    hashed, and so is every distinct term.  A zero class is written from
+    the %-template of its row for its note (``graph_zero``, ``delta_zero``)."""
 
-    def __init__(self):
+    def __init__(self, size: int):
         self.quoted: dict[tuple[int, int], str] = {}
         self.terms: dict[tuple[int, int, int, int], str] = {}
-        self.notes: dict[str, str] = {}
+        vector = ",\n          ".join(["%d"] * size)
+        vector = f"[\n          {vector}\n        ]" if size else "[]"
+        self.spinc = f'{{\n        "classIndex": %d,\n        "vector": {vector}\n      }}'
 
     def fraction(self, x: Fraction) -> str:
         key = (x.numerator, x.denominator)
@@ -86,22 +115,11 @@ class _ClassRecords:
             text = self.quoted[key] = encode_basestring_ascii(str(x))
         return text
 
-    @staticmethod
-    def spinc(rep) -> str:
-        vector = ",\n          ".join(map(int.__repr__, rep.vector))
-        vector = f"[\n          {vector}\n        ]" if vector else "[]"
-        return f'{{\n        "classIndex": {rep.class_index!r},\n        "vector": {vector}\n      }}'
-
-    def graph(self, rep, res) -> str:
-        """The record of class ``rep``: ``res`` is its ZhatResult or the
-        note of its zero verdict."""
-        if isinstance(res, str):
-            quoted = self.notes.get(res)
-            if quoted is None:
-                quoted = self.notes[res] = encode_basestring_ascii(res)
-            return f'{{\n      "spinc": {self.spinc(rep)},\n      "zero": true,\n      "note": {quoted}\n    }}'
+    def graph(self, row, fields) -> str:
+        """The record of the class of ``row`` with the fields of its ZhatResult."""
+        delta, tail, eta, sign, order = fields
         cache, fraction, chunks = self.terms, self.fraction, []
-        for e, c in res.tail.terms:
+        for e, c in tail.terms:
             key = (e.numerator, e.denominator, c.numerator, c.denominator)
             chunk = cache.get(key)
             if chunk is None:
@@ -112,16 +130,21 @@ class _ClassRecords:
         terms = ",\n          ".join(chunks)
         terms = f"[\n          {terms}\n        ]" if terms else "[]"
         return (
-            f'{{\n      "spinc": {self.spinc(rep)},\n      "delta": {fraction(res.delta)},\n'
-            f'      "tail": {{\n        "terms": {terms},\n        "order": {fraction(res.tail.order)}\n      }},\n'
-            f'      "eta": {res.eta_pow2!r},\n      "prefactorSign": {res.prefactor_sign!r},\n'
-            f'      "truncationOrder": {fraction(res.truncation_order)}\n    }}'
+            f'{{\n      "spinc": {self.spinc % row},\n      "delta": {fraction(delta)},\n'
+            f'      "tail": {{\n        "terms": {terms},\n        "order": {fraction(tail.order)}\n      }},\n'
+            f'      "eta": {eta!r},\n      "prefactorSign": {sign!r},\n'
+            f'      "truncationOrder": {fraction(order)}\n    }}'
         )
 
-    def delta(self, rep, res) -> str:
-        """The record of class ``rep``'s delta: null for a zero class."""
-        delta = "null" if isinstance(res, str) else self.fraction(res.delta)
-        return f'{{\n      "spinc": {self.spinc(rep)},\n      "delta": {delta}\n    }}'
+    def graph_zero(self, note: str) -> str:
+        note = encode_basestring_ascii(note).replace("%", "%%")
+        return f'{{\n      "spinc": {self.spinc},\n      "zero": true,\n      "note": {note}\n    }}'
+
+    def delta(self, row, fields) -> str:
+        return f'{{\n      "spinc": {self.spinc % row},\n      "delta": {self.fraction(fields[0])}\n    }}'
+
+    def delta_zero(self, note: str) -> str:
+        return f'{{\n      "spinc": {self.spinc},\n      "delta": null\n    }}'
 
 
 def _parse_order(text: str) -> Fraction:
@@ -173,56 +196,63 @@ def _read_text(path: str) -> str:
 
 
 def _class_results(graph, args, order):
-    """(rep, ZhatResult or the note of a zero class) for ``--all`` or the
-    ``--spinc`` class.  Every class is computed when this returns; with
-    ``--all`` the representatives come one by one as they are read."""
+    """The classes of ``--all``, or the ``--spinc`` class, as
+    ``_class_stream`` gives them: (rows, results, default).  Every class
+    is computed when this returns; the rows are made as they are read."""
     if args.all:
         return _class_stream(graph, order, allow_weakly=args.experimental_weakly)
     # one class: its representative alone, not all |det M| of them
     count = abs(graph.elimination().det)
     if count == 0:
         raise SingularMatrix("Spin^c classes need an invertible linking matrix")
-    idx = args.spinc
+    idx = args.spinc or 0
     if not (0 <= idx < count):
         raise ZhatError(f"spin-c class {idx} out of range [0, {count})")
     try:
-        result = compute_zhat(graph, idx, order=order, allow_weakly=args.experimental_weakly)
+        res = compute_zhat(graph, idx, order=order, allow_weakly=args.experimental_weakly)
     except EmptySeries as exc:
-        return [(exc.spinc, str(exc))]
-    return [(result.spinc, result)]
+        return iter([(idx, *exc.spinc.vector)]), {}, str(exc)
+    fields = (res.delta, res.tail, res.eta_pow2, res.prefactor_sign, res.truncation_order)
+    return iter([(idx, *res.spinc.vector)]), {idx: fields}, ""
 
 
 def _cmd_graph(args, out) -> int:
     order = _parse_order(args.order)
     graph = parse_plumb(_read_text(args.file))
-    results = _class_results(graph, args, order)
+    stream = _class_results(graph, args, order)
     if args.format == "json":
-        records = _ClassRecords()
-        inputs = {"file": args.file, "order": str(order)}
-        _emit_classes("graph", inputs, (records.graph(rep, res) for rep, res in results), order, out)
+        records = _ClassRecords(graph.vertex_count)
+        head, tail = _envelope_ends("graph", {"file": args.file, "order": str(order)}, order)
+        _write_classes(out, stream, records.graph, records.graph_zero, head, ",\n    ", tail)
         return 0
-    for rep, res in results:
-        label = f"class {rep.class_index} (rep {list(rep.vector)})"
-        if isinstance(res, str):
-            print(f"{label}: zhat = 0 ({res})", file=out)
-        else:
-            print(f"{label}: delta = {res.delta}", file=out)
-            print(f"{label}: zhat = q^({res.delta}) * ({res.tail.text()})", file=out)
-            if res.eta_pow2:
-                print(f"{label}: eta = {res.eta_pow2} (coefficients in Z/2^eta)", file=out)
+    label = f"class %d (rep [{', '.join(['%d'] * graph.vertex_count)}])"
+
+    def record(row, fields) -> str:
+        delta, tail, eta = fields[:3]
+        at = label % row
+        text = f"{at}: delta = {delta}\n{at}: zhat = q^({delta}) * ({tail.text()})\n"
+        return f"{text}{at}: eta = {eta} (coefficients in Z/2^eta)\n" if eta else text
+
+    _write_classes(out, stream, record, lambda note: f"{label}: zhat = 0 ({note.replace('%', '%%')})\n")
     return 0
 
 
 def _cmd_delta(args, out) -> int:
     graph = parse_plumb(_read_text(args.file))
-    results = _class_results(graph, args, Fraction(0))
+    stream = _class_results(graph, args, Fraction(0))
     if args.format == "json":
-        records = _ClassRecords()
-        _emit_classes("delta", {"file": args.file}, (records.delta(rep, res) for rep, res in results), None, out)
+        records = _ClassRecords(graph.vertex_count)
+        head, tail = _envelope_ends("delta", {"file": args.file}, None)
+        _write_classes(out, stream, records.delta, records.delta_zero, head, ",\n    ", tail)
         return 0
-    for rep, res in results:
-        val = "undefined (zero series)" if isinstance(res, str) else str(res.delta)
-        print(f"class {rep.class_index}: delta = {val}", file=out)
+    # the index alone: each row is cut to (index,)
+    rows, results, default = stream
+    _write_classes(
+        out,
+        (map(itemgetter(slice(1)), rows), results, default),
+        lambda row, fields: f"class {row[0]}: delta = {fields[0]}\n",
+        lambda note: "class %d: delta = undefined (zero series)\n",
+    )
     return 0
 
 
@@ -334,16 +364,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="series from a PLUMB v1 file")
     p.add_argument("file")
-    p.add_argument("--spinc", type=int, default=0, help="spin-c class index (default 0)")
-    p.add_argument("--all", action="store_true", help="every spin-c class")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--spinc", type=int, help="spin-c class index (default 0)")
+    one.add_argument("--all", action="store_true", help="every spin-c class")
     p.add_argument("--experimental-weakly", action="store_true", help="accept weakly negative definite input")
     common(p)
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("delta", help="leading exponents from a PLUMB v1 file")
     p.add_argument("file")
-    p.add_argument("--spinc", type=int, default=0)
-    p.add_argument("--all", action="store_true")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--spinc", type=int)
+    one.add_argument("--all", action="store_true")
     p.add_argument("--experimental-weakly", action="store_true")
     common(p, order_default=None)
     p.set_defaults(func=_cmd_delta)

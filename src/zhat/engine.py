@@ -57,14 +57,17 @@ answer.
 
 Only the classes with terms hold anything after the walks.  A class gets
 its dict of terms at its first walked vector, and a zero class stores
-nothing: its verdict follows from the rule that decided it (no node,
-never met, one node, more nodes), one shared note per rule.  Every class
-is then read in order, its representative made by an odometer over the
-Smith digits as it is reached; ``compute_zhat_all`` lists them, and the
-CLI writes each class as it comes.  On L(100000,1), where 99,997 of the
-100,000 classes are zero, ``zhat graph --all --format json`` peaks at
-about 17 MB RSS on Python 3.11 (x86-64 Linux), 1 MB above importing
-``zhat.cli`` alone.
+nothing: one rule decides nearly all of them (no node: finite support;
+else: never met), and only the classes escalated in vain (one node, more
+nodes) are listed with a note of their own.  Every class is then read in
+order as the row (index, *representative): the first Smith digit runs
+through one zip of ranges stepped by a column of 2U^-1, and only the
+higher digits step an odometer.  ``compute_zhat_all`` lists the classes;
+the CLI writes each class with terms or a note of its own by itself and
+maps one %-template over the rows between them.  On L(100000,1), where
+99,997 of the 100,000 classes are zero, ``zhat graph --all --format
+json`` takes about 0.2 s and peaks at about 17 MB RSS on Python 3.11
+(x86-64 Linux), 1 MB above importing ``zhat.cli`` alone.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
+from itertools import chain, repeat
 from math import comb, floor, gcd, lcm, prod
 from operator import add, mul
 from typing import Callable, Iterator, Mapping, Sequence
@@ -470,7 +474,9 @@ class _SpinCContext:
     m.  With U m V = D its Smith form, only the invariant factors d_j > 1
     are kept: the r factors ``d``, their rows ``u_int`` of U and columns
     ``uinv`` of U^-1.  A class index reads the digits (U(l - delta))_j / 2
-    mod d_j in mixed radix, the first lowest.  ``m`` None stands for
+    mod d_j in mixed radix, the first lowest, so the d_0 classes of each
+    value of the higher digits are consecutive and their representatives
+    step by one column of 2U^-1 (``blocks``).  ``m`` None stands for
     |det m| = 1: the empty group (r = 0, one class, delta), no Smith form.
     """
 
@@ -515,16 +521,21 @@ class _SpinCContext:
         x = [sum(a * b for a, b in zip(row, y)) for row in self.uinv]
         return tuple(dv + 2 * xi for dv, xi in zip(self.delta, x))
 
-    def vectors(self) -> Iterator[tuple[int, ...]]:
-        """``vector_of_index(i)`` for every i, in order, made one at a time.
-        The digits y step like an odometer: each step adds one column of
-        2U^-1 to the vector, or takes d_j - 1 of them away where digit j
+    def blocks(self) -> Iterator[Iterator[tuple[int, ...]]]:
+        """Every class as the row (i, *vector_of_index(i)), in order, one
+        zip per run of the first digit y_0 = 0 .. d_0 - 1: in a run each
+        coordinate is a range stepped by its entry of column 0 of 2U^-1,
+        or a repeat where that entry is 0.  Between runs the higher digits
+        step like an odometer: each step adds one column of 2U^-1 to the
+        run's first vector, or takes d_j - 1 of them away where digit j
         wraps to 0."""
         digits = [(dj, [2 * row[j] for row in self.uinv]) for j, dj in enumerate(self.d)]
+        (n, step), *digits = digits or [(1, [0] * len(self.delta))]
         y = [0] * len(digits)
         vector = self.delta
-        yield vector
-        for _ in range(1, self.count):
+        for first in range(0, self.count, n):
+            coordinates = (range(x, x + n * c, c) if c else repeat(x, n) for x, c in zip(vector, step))
+            yield zip(range(first, first + n), *coordinates)
             for j, (dj, col) in enumerate(digits):
                 if y[j] + 1 < dj:
                     y[j] += 1
@@ -532,11 +543,10 @@ class _SpinCContext:
                     break
                 y[j] = 0
                 vector = tuple(a - (dj - 1) * b for a, b in zip(vector, col))
-            yield vector
 
     def representatives(self) -> list[SpinCRep]:
         """``SpinCRep(vector_of_index(i), i)`` for every i in order."""
-        return [SpinCRep(vector, i) for i, vector in enumerate(self.vectors())]
+        return [SpinCRep(row[1:], row[0]) for row in chain.from_iterable(self.blocks())]
 
     def canonical(self, vector: Sequence[int]) -> SpinCRep:
         idx = self.index_of_vector(vector)
@@ -675,16 +685,19 @@ class _GraphSetup:
             if not acc:
                 del terms[idx]
 
-    def series(self, want: list[int] | None, order: Fraction) -> tuple[dict[int, tuple], Callable[[int], str]]:
-        """The classes ``want`` (distinct; None: every class) that have
-        terms, as class -> the fields of its ZhatResult after the
-        representative; and the note of every other class's zero verdict,
-        which a class of ``want`` without terms gets from its rule alone:
+    def series(self, want: list[int] | None, order: Fraction) -> tuple[dict[int, tuple | str], str]:
+        """The classes ``want`` (distinct; None: every class) with terms,
+        as class -> the fields of its ZhatResult after the representative,
+        and those escalated in vain, as class -> the note of their zero
+        verdict; and the default note, that of every other class of
+        ``want``, each zero by the rule of its note:
 
-        - no node: the walk listed the whole finite support;
-        - failing ``coset_test``: the support never meets the class;
-        - one node: every coefficient cancels below the bound B*;
-        - more nodes: "raise order", past _MAX_BOUND_DOUBLINGS doublings.
+        - no node (the default): the walk listed the whole finite support;
+        - failing ``coset_test`` (the default with a node): the support
+          never meets the class;
+        - escalated on one node: every coefficient cancels below the bound B*;
+        - escalated on more nodes: "raise order", past _MAX_BOUND_DOUBLINGS
+          doublings.
 
         One walk to 4(order + 1) serves every class; with one node it goes
         on to the least S of the whole support plus the span, which
@@ -735,13 +748,11 @@ class _GraphSetup:
             top = max(needed.values(), default=reached)
             if top > reached:
                 self._walk(terms, [idx for idx, need in needed.items() if need > reached], top, reached)
-        rule = _FINITE_SUPPORT if not self.high else _BELOW_ZERO_BOUND if len(self.high) == 1 else _RAISE_ORDER
-        escalated = set(pending)
-
-        def verdict(idx: int) -> str:
-            return rule if not self.high or idx in escalated else _NEVER_MET
-
-        return {idx: self._result(acc, order, span) for idx, acc in terms.items()}, verdict
+        results: dict[int, tuple | str] = {idx: self._result(acc, order, span) for idx, acc in terms.items()}
+        if not self.high:
+            return results, _FINITE_SUPPORT
+        results.update(dict.fromkeys(pending, _BELOW_ZERO_BOUND if len(self.high) == 1 else _RAISE_ORDER))
+        return results, _NEVER_MET
 
     def _result(self, acc: dict, order: Fraction, span: int) -> tuple:
         """The fields of a class's ZhatResult after the representative:
@@ -807,31 +818,23 @@ def compute_zhat(
         rep = SpinCRep(ctx.vector_of_index(spinc), spinc)
     else:
         rep = ctx.canonical(list(spinc))
-    found, verdict = setup.series([rep.class_index], order)
-    fields = found.get(rep.class_index)
-    if fields is None:
-        raise EmptySeries(verdict(rep.class_index), rep)
-    return ZhatResult(rep, *fields)
+    results, default = setup.series([rep.class_index], order)
+    res = results.get(rep.class_index, default)
+    if isinstance(res, str):
+        raise EmptySeries(res, rep)
+    return ZhatResult(rep, *res)
 
 
-def _class_stream(graph: PlumbingGraph, order, allow_weakly: bool) -> Iterator[tuple[SpinCRep, ZhatResult | str]]:
-    """Every Spin^c class in class order, with its ZhatResult or the note
-    of its zero verdict (one string per rule, shared).  Every walk has
-    finished when this returns, so a domain error comes before any class;
-    each representative is made from the odometer when the iterator
-    reaches its class, and no zero class holds anything until then."""
+def _class_stream(graph: PlumbingGraph, order, allow_weakly: bool) -> tuple[Iterator[tuple[int, ...]], dict, str]:
+    """Every Spin^c class of ``graph``: the rows (index, *representative)
+    of ``blocks()`` in class order; the classes with terms or with a note
+    of their own, as ``series`` gives them; and the note of every other
+    class, which is zero.  Every walk has finished when this returns, so
+    a domain error comes before any class, and the rows are made as they
+    are read."""
     order = _checked_order(order)
     setup = _GraphSetup(graph, allow_weakly)
-    found, verdict = setup.series(None, order)
-    vectors = setup.ctx.vectors()  # the rest of the set-up can go
-
-    def classes():
-        for idx, vector in enumerate(vectors):
-            rep = SpinCRep(vector, idx)
-            fields = found.get(idx)
-            yield rep, verdict(idx) if fields is None else ZhatResult(rep, *fields)
-
-    return classes()
+    return chain.from_iterable(setup.ctx.blocks()), *setup.series(None, order)
 
 
 def compute_zhat_all(
@@ -845,10 +848,13 @@ def compute_zhat_all(
     Each entry is what :func:`compute_zhat` gives for that class: its
     result, or the EmptySeries it would raise.
     """
-    return [
-        (rep, EmptySeries(res, rep) if isinstance(res, str) else res)
-        for rep, res in _class_stream(graph, order, allow_weakly)
-    ]
+    rows, results, default = _class_stream(graph, order, allow_weakly)
+    classes = []
+    for row in rows:
+        rep = SpinCRep(row[1:], row[0])
+        res = results.get(row[0], default)
+        classes.append((rep, EmptySeries(res, rep) if isinstance(res, str) else ZhatResult(rep, *res)))
+    return classes
 
 
 def delta_a(graph: PlumbingGraph, spinc, allow_weakly: bool = False) -> Fraction:

@@ -247,69 +247,75 @@ def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[in
     ``m`` is a square matrix of integer rows, or an ExactMatrix with
     integer entries (read once, here).  D is diagonal with nonnegative
     entries d1 | d2 | ...; unit factors are normalized positive.
+
+    Step t takes as pivot the first entry of least |a_ij| != 0 in
+    row-major order among the rows and columns >= t, clears its column
+    by row operations and its row by column operations, and repeats
+    while a remainder is left or, once none is, adds to the pivot row the
+    first row with an entry the pivot does not divide.  Each step does
+    only its own work, and U, D and V are those of the same operations
+    made in full (``tests/oracles.py``): rows >= t are 0 left of column t
+    and rows < t are 0 from it on, so the search stops at the first +-1,
+    a unit pivot needs no divisibility scan, and once its column is clear
+    a column operation changes only the pivot row.  V is kept transposed,
+    so that each column operation, which V takes in full, is one row.
     """
     a = _integer_rows(m)
     n = len(a)
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, f):
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, f):
-        for row in a:
-            row[dst] += f * row[src]
-        for row in v:
-            row[dst] += f * row[src]
-
+    u = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+    vt = [row[:] for row in u]
     for t in range(n):
         while True:
-            # the first entry of least |a[i][j]| != 0 in row-major order
-            best = min(((abs(x), i, j) for i in range(t, n) for j, x in enumerate(a[i][t:], t) if x), default=None)
-            if best is None:
-                break
-            swap_rows(t, best[1])
-            swap_cols(t, best[2])
-            dirty = False
+            for i in range(t, n):
+                row = a[i]
+                j = min(row.index(1) if 1 in row else n, row.index(-1) if -1 in row else n)
+                if j < n:
+                    break
+            else:
+                least = min(((abs(x), i, j) for i in range(t, n) for j, x in enumerate(a[i][t:], t) if x), default=None)
+                if least is None:
+                    break
+                _, i, j = least
+            a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
+            if j != t:
+                for row in a[t:]:
+                    row[t], row[j] = row[j], row[t]
+                vt[t], vt[j] = vt[j], vt[t]
+            pivot, p, urow, vrow = a[t], a[t][t], u[t], vt[t]
+            clear = True
             for i in range(t + 1, n):
-                if a[i][t] != 0:
-                    add_row(t, i, -(a[i][t] // a[t][t]))
-                    if a[i][t] != 0:
-                        dirty = True
+                x = a[i][t]
+                if x:
+                    f = -(x // p)
+                    a[i] = [x + f * y for x, y in zip(a[i], pivot)]
+                    u[i] = [x + f * y for x, y in zip(u[i], urow)]
+                    clear = clear and not a[i][t]
+            dirty = not clear
             for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    add_col(t, j, -(a[t][j] // a[t][t]))
-                    if a[t][j] != 0:
-                        dirty = True
+                x = pivot[j]
+                if x:
+                    f = -(x // p)
+                    if clear:
+                        pivot[j] = x % p
+                    else:
+                        for row in a[t:]:
+                            row[j] += f * row[t]
+                    vt[j] = [x + f * y for x, y in zip(vt[j], vrow)]
+                    dirty = dirty or pivot[j] != 0
             if dirty:
                 continue
-            witness = None
-            for i in range(t + 1, n):
-                if any(a[i][j] % a[t][t] != 0 for j in range(t + 1, n)):
-                    witness = i
-                    break
+            if abs(p) == 1:
+                break
+            witness = next((i for i in range(t + 1, n) if any(x % p for x in a[i][t + 1 :])), None)
             if witness is None:
                 break
-            add_row(witness, t, 1)  # pull a non-divisible entry into the pivot row
-        if t < n and a[t][t] < 0:
-            for row in a:
-                row[t] = -row[t]
-            for row in v:
-                row[t] = -row[t]
-    return u, a, v
+            # pull a non-divisible entry into the pivot row
+            a[t] = [x + y for x, y in zip(a[t], a[witness])]
+            u[t] = [x + y for x, y in zip(u[t], u[witness])]
+        if a[t][t] < 0:
+            a[t][t] = -a[t][t]
+            vt[t] = [-x for x in vt[t]]
+    return u, a, [list(row) for row in zip(*vt)]
 
 
 # -- the fraction-free factors of the engine walk -------------------------

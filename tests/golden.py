@@ -127,10 +127,16 @@ DIFFERENTIAL_TREES = 40
 # with the cap on bound doublings it runs under (None: the engine's own).
 # The lens space has thousands of classes, nearly all zero.  The two-node
 # tree's class 2 ends in "raise order", which takes minutes at the
-# engine's cap and well under a second at 4 doublings.
+# engine's cap and well under a second at 4 doublings.  The star
+# (-3; three legs of four -2) has H_1 = Z/5 + Z/15: its classes come in
+# runs of 5 in which some coordinates repeat.
 EXTRA_GRAPHS = {
     "lens_3001.plumb": ("1\n-3001\n", None),
     "two_node_raise_order.plumb": ("6\n-3 -3 -2 -2 -1 -1\n1 2\n1 3\n1 4\n2 5\n2 6\n", 4),
+    "star_5_15.plumb": (
+        "13\n-3 -2 -2 -2 -2 -2 -2 -2 -2 -2 -2 -2 -2\n1 2\n2 3\n3 4\n4 5\n1 6\n6 7\n7 8\n8 9\n1 10\n10 11\n11 12\n12 13\n",
+        None,
+    ),
 }
 
 

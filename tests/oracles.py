@@ -18,6 +18,12 @@ never meets in the group prod Z/2d_i of all Smith rows, from the full
 rows of U on every listed leaf assignment; the engine decides the same
 class by class, by a coset test on its walk's class digits
 (``_SupportForm.coset_test``).
+
+``dense_smith_normal_form`` is the Smith normal form as every step of it
+was once made in full: each pivot search scans the whole remaining
+matrix and each row and column operation touches every row.
+``zhat.exact.smith_normal_form`` makes the same steps with only the work
+each one needs, and must give the identical (U, D, V).
 """
 
 from __future__ import annotations
@@ -279,3 +285,73 @@ def per_vector_terms(graph, form, bound: int, lower: int | None = None, want=Non
         acc = terms.setdefault(idx, {})
         acc[s] = acc.get(s, 0) + int(c)
     return {idx: {s: c for s, c in acc.items() if c} for idx, acc in terms.items() if any(acc.values())}
+
+
+def dense_smith_normal_form(rows) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """(U, D, V) with U*m*V = D for the square integer ``rows`` of m, by
+    dense steps: the pivot is the first entry of least |a_ij| != 0 in
+    row-major order, its column and row are reduced by row and column
+    operations, and a row with an entry the pivot does not divide is
+    added to the pivot row, until the pivot divides the rest."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        if i != j:
+            a[i], a[j] = a[j], a[i]
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for row in a:
+                row[i], row[j] = row[j], row[i]
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, f):
+        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, f):
+        for row in a:
+            row[dst] += f * row[src]
+        for row in v:
+            row[dst] += f * row[src]
+
+    for t in range(n):
+        while True:
+            # the first entry of least |a[i][j]| != 0 in row-major order
+            best = min(((abs(x), i, j) for i in range(t, n) for j, x in enumerate(a[i][t:], t) if x), default=None)
+            if best is None:
+                break
+            swap_rows(t, best[1])
+            swap_cols(t, best[2])
+            dirty = False
+            for i in range(t + 1, n):
+                if a[i][t] != 0:
+                    add_row(t, i, -(a[i][t] // a[t][t]))
+                    if a[i][t] != 0:
+                        dirty = True
+            for j in range(t + 1, n):
+                if a[t][j] != 0:
+                    add_col(t, j, -(a[t][j] // a[t][t]))
+                    if a[t][j] != 0:
+                        dirty = True
+            if dirty:
+                continue
+            witness = None
+            for i in range(t + 1, n):
+                if any(a[i][j] % a[t][t] != 0 for j in range(t + 1, n)):
+                    witness = i
+                    break
+            if witness is None:
+                break
+            add_row(witness, t, 1)  # pull a non-divisible entry into the pivot row
+        if t < n and a[t][t] < 0:
+            for row in a:
+                row[t] = -row[t]
+            for row in v:
+                row[t] = -row[t]
+    return u, a, v

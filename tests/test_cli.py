@@ -126,6 +126,25 @@ class TestGraphCommand:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["graph", "delta"])
+    @pytest.mark.parametrize("spinc", ["0", "2"])
+    def test_all_and_spinc_are_exclusive(self, tmp_path, capsys, monkeypatch, command, spinc):
+        # --spinc 0 as well: an explicit class is told apart from no --spinc
+        monkeypatch.setenv("COLUMNS", "200")
+        f = tmp_path / "l5.plumb"
+        f.write_text(L5_FILE)
+        for argv, first in [(["--all", "--spinc", spinc], "--all"), (["--spinc", spinc, "--all"], "--spinc")]:
+            with pytest.raises(SystemExit) as exc:
+                main([command, str(f), *argv])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            second = "--spinc" if first == "--all" else "--all"
+            usage, error = err.splitlines()
+            assert out == "" and usage.startswith(f"usage: zhat {command} [-h] [--spinc SPINC | --all] ")
+            assert error == f"zhat {command}: error: argument {second}: not allowed with argument {first}"
+        # without --all, no --spinc is class 0
+        assert run(capsys, command, str(f)) == run(capsys, command, str(f), "--spinc", "0")
+
     def test_disconnected(self, tmp_path, capsys):
         f = tmp_path / "bad.plumb"
         f.write_text(DISCONNECTED)

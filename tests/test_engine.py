@@ -257,6 +257,46 @@ class TestSpinC:
             spin_c_representatives(ExactMatrix([[0]]), (0,))
 
 
+# (-3; three legs of four -2): H_1 = Z/5 + Z/15, and column 0 of 2U^-1 is
+# 0 on all but two coordinates, so the runs of the first digit repeat the
+# rest
+STAR_5_15 = PlumbingGraph((-3,) + (-2,) * 12, tuple((0 if i % 4 == 0 else i, i + 1) for i in range(12)))
+
+
+class TestBlocks:
+    """``_SpinCContext.blocks`` against ``vector_of_index``, row by row."""
+
+    @staticmethod
+    def check(g: PlumbingGraph) -> _SpinCContext:
+        ctx = _SpinCContext(g.linking_rows(), g.degree_vector())
+        runs = [list(run) for run in ctx.blocks()]
+        assert [row for run in runs for row in run] == [(i, *ctx.vector_of_index(i)) for i in range(ctx.count)]
+        # one run per value of the higher digits, each of all d_0 values of the first
+        assert {len(run) for run in runs} == {ctx.d[0] if ctx.d else 1}
+        return ctx
+
+    @pytest.mark.parametrize("path", sorted(DATA.glob("*.plumb")), ids=lambda p: p.stem)
+    def test_data_graphs(self, path):
+        g = parse_plumb(path.read_text())
+        ctx = self.check(g)
+        if path.stem == "d4_star":
+            assert ctx.d == [2, 2]
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 64, 1001])
+    def test_lens_spaces(self, p):
+        # L(p, 1): one vertex, one run of p classes
+        assert self.check(PlumbingGraph((-p,), ())).d == ([p] if p > 1 else [])
+
+    def test_star_whose_runs_repeat_coordinates(self):
+        ctx = self.check(STAR_5_15)
+        assert ctx.d == [5, 15]
+        assert 0 in [row[0] for row in ctx.uinv]
+
+    def test_no_smith_rows(self):
+        ctx = _SpinCContext(None, (1, 0, -1))
+        assert [list(run) for run in ctx.blocks()] == [[(0, 1, 0, -1)]]
+
+
 class TestClosedForms:
     def test_s3(self):
         res = compute_zhat(PlumbingGraph((-1,), ()), 0, order=10)

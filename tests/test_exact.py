@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import det_cofactor
-from oracles import brute_force_coset, enumerate_coset_under_bound
+from oracles import brute_force_coset, dense_smith_normal_form, enumerate_coset_under_bound
 from zhat.errors import NotNegativeDefinite, SingularMatrix
 from zhat.exact import ExactMatrix, _ldl_ordered, is_negative_definite, smith_normal_form
 
@@ -244,6 +244,27 @@ class TestSmithNormalForm:
             for x in diag:
                 prod *= x
             assert prod == abs(m.determinant())
+
+    def test_same_steps_as_the_dense_form(self):
+        # singular ones too, and even entries only, where no pivot is a unit
+        rng = random.Random(11)
+        for _ in range(400):
+            n, span, scale = rng.randint(0, 6), rng.choice([1, 3, 9]), rng.choice([1, 2])
+            rows = [[scale * rng.randint(-span, span) for _ in range(n)] for _ in range(n)]
+            assert smith_normal_form(rows) == dense_smith_normal_form(rows)
+
+    @pytest.mark.parametrize("legs", [40, 80])
+    def test_same_steps_as_the_dense_form_on_long_legged_stars(self, legs):
+        # (-3; three legs of `legs` -2), 121 and 241 vertices
+        s = 3 * legs + 1
+        rows = [[-3 if i == j else 0 for j in range(s)] for i in range(s)]
+        for i in range(1, s):
+            rows[i][i] = -2
+            parent = 0 if i % legs == 1 else i - 1
+            rows[i][parent] = rows[parent][i] = 1
+        u, d, v = smith_normal_form(rows)
+        assert (u, d, v) == dense_smith_normal_form(rows)
+        assert [d[i][i] for i in range(s) if d[i][i] > 1] == [legs + 1, 3 * (legs + 1)]
 
 
 class TestEnumeration:

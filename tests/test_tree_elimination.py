@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import det_cofactor, trees
-from oracles import adjugate
+from oracles import adjugate, dense_smith_normal_form
 from zhat.brieskorn import brieskorn_data, build_plumbing
 from zhat.cli import main
 from zhat.engine import _SpinCContext
@@ -107,6 +107,17 @@ class TestAgainstDenseOracles:
             return
         ctx = _SpinCContext(g.linking_rows(), g.degree_vector())
         assert_uinv_is_dense_columns(ctx, g.linking_matrix())
+
+    @PROPERTY
+    @given(trees())
+    @example(SINGULAR)
+    @example(SEMIDEFINITE)
+    @example(ZERO_PIVOT)
+    @example(ZERO_PIVOT_INSIDE)
+    def test_smith_form_makes_the_dense_steps(self, g):
+        # every signature, singular trees too: the same (U, D, V)
+        rows = g.linking_rows()
+        assert smith_normal_form(rows) == dense_smith_normal_form(rows)
 
     @PROPERTY
     @given(trees())
