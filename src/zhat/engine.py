@@ -17,7 +17,12 @@ vertices.  One enumeration serves every tree: the finitely many
 assignments of the leaves are listed once per graph, and for each one a
 Fincke-Pohst walk over the degree >= 3 coordinates alone (the principal
 block of -M^-1 there is positive definite) finds the rest under the
-quadratic bound.  The walk is integer throughout: it runs on the form
+quadratic bound.  The vector -l has the S and the c_l of l (each vertex
+factor has f(-k) = (-1)^deg f(k), and the degrees of a tree sum to an
+even number) and lies in the conjugate class -a, so only the half of the
+assignments whose first leaf is +1 is listed, and each walked vector is
+credited to its class and to that of -l (Zhat_{-a} = Zhat_a).  The walk
+is integer throughout: it runs on the form
 B = |det M| * (-M^-1) = -sign(det M) * adj(M), factored fraction-free
 (trailing minors and their adjugates), so each level's range is one
 integer square root.  The walk hands out runs of its last coordinate,
@@ -234,7 +239,9 @@ class _SupportForm:
     definite trees alike; it is factored fraction-free once (trailing
     minors D_p and their adjugates).  The finitely many assignments x of
     the other coordinates are listed once, each with the integers the
-    walk needs: with y the coordinates on ``high``,
+    walk needs, and with a leaf first (``halved``, every graph but a lone
+    vertex) only those with x_0 = +1: the rest are the -x, and the walk
+    of -x is that of x with y -> -y.  With y the coordinates on ``high``,
 
         S = l^T B l = x^T B_xx x + 2 y^T B_hx x + y^T B_hh y,
 
@@ -250,7 +257,8 @@ class _SupportForm:
     The last level hands out each stretch of its coordinate as one run
     (see ``walk``) instead of one vector per value.  Each vector's Spin^c
     class index comes from ``classes``, one (row of U, offset U delta, d,
-    stride) per invariant factor d > 1: digit (U l - U delta) / 2 mod d.
+    stride) per invariant factor d > 1: digit (U l - U delta) / 2 mod d,
+    and -l has the digits -digit - (U delta) mod d (``conjugate``).
     Adding 2 to the last coordinate adds its column of U mod d to the
     digits, so the class is affine in it with some ``period``.  With
     period 1 (always for a homology sphere) a run has one class; when only
@@ -283,20 +291,21 @@ class _SupportForm:
             )
             for p, h in enumerate(self.high)
         ]
-        self.classes = [(2 * d, d, stride) for _, _, d, stride in classes]
+        # per factor: 2d, d, stride, and 2 (U delta) mod 2d, which mirrors a residue to -l's
+        self.classes = [(2 * d, d, stride, 2 * offset % (2 * d)) for _, offset, d, stride in classes]
         self.steps = []
         if k:
             # the digit step of the last coordinate and the cyclic group it spans
-            step = [c % d for c, (_, d, _) in zip(self.levels[-1][4], self.classes)]
+            step = [c % d for c, (_, d, _, _) in zip(self.levels[-1][4], self.classes)]
             self.period = 1
-            for c, (_, d, _) in zip(step, self.classes):
+            for c, (_, d, _, _) in zip(step, self.classes):
                 self.period = lcm(self.period, d // gcd(d, c))
             self.hits = {
-                sum(j * c % d * stride for c, (_, d, stride) in zip(step, self.classes)): j
+                sum(j * c % d * stride for c, (_, d, stride, _) in zip(step, self.classes)): j
                 for j in range(self.period)
             }
-            # the last coordinate's U column, modulus 2d and stride per digit
-            self.steps = [(c, mod, stride) for c, (mod, _, stride) in zip(self.levels[-1][4], self.classes)]
+            # the last coordinate's U column, modulus 2d, stride and mirror offset per digit
+            self.steps = [(c, mod, stride, twice) for c, (mod, _, stride, twice) in zip(self.levels[-1][4], self.classes)]
         # With b = B_hx x, M_0 = D_0 x^T B_xx x - b^T adj(B_hh) b = x^T Q x and
         # V^0 = W x.  One low coordinate x_j at a time, x^T Q x, W x and the
         # class residues U x - U delta each grow by one term, from row j of
@@ -305,6 +314,10 @@ class _SupportForm:
         adj0 = factors[0][1] if k else []
         adj_bx = [[sum(map(mul, row, col)) for row in adj0] for col in bx]
         partial = [((), 0, [0] * k, [-offset for _, offset, _, _ in classes])]
+        # -l has the S and the c_l of l, so with a leaf first only its value
+        # +1 is listed; the walk credits each vector to its class and -l's.
+        # A lone vertex has no leaf, and its value 0 is its own conjugate.
+        self.halved = windows[self.low[0]] == (-1, 1)
         for j, v in enumerate(self.low):
             qrow = [minors[0] * form[j][i] - sum(map(mul, bx[j], adj_bx[i])) for i in range(j + 1)]
             diag = qrow[j]
@@ -313,7 +326,7 @@ class _SupportForm:
             grown = []
             for combo, m, v0, res in partial:
                 twice = 2 * sum(map(mul, qrow, combo))
-                for x in windows[v]:
+                for x in (1,) if self.halved and not j else windows[v]:
                     grown.append(
                         (
                             combo + (x,),
@@ -326,39 +339,43 @@ class _SupportForm:
         self.assignments = partial
         # the digits of each wanted class, made once per class and kept for
         # every walk (escalation passes walk the same classes again)
-        mods = [(d, stride) for _, d, stride in self.classes]
+        mods = [(d, stride) for _, d, stride, _ in self.classes]
         self.digits = _Memo(lambda w: [w // stride % d for d, stride in mods])
 
     def walk(self, bound: int, lower: int | None = None, want: Sequence[int] | None = None) -> list[tuple]:
-        """Every window-feasible support vector l with S = l^T B l <= bound
-        (with ``lower`` only those with S > lower: one shell; with ``want``
+        """Every window-feasible support vector l of the listed assignments
+        with S = l^T B l <= bound (with ``lower`` only those with S > lower:
+        one shell; with ``want``, which must be closed under conjugation,
         only those in the listed classes), as runs of its last coordinate
         y_(k-1) = first, first + step, ..., <= last, each
 
-            (class index or None, assignment index, y_0 .. y_(k-2),
-             first, last, step, M, D, centre, residues),
+            (class index or None, class of -l or None, assignment index,
+             y_0 .. y_(k-2), first, last, step, M, D, centre, residues),
 
-        with S = (M + (D y_(k-1) - centre)^2) / D exactly.  A run carries
-        its class when the run fixes it: when the last column of U steps
-        no digit (period 1, always so for a homology sphere), or as one
-        ``want`` progression of step 2 * period through ``hits``.  Else the
-        class index is None and each y_(k-1) = v has the digits (r + c v)
-        mod 2d / 2 of the residues r, read with ``steps``; with ``want``
+        with S = (M + (D y_(k-1) - centre)^2) / D exactly.  With ``halved``
+        the other half of the support is -l, of the same S.  A run carries
+        its class and that of -l when the run fixes them: when the last
+        column of U steps no digit (period 1, always so for a homology
+        sphere), or as one ``want`` progression of step 2 * period through
+        ``hits``.  Else both are None and each y_(k-1) = v has the digits
+        (r + c v) mod 2d / 2 of the residues r, and -l the digits
+        (-r - c v - 2 U delta) mod 2d / 2, read with ``steps``; with ``want``
         the caller keeps only the listed classes.  Without degree >= 3
         vertices each assignment is one run of the single value 0, with
         D = 1, centre 0 and M = S, whatever the bound (above ``lower``, if
-        given)."""
+        given); a lone vertex lists all its values, and its runs carry no
+        class of -l."""
         wanted = None if want is None else set(want)
         assignments, levels, classes = self.assignments, self.levels, self.classes
         runs = []
         k = len(levels)
         if not k:
             for a, (_, s, _, res) in enumerate(assignments):
-                idx = sum(r % mod // 2 * stride for r, (mod, _, stride) in zip(res, classes))
+                idx = sum(r % mod // 2 * stride for r, (mod, _, stride, _) in zip(res, classes))
                 if (lower is None or s > lower) and (wanted is None or idx in wanted):
-                    runs.append((idx, a, (), 0, 0, 1, s, 1, 0, None))
+                    runs.append((idx, self.conjugate(idx) if self.halved else None, a, (), 0, 0, 1, s, 1, 0, None))
             return runs
-        digits = self.digits
+        digits, conjugate = self.digits, self.conjugate
         hits, period = self.hits, self.period
         ys = [0] * k
         last = k - 1
@@ -376,14 +393,13 @@ class _SupportForm:
                 return
             fixed = None
             if period == 1:
-                # every v here has the parity of the window, so one class
-                fixed = (
-                    sum((r + c * parity) % mod // 2 * stride for r, c, (mod, _, stride) in zip(res, cols, classes))
-                    if classes
-                    else 0
-                )
-                if wanted is not None and fixed not in wanted:
-                    return
+                # every v here has the parity of the window, so one class, and -l one
+                fixed = mirror = 0
+                if classes:
+                    fixed = sum((r + c * parity) % mod // 2 * stride for r, c, (mod, _, stride, _) in zip(res, cols, classes))
+                    if wanted is not None and fixed not in wanted:
+                        return
+                    mirror = conjugate(fixed)
             spans = [(lo, hi)]
             if lower is not None:
                 inner_lo, inner_hi = _range_under_square(det_p, -center, det_p * lower - m)
@@ -393,30 +409,37 @@ class _SupportForm:
             for span_lo, span_hi in spans:
                 for first, end in _parity_runs(parity, span_lo, span_hi):
                     if fixed is not None:
-                        runs.append((fixed, a, head, first, end, 2, m, det_p, center, None))
+                        runs.append((fixed, mirror, a, head, first, end, 2, m, det_p, center, None))
                     elif wanted is None or len(wanted) > (end - first) // 2:
-                        runs.append((None, a, head, first, end, 2, m, det_p, center, res))
+                        runs.append((None, None, a, head, first, end, 2, m, det_p, center, res))
                     else:
-                        base = [(r + c * first) % mod // 2 for r, c, (mod, _, _) in zip(res, cols, classes)]
+                        base = [(r + c * first) % mod // 2 for r, c, (mod, _, _, _) in zip(res, cols, classes)]
                         for idx in want:
-                            gap = sum((x - y) % d * stride for x, y, (_, d, stride) in zip(digits[idx], base, classes))
+                            gap = sum((x - y) % d * stride for x, y, (_, d, stride, _) in zip(digits[idx], base, classes))
                             j = hits.get(gap)
                             if j is not None and first + 2 * j <= end:
-                                runs.append((idx, a, head, first + 2 * j, end, 2 * period, m, det_p, center, None))
+                                runs.append(
+                                    (idx, conjugate(idx), a, head, first + 2 * j, end, 2 * period, m, det_p, center, None)
+                                )
 
         for a, (_, m0, v0, res) in enumerate(assignments):
             level(0, m0, res, v0, a)
         return runs
 
+    def conjugate(self, idx: int) -> int:
+        """The class of -l for every l in class ``idx``: digit -x - (U delta)_j mod d_j."""
+        return sum((-(idx // stride) - twice // 2) % d * stride for _, d, stride, twice in self.classes)
+
     def coset_test(self) -> Callable[[int], bool]:
         """Whether the support meets a class.  Each assignment seeds its
-        digits at y_h = m_h mod 2, and adding 2 to y_h adds its column of
+        digits at y_h = m_h mod 2, and its conjugate -l the digits
+        -x - (U delta)_j; adding 2 to y_h adds its column of
         U, so the support meets the seeds' cosets of the subgroup G the
         node columns span mod d, and no other class.  G + (d_i e_i) gets
         an upper-triangular basis, one Euclid pass per column and node;
         reducing each digit in turn into [0, pivot) by its row gives the
         canonical point of a coset, once per seed and once per class."""
-        mods = [d for _, d, _ in self.classes]
+        mods = [d for _, d, _, _ in self.classes]
         basis = [[d * (i == j) for j in range(len(mods))] for i, d in enumerate(mods)]
         for _, _, _, _, cols in self.levels:
             g = list(cols)
@@ -435,8 +458,12 @@ class _SupportForm:
             return tuple(digits)
 
         odd = [sum(cols[i] for _, _, _, m, cols in self.levels if m % 2) for i in range(len(mods))]
-        seeds = {reduced([(r + o) // 2 % d for r, o, d in zip(res, odd, mods)]) for _, _, _, res in self.assignments}
-        return lambda idx: reduced([idx // stride % d for _, d, stride in self.classes]) in seeds
+        seeds = set()
+        for _, _, _, res in self.assignments:
+            full = [r + o for r, o in zip(res, odd)]
+            seeds.add(reduced([x // 2 % d for x, d in zip(full, mods)]))
+            seeds.add(reduced([(-x - twice) // 2 % d for x, (_, d, _, twice) in zip(full, self.classes)]))
+        return lambda idx: reduced([idx // stride % d for _, d, stride, _ in self.classes]) in seeds
 
     def zero_bound(self) -> int:
         """One node: B* such that a class with no term at S <= B* is zero.
@@ -644,13 +671,17 @@ class _GraphSetup:
     def _walk(self, terms: dict[int, dict], want: list[int] | None, bound, lower=None) -> None:
         """Add every support vector l with lower < S <= bound, S = l^T B l
         = |det M| * l^T N l (no ``lower``: S <= bound), of the classes
-        ``want`` (None: every class), to ``terms[class of l][S]`` as
-        2^#high * c_l; ``terms`` makes a class's dict at its first vector.
-        Each run of the walk is stepped in one flat loop: the coefficient
-        of its assignment and earlier coordinates once, then per value of
-        the last coordinate S, its table entry and, where the run does not
-        fix the class, the class digits.  Then drop the zeros, and the
-        walked classes left with none."""
+        ``want`` (None: every class; else closed under conjugation), to
+        ``terms[class of l][S]`` as 2^#high * c_l; ``terms`` makes a class's
+        dict at its first vector.  The walk lists one of l and -l, which
+        share S and c_l, so each walked vector is credited to its class and
+        to that of -l.  Each run of the walk is stepped in one flat loop: the
+        coefficient of its assignment and earlier coordinates once, then per
+        value of the last coordinate S, its table entry and, where the run
+        does not fix the classes, the class digits of l and -l.  A run whose
+        one class is its own conjugate (every run of a homology sphere) is
+        credited once with 2 c_l.  Then drop the zeros, and the walked
+        classes left with none."""
         if want is not None and len(want) == self.ctx.count:
             want = None
         wanted = None if want is None else set(want)
@@ -658,26 +689,40 @@ class _GraphSetup:
         # without a node every run is the one value 0 of no coordinate
         *tables, last_table = self.tables or [{0: 1}]
         steps = form.steps
-        for idx, a, head, first, last, step, m, det_p, center, res in form.walk(
+        for idx, mirror, a, head, first, last, step, m, det_p, center, res in form.walk(
             floor(bound), None if lower is None else floor(lower), want
         ):
             c = low[a]
             for table, y in zip(tables, head):
                 c *= table[y]
-            if idx is not None:
+            if idx is None:
+                for v in range(first, last + 1, step):
+                    idx = sum((r + u * v) % mod // 2 * stride for r, (u, mod, stride, _) in zip(res, steps))
+                    if wanted is None or idx in wanted:
+                        z = det_p * v - center
+                        s = (m + z * z) // det_p
+                        x = c * last_table[v]
+                        acc = terms[idx]
+                        acc[s] = acc.get(s, 0) + x
+                        idx = sum((-r - u * v - o) % mod // 2 * stride for r, (u, mod, stride, o) in zip(res, steps))
+                        acc = terms[idx]
+                        acc[s] = acc.get(s, 0) + x
+            elif mirror is None or mirror == idx:
+                if mirror is not None:
+                    c *= 2
                 acc = terms[idx]
                 for v in range(first, last + 1, step):
                     z = det_p * v - center
                     s = (m + z * z) // det_p
                     acc[s] = acc.get(s, 0) + c * last_table[v]
-                continue
-            for v in range(first, last + 1, step):
-                idx = sum((r + u * v) % mod // 2 * stride for r, (u, mod, stride) in zip(res, steps))
-                if wanted is None or idx in wanted:
+            else:
+                acc, conj = terms[idx], terms[mirror]
+                for v in range(first, last + 1, step):
                     z = det_p * v - center
                     s = (m + z * z) // det_p
-                    acc = terms[idx]
-                    acc[s] = acc.get(s, 0) + c * last_table[v]
+                    x = c * last_table[v]
+                    acc[s] = acc.get(s, 0) + x
+                    conj[s] = conj.get(s, 0) + x
         for idx in list(terms) if want is None else [idx for idx in want if idx in terms]:
             acc = terms[idx]
             for s in [s for s, c in acc.items() if not c]:
@@ -687,7 +732,8 @@ class _GraphSetup:
 
     def series(self, want: list[int] | None, order: Fraction) -> tuple[dict[int, tuple | str], str]:
         """The classes ``want`` (distinct; None: every class) with terms,
-        as class -> the fields of its ZhatResult after the representative,
+        as class -> the fields of its ZhatResult after the representative
+        (with ``want`` their conjugates too, which the walks fill alike),
         and those escalated in vain, as class -> the note of their zero
         verdict; and the default note, that of every other class of
         ``want``, each zero by the rule of its note:
@@ -717,6 +763,9 @@ class _GraphSetup:
         """
         det = self.form.det
         span = floor(4 * order * det)
+        if want is not None:
+            # the walk credits -l's class too, so it walks the classes of ``want`` and their conjugates
+            want = list(dict.fromkeys([*want, *map(self.form.conjugate, want)]))
         terms: dict[int, dict] = defaultdict(dict)
         bound = 4 * (order + 1) * det
         if len(self.high) == 1:

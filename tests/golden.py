@@ -60,6 +60,7 @@ CASES = {
     "graph_not_negative_definite": ["graph", "weakly_star.plumb", "--all", "--format", "json"],
     "delta_lens_chain": ["delta", "lens_chain.plumb", "--all", "--format", "json"],
     "delta_det51_star": ["delta", "det51_star.plumb", "--all", "--format", "json"],
+    "delta_four_leaf_star": ["delta", "four_leaf_star.plumb", "--all", "--format", "json"],
     "delta_det51_spinc": ["delta", "det51_star.plumb", "--spinc", "7", "--format", "json"],
     "delta_escalation_star_zero_spinc": ["delta", "escalation_star.plumb", "--spinc", "2", "--format", "json"],
     "brieskorn_2_9_11": ["brieskorn", "2", "9", "11", "--format", "json"],

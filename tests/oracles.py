@@ -9,9 +9,12 @@ test, so the two can check each other; ``brute_force_coset`` checks the
 recursion in turn by scanning a box point by point.
 
 ``run_vectors`` expands the runs of the engine walk
-(``_SupportForm.walk``) into its vectors one at a time, and
-``per_vector_terms`` sums their coefficients vector by vector, the
-reference for the engine's flat loop over each run (``_GraphSetup._walk``).
+(``_SupportForm.walk``) into its vectors one at a time, each listed
+vector l followed by -l, which the walk leaves out and the engine credits
+through its own conjugate map; here -l gets its class from the full
+vector.  ``per_vector_terms`` sums their coefficients vector by vector,
+the reference for the engine's flat loop over each run
+(``_GraphSetup._walk``).
 
 ``classes_missing_support`` decides which classes the support of c_l
 never meets in the group prod Z/2d_i of all Smith rows, from the full
@@ -248,38 +251,52 @@ def adjugate(graph, columns: Sequence[int] | None = None) -> tuple[tuple[int, ..
     return tuple(rows)
 
 
-def run_vectors(form, runs, want=None) -> Iterator[tuple[int, int, tuple[int, ...], int]]:
+def run_vectors(form, ctx, runs, want=None) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], int]]:
     """The vectors of ``runs``, the runs of the last coordinate that
-    ``form.walk`` gives, one at a time as (class index, assignment index,
-    y on ``form.high``, S).  Each run steps y = first, first + step, ...
+    ``form.walk`` gives, one at a time as (class index, l on ``form.low``,
+    l on ``form.high``, S).  Each run steps y = first, first + step, ...
     up to last, with S = (M + (D y - centre)^2) / D, which must divide
     exactly.  A run without a class reads it for each y from its residues
     r and ``form.steps``, digit (r + c y) mod 2d / 2, and keeps only the
-    classes in ``want`` (all of them when None)."""
-    for idx, a, head, first, last, step, m, det_p, center, res in runs:
+    classes in ``want`` (all of them when None).  On a graph of more than
+    one vertex the walk lists one of each pair l, -l (same S, same c_l),
+    so each listed l is followed by -l, its class read by
+    ``ctx.index_of_vector`` from the full vector and kept when in
+    ``want``; the run's own class of -l is not read."""
+    size, support = len(ctx.delta), form.low + form.high
+    for idx, _, a, head, first, last, step, m, det_p, center, res in runs:
+        x = form.assignments[a][0]
         for y in range(first, last + 1, step):
             s, rest = divmod(m + (det_p * y - center) ** 2, det_p)
             assert rest == 0, (m, det_p, center, y)
             cls = idx
             if cls is None:
-                cls = sum((r + c * y) % mod // 2 * stride for r, (c, mod, stride) in zip(res, form.steps))
+                cls = sum((r + c * y) % mod // 2 * stride for r, (c, mod, stride, _) in zip(res, form.steps))
                 if want is not None and cls not in want:
                     continue
-            yield cls, a, (head + (y,) if form.high else ()), s
+            ys = head + (y,) if form.high else ()
+            yield cls, x, ys, s
+            if size > 1:
+                neg = [0] * size
+                for v, t in zip(support, x + ys):
+                    neg[v] = -t
+                cls = ctx.index_of_vector(neg)
+                if want is None or cls in want:
+                    yield cls, tuple(-t for t in x), tuple(-t for t in ys), s
 
 
-def per_vector_terms(graph, form, bound: int, lower: int | None = None, want=None) -> dict[int, dict[int, int]]:
+def per_vector_terms(graph, form, ctx, bound: int, lower: int | None = None, want=None) -> dict[int, dict[int, int]]:
     """class -> {S: 2^#high * c_l summed over the vectors l of that class
-    and S} for one walk of ``form`` (the support form of ``graph``),
-    accumulated one expanded vector at a time with c_l the product of the
-    public vertex factors at -l_v; zero sums and classes left with none
-    are dropped."""
+    and S} for one walk of ``form`` (the support form of ``graph``, with
+    Spin^c context ``ctx``), accumulated one expanded vector at a time,
+    l and -l each, with c_l the product of the public vertex factors at
+    -l_v; zero sums and classes left with none are dropped."""
     degrees = graph.degree_vector()
     scale = 2 ** len(form.high)
     terms: dict[int, dict[int, int]] = {}
-    for idx, a, ys, s in run_vectors(form, form.walk(bound, lower, want), want):
+    for idx, xs, ys, s in run_vectors(form, ctx, form.walk(bound, lower, want), want):
         c = Fraction(scale)
-        for v, x in zip(form.low + form.high, form.assignments[a][0] + ys):
+        for v, x in zip(form.low + form.high, xs + ys):
             c *= vertex_factor_coefficient(degrees[v], -x)
         assert c.denominator == 1
         acc = terms.setdefault(idx, {})

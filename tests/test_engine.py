@@ -6,6 +6,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from math import floor
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -337,6 +338,27 @@ class TestClosedForms:
                 assert d1 == delta_a(g, conj)
 
 
+def coset_series(g, vector, top):
+    """exponent -> coefficient of the class of ``vector`` for every
+    exponent <= top, summed over its full coset by the dense rational
+    enumeration with the dense inverse; zero sums dropped.  ``g`` must be
+    negative definite."""
+    m = g.linking_matrix()
+    s = m.size
+    degrees = g.degree_vector()
+    minv = m.inverse()
+    e0 = Fraction(3 * m.signature_and_positive_count()[0] - int(m.trace()), 4)
+    acc: dict[Fraction, Fraction] = {}
+    for l in enumerate_coset_under_bound(m, vector, 4 * (top - e0)):
+        c = Fraction(1)
+        for v, lv in enumerate(l):
+            c *= vertex_factor_coefficient(degrees[v], -lv)
+        if c:
+            e = e0 - sum(minv.rows[i][j] * l[i] * l[j] for i in range(s) for j in range(s)) / 4
+            acc[e] = acc.get(e, Fraction(0)) + c
+    return {e: c for e, c in acc.items() if c}
+
+
 class TestCrossOracle:
     @pytest.mark.parametrize("triple", [(2, 3, 7), (2, 9, 11), (3, 4, 11), (3, 7, 8)])
     def test_matches_closed_form_order_100(self, triple):
@@ -368,25 +390,9 @@ class TestCrossOracle:
     def test_against_full_coset(self, g):
         # aggregate the full coset enumeration independently with the
         # dense inverse and compare series
-        m = g.linking_matrix()
-        s = m.size
-        degrees = g.degree_vector()
         res = compute_zhat(g, 0, order=10)
-        rep = spin_c_representatives(m, degrees)[0]
-        minv = m.inverse()
-        e0 = Fraction(3 * m.signature_and_positive_count()[0] - int(m.trace()), 4)
-        acc: dict[Fraction, Fraction] = {}
-        bound = 4 * (res.delta - e0) + 40
-        for l in enumerate_coset_under_bound(m, rep.vector, bound):
-            c = Fraction(1)
-            for v, lv in enumerate(l):
-                c *= vertex_factor_coefficient(degrees[v], -lv)
-            if c == 0:
-                continue
-            q = -sum(minv.rows[i][j] * l[i] * l[j] for i in range(s) for j in range(s))
-            e = e0 + q / 4
-            acc[e] = acc.get(e, Fraction(0)) + c
-        expected = sorted((e - res.delta, c) for e, c in acc.items() if c != 0 and e <= res.delta + 10)
+        rep = spin_c_representatives(g.linking_matrix(), g.degree_vector())[0]
+        expected = sorted((e - res.delta, c) for e, c in coset_series(g, rep.vector, res.delta + 10).items())
         assert list(res.tail.terms) == expected
 
     def test_windowed_enumeration_complete(self, g_2_9_11):
@@ -401,7 +407,7 @@ class TestCrossOracle:
         det = abs(int(m.determinant()))
         bound = Fraction(60)
         form = _SupportForm(adjugate(g), int(m.determinant()), high, windows, [])
-        walked = {l: s for _, l, s in support_vectors(form, m.size, int(bound * det))}
+        walked = {l: s for _, l, s in support_vectors(form, _SpinCContext(None, degrees), int(bound * det))}
         for l, s in walked.items():
             assert s == -det * sum(minv.rows[i][j] * l[i] * l[j] for i in range(m.size) for j in range(m.size))
             assert s <= bound * det
@@ -556,18 +562,24 @@ def outcome(res):
     return str(res) if isinstance(res, EmptySeries) else res
 
 
-def support_vectors(form, size, bound, lower=None, want=None):
-    """The walk of ``form``, its runs expanded, as (class index, full
-    vector l, S) triples."""
+def support_vectors(form, ctx, bound, lower=None, want=None):
+    """The walk of ``form``, its runs expanded into every listed vector l
+    and -l (``run_vectors``), as (class index, full vector l, S) triples;
+    no vector comes twice."""
     out = []
-    for idx, a, ys, s in run_vectors(form, form.walk(bound, lower, want), want):
-        l = [0] * size
-        for v, x in zip(form.low, form.assignments[a][0]):
+    for idx, xs, ys, s in run_vectors(form, ctx, form.walk(bound, lower, want), want):
+        l = [0] * len(ctx.delta)
+        for v, x in zip(form.low + form.high, xs + ys):
             l[v] = x
-        for h, y in zip(form.high, ys):
-            l[h] = y
         out.append((idx, tuple(l), s))
+    assert len({l for _, l, _ in out}) == len(out)
     return out
+
+
+def conjugation_closed(ctx, want):
+    """``want`` and the class of each of its negated representatives: the
+    walk takes only class lists closed under conjugation."""
+    return list(dict.fromkeys([*want, *(ctx.index_of_vector([-x for x in ctx.vector_of_index(a)]) for a in want)]))
 
 
 def per_class(g, order, allow_weakly=False):
@@ -724,7 +736,7 @@ class TestZeroCertificate:
         cap = form.zero_bound()
         factor = functools.cache(vertex_factor_coefficient)
         coefficients: dict[int, Counter] = {}
-        for idx, l, s in support_vectors(form, len(degrees), 4 * cap):
+        for idx, l, s in support_vectors(form, setup.ctx, 4 * cap):
             c = Fraction(1)
             for v in form.low + form.high:
                 c *= factor(degrees[v], -l[v])
@@ -763,12 +775,13 @@ class TestOneNodeSchedule:
     def test_least_is_the_least_exponent_of_the_walk(self, g):
         assume(0 < abs(g.elimination().det) <= 60)
         try:
-            form = _GraphSetup(g, True).form
+            setup = _GraphSetup(g, True)
         except NotNegativeDefinite:
             assume(False)
+        form = setup.form
         least = form.least()
-        assert list(run_vectors(form, form.walk(least - 1))) == []
-        assert min(s for _, _, _, s in run_vectors(form, form.walk(least))) == least
+        assert list(run_vectors(form, setup.ctx, form.walk(least - 1))) == []
+        assert min(s for _, _, _, s in run_vectors(form, setup.ctx, form.walk(least))) == least
 
     def test_sphere_class_is_walked_once(self, monkeypatch):
         # the leading term sits at the least S and does not cancel, so the
@@ -853,13 +866,14 @@ class TestShellWalk:
             "weakly": WEAKLY,
             "chain": PlumbingGraph((-2, -3, -2), ((0, 1), (1, 2))),
         }.get(name) or request.getfixturevalue(name)
-        form = _GraphSetup(g, allow_weakly=True).form
+        setup = _GraphSetup(g, allow_weakly=True)
+        form, ctx = setup.form, setup.ctx
         bound = 60 * form.det
-        walked = list(run_vectors(form, form.walk(bound)))
+        walked = list(run_vectors(form, ctx, form.walk(bound)))
         ss = sorted({s for _, _, _, s in walked})
         # below, at and between attained values, and the bound itself
         for lower in [-1, ss[0], ss[len(ss) // 2], ss[-1] - 1, 30 * form.det, bound]:
-            assert list(run_vectors(form, form.walk(bound, lower))) == [entry for entry in walked if entry[3] > lower]
+            assert list(run_vectors(form, ctx, form.walk(bound, lower))) == [entry for entry in walked if entry[3] > lower]
 
 
 # Graphs the walk must handle besides random trees: one node, two nodes,
@@ -895,7 +909,7 @@ class TestIntegerWalk:
         det = form.det
         bound = floor(bound_q * det)  # bound_q * det need not be an integer
         lower = data.draw(st.sampled_from([None, -1, 0, floor(bound_q * det / 3), bound - 1]))
-        walked = support_vectors(form, g.vertex_count, bound, lower)
+        walked = support_vectors(form, ctx, bound, lower)
         # every exponent from the dense inverse, every class from the Smith form
         minv = g.linking_matrix().inverse()
 
@@ -908,7 +922,8 @@ class TestIntegerWalk:
             assert (s <= bound or not form.high) and (lower is None or s > lower)
             assert idx == ctx.index_of_vector(l)
         want = data.draw(st.lists(st.integers(0, ctx.count - 1), min_size=1, max_size=4, unique=True))
-        restricted = support_vectors(form, g.vertex_count, bound, lower, want)
+        want = conjugation_closed(ctx, want)
+        restricted = support_vectors(form, ctx, bound, lower, want)
         assert Counter(restricted) == Counter(entry for entry in walked if entry[0] in want)
         if g.elimination().is_negative_definite and form.high and bound_q < 12:
             # complete: the dense coset walk finds the same support vectors
@@ -979,9 +994,77 @@ class TestRunAccumulation:
         want = data.draw(
             st.one_of(st.none(), st.lists(st.integers(0, ctx.count - 1), min_size=1, max_size=4, unique=True))
         )
+        if want is not None:
+            want = conjugation_closed(ctx, want)
         terms = defaultdict(dict)
         setup._walk(terms, want, bound, lower)
-        assert terms == per_vector_terms(g, form, bound, lower, want)
+        assert terms == per_vector_terms(g, form, ctx, bound, lower, want)
+
+
+D4_STAR = PlumbingGraph((-2, -2, -2, -2), ((0, 1), (0, 2), (0, 3)))
+A3_CHAIN = PlumbingGraph((-2, -2, -2), ((0, 1), (1, 2)))
+TWELVE_LEAF_STAR = PlumbingGraph((-7,) + (-2,) * 12, tuple((0, v) for v in range(1, 13)))
+
+
+class TestConjugation:
+    """The walk lists one of each pair l, -l (same S, same c_l) and credits
+    both: the engine's conjugate map against ``conjugate_spin_c``, which
+    runs its own Smith form; a one-class query against the ``--all``
+    records of a and -a; and self-conjugate classes, which get each pair
+    twice, against the full coset summed by the dense enumeration."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from([0, 1, 2]).flatmap(trees_with_nodes), st.data())
+    def test_conjugate_map_and_one_class_query(self, g, data):
+        elim = g.elimination()
+        assume(elim.is_negative_definite and abs(elim.det) <= 400)
+        setup = _GraphSetup(g, False)
+        ctx, rows, degrees = setup.ctx, g.linking_rows(), g.degree_vector()
+        conjugates = [setup.form.conjugate(a) for a in range(ctx.count)]
+        assert conjugates == [
+            conjugate_spin_c(SpinCRep(ctx.vector_of_index(a), a), rows, degrees).class_index for a in range(ctx.count)
+        ]
+        order = data.draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(5, 2)]))
+        a = data.draw(st.integers(0, ctx.count - 1))
+        # two nodes have no certified bound: a zero class escalates to the cap
+        with mock.patch.object(zhat.engine, "_MAX_BOUND_DOUBLINGS", 4):
+            results = compute_zhat_all(g, order)
+            try:
+                one = compute_zhat(g, a, order)
+            except EmptySeries as exc:
+                one = exc
+        assert outcome(one) == outcome(results[a][1])
+        mirror = results[conjugates[a]][1]
+        if isinstance(one, EmptySeries):
+            assert outcome(mirror) == outcome(one)
+        else:
+            assert (mirror.delta, mirror.tail, mirror.eta_pow2) == (one.delta, one.tail, one.eta_pow2)
+
+    @pytest.mark.parametrize(
+        "g, self_conjugate",
+        [(D4_STAR, [0, 1, 2, 3]), (A3_CHAIN, [0, 2]), (PlumbingGraph((-5,), ()), [0])],
+        ids=["d4_star", "a3_chain", "lone_vertex"],
+    )
+    def test_self_conjugate_classes_against_the_coset(self, g, self_conjugate):
+        setup, order = _GraphSetup(g, False), 10
+        assert [a for a in range(setup.ctx.count) if setup.form.conjugate(a) == a] == self_conjugate
+        results = compute_zhat_all(g, order)
+        top = max(res.delta for _, res in results if not isinstance(res, EmptySeries)) + order
+        for rep, res in results:
+            terms = coset_series(g, rep.vector, top)
+            if isinstance(res, EmptySeries):
+                assert terms == {}
+                continue
+            assert min(terms) == res.delta
+            assert list(res.tail.terms) == sorted((e - res.delta, c) for e, c in terms.items() if e <= res.delta + order)
+
+    def test_a_leaf_halves_the_assignments(self):
+        # the lone vertex has no leaf and keeps its three values
+        form = _GraphSetup(PlumbingGraph((-5,), ()), False).form
+        assert not form.halved and [x for x, _, _, _ in form.assignments] == [(-2,), (0,), (2,)]
+        form = _GraphSetup(TWELVE_LEAF_STAR, False).form
+        assert form.halved and len(form.assignments) == 2**11
+        assert {x[0] for x, _, _, _ in form.assignments} == {1}
 
 
 class TestDeltaModOne:
