@@ -24,14 +24,15 @@ from collections import deque
 from fractions import Fraction
 from itertools import islice
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from operator import itemgetter
 
 from . import __version__
 from .brieskorn import brieskorn_data, zhat0_brieskorn
 from .compare import counterexample_report, generate_table, rows_to_csv, sharpness_analysis
-from .engine import _class_stream, compute_zhat
-from .engine import spin_c_representatives  # noqa: F401  (bench/tracing.py wraps it here)
-from .errors import EmptySeries, SingularMatrix, ZhatError
+from .engine import _class_stream
+from .engine import compute_zhat, spin_c_representatives  # noqa: F401  (bench/tracing.py wraps them here)
+from .errors import SingularMatrix, ZhatError
 from .plumbing import parse_plumb
 
 DEFAULT_ORDER = 200
@@ -69,7 +70,8 @@ def _write_classes(out, stream, record, zero, head: str = "", sep: str = "", tai
     """Write every class of ``stream`` = (rows, results, default), as
     ``_class_stream`` gives it, in one ``out.write`` each, ``head`` before
     the first and ``sep`` before every later one, then ``tail``.  A class
-    with terms is written as ``record(row, fields)``, a zero class as
+    with terms is written as ``record(row, rec)``, ``rec`` its integer
+    record from ``_GraphSetup.series``, a zero class as
     ``zero(note) % row``, where ``zero`` gives the %-template of a row
     (index, *vector) for a note.  The default-note classes between the
     others are one template mapped over an ``islice`` of the rows."""
@@ -92,56 +94,63 @@ def _write_classes(out, stream, record, zero, head: str = "", sep: str = "", tai
     write(tail)
 
 
+def _ratio(num: int, den: int) -> str:
+    """num / den (den > 0) quoted as ``json.dumps`` quotes ``str(Fraction(num, den))``."""
+    g = gcd(num, den)
+    return f'"{num // g}"' if den == g else f'"{num // g}/{den // g}"'
+
+
 class _ClassRecords:
     """Each class's record as ``_emit`` writes its ``to_json_obj()`` in the
     envelope's results, from its row (index, *vector) of ``size``
-    coordinates.  A class with terms is built from strings made once per
-    run: every distinct rational (exponent, coefficient, order, delta) is
-    quoted once, keyed by (numerator, denominator) so that no Fraction is
-    hashed, and so is every distinct term.  A zero class is written from
+    coordinates and its integer record (min S, ((e, C), ...), eta) from
+    ``setup.series``.  Every rational is quoted straight from the
+    integers, once per run: delta = e0 + min S / (4|det M|) once per
+    distinct min S, and each term chunk, exponent e and coefficient
+    C / 2^#high, once per distinct (e, C).  A zero class is written from
     the %-template of its row for its note (``graph_zero``, ``delta_zero``)."""
 
-    def __init__(self, size: int):
-        self.quoted: dict[tuple[int, int], str] = {}
-        self.terms: dict[tuple[int, int, int, int], str] = {}
+    def __init__(self, size: int, setup, order: Fraction):
+        self.e0, self.den, self.scale = setup.e0_scaled, 4 * setup.form.det, 2 ** len(setup.high)
+        self.deltas: dict[int, str] = {}
+        self.terms: dict[tuple[int, int], str] = {}
         vector = ",\n          ".join(["%d"] * size)
         vector = f"[\n          {vector}\n        ]" if size else "[]"
         self.spinc = f'{{\n        "classIndex": %d,\n        "vector": {vector}\n      }}'
+        order = encode_basestring_ascii(str(order))
+        self.tail = f'\n        ],\n        "order": {order}\n      }},\n      "eta": '
+        self.end = f',\n      "prefactorSign": {setup.sign!r},\n      "truncationOrder": {order}\n    }}'
 
-    def fraction(self, x: Fraction) -> str:
-        key = (x.numerator, x.denominator)
-        text = self.quoted.get(key)
+    def delta_text(self, s0: int) -> str:
+        text = self.deltas.get(s0)
         if text is None:
-            text = self.quoted[key] = encode_basestring_ascii(str(x))
+            text = self.deltas[s0] = _ratio(self.e0 + s0, self.den)
         return text
 
-    def graph(self, row, fields) -> str:
-        """The record of the class of ``row`` with the fields of its ZhatResult."""
-        delta, tail, eta, sign, order = fields
-        cache, fraction, chunks = self.terms, self.fraction, []
-        for e, c in tail.terms:
-            key = (e.numerator, e.denominator, c.numerator, c.denominator)
-            chunk = cache.get(key)
+    def graph(self, row, record) -> str:
+        """The record of the class of ``row`` with the integer record of its series."""
+        s0, terms, eta = record
+        cache, chunks = self.terms, []
+        for term in terms:
+            chunk = cache.get(term)
             if chunk is None:
-                chunk = cache[key] = (
-                    f'{{\n            "exp": {fraction(e)},\n            "coeff": {fraction(c)}\n          }}'
+                e, c = term
+                chunk = cache[term] = (
+                    f'{{\n            "exp": "{e}",\n            "coeff": {_ratio(c, self.scale)}\n          }}'
                 )
             chunks.append(chunk)
         terms = ",\n          ".join(chunks)
-        terms = f"[\n          {terms}\n        ]" if terms else "[]"
         return (
-            f'{{\n      "spinc": {self.spinc % row},\n      "delta": {fraction(delta)},\n'
-            f'      "tail": {{\n        "terms": {terms},\n        "order": {fraction(tail.order)}\n      }},\n'
-            f'      "eta": {eta!r},\n      "prefactorSign": {sign!r},\n'
-            f'      "truncationOrder": {fraction(order)}\n    }}'
+            f'{{\n      "spinc": {self.spinc % row},\n      "delta": {self.delta_text(s0)},\n'
+            f'      "tail": {{\n        "terms": [\n          {terms}{self.tail}{eta!r}{self.end}'
         )
 
     def graph_zero(self, note: str) -> str:
         note = encode_basestring_ascii(note).replace("%", "%%")
         return f'{{\n      "spinc": {self.spinc},\n      "zero": true,\n      "note": {note}\n    }}'
 
-    def delta(self, row, fields) -> str:
-        return f'{{\n      "spinc": {self.spinc % row},\n      "delta": {self.fraction(fields[0])}\n    }}'
+    def delta(self, row, record) -> str:
+        return f'{{\n      "spinc": {self.spinc % row},\n      "delta": {self.delta_text(record[0])}\n    }}'
 
     def delta_zero(self, note: str) -> str:
         return f'{{\n      "spinc": {self.spinc},\n      "delta": null\n    }}'
@@ -196,11 +205,12 @@ def _read_text(path: str) -> str:
 
 
 def _class_results(graph, args, order):
-    """The classes of ``--all``, or the ``--spinc`` class, as
-    ``_class_stream`` gives them: (rows, results, default).  Every class
-    is computed when this returns; the rows are made as they are read."""
+    """The set-up and the classes of ``--all``, or of the ``--spinc``
+    class, as ``_class_stream`` gives them: (setup, (rows, results,
+    default)).  Every class is computed when this returns; the rows are
+    made as they are read."""
     if args.all:
-        return _class_stream(graph, order, allow_weakly=args.experimental_weakly)
+        return _class_stream(graph, order, args.experimental_weakly)
     # one class: its representative alone, not all |det M| of them
     count = abs(graph.elimination().det)
     if count == 0:
@@ -208,27 +218,22 @@ def _class_results(graph, args, order):
     idx = args.spinc or 0
     if not (0 <= idx < count):
         raise ZhatError(f"spin-c class {idx} out of range [0, {count})")
-    try:
-        res = compute_zhat(graph, idx, order=order, allow_weakly=args.experimental_weakly)
-    except EmptySeries as exc:
-        return iter([(idx, *exc.spinc.vector)]), {}, str(exc)
-    fields = (res.delta, res.tail, res.eta_pow2, res.prefactor_sign, res.truncation_order)
-    return iter([(idx, *res.spinc.vector)]), {idx: fields}, ""
+    return _class_stream(graph, order, args.experimental_weakly, idx)
 
 
 def _cmd_graph(args, out) -> int:
     order = _parse_order(args.order)
     graph = parse_plumb(_read_text(args.file))
-    stream = _class_results(graph, args, order)
+    setup, stream = _class_results(graph, args, order)
     if args.format == "json":
-        records = _ClassRecords(graph.vertex_count)
+        records = _ClassRecords(graph.vertex_count, setup, order)
         head, tail = _envelope_ends("graph", {"file": args.file, "order": str(order)}, order)
         _write_classes(out, stream, records.graph, records.graph_zero, head, ",\n    ", tail)
         return 0
     label = f"class %d (rep [{', '.join(['%d'] * graph.vertex_count)}])"
 
-    def record(row, fields) -> str:
-        delta, tail, eta = fields[:3]
+    def record(row, rec) -> str:
+        delta, tail, eta = setup.fields(rec, order)[:3]
         at = label % row
         text = f"{at}: delta = {delta}\n{at}: zhat = q^({delta}) * ({tail.text()})\n"
         return f"{text}{at}: eta = {eta} (coefficients in Z/2^eta)\n" if eta else text
@@ -239,9 +244,10 @@ def _cmd_graph(args, out) -> int:
 
 def _cmd_delta(args, out) -> int:
     graph = parse_plumb(_read_text(args.file))
-    stream = _class_results(graph, args, Fraction(0))
+    order = Fraction(0)
+    setup, stream = _class_results(graph, args, order)
     if args.format == "json":
-        records = _ClassRecords(graph.vertex_count)
+        records = _ClassRecords(graph.vertex_count, setup, order)
         head, tail = _envelope_ends("delta", {"file": args.file}, None)
         _write_classes(out, stream, records.delta, records.delta_zero, head, ",\n    ", tail)
         return 0
@@ -250,7 +256,7 @@ def _cmd_delta(args, out) -> int:
     _write_classes(
         out,
         (map(itemgetter(slice(1)), rows), results, default),
-        lambda row, fields: f"class {row[0]}: delta = {fields[0]}\n",
+        lambda row, rec: f"class {row[0]}: delta = {setup.delta(rec[0])}\n",
         lambda note: "class %d: delta = undefined (zero series)\n",
     )
     return 0

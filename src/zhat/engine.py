@@ -29,11 +29,12 @@ integer square root.  The walk hands out runs of its last coordinate,
 not vectors: each run carries the integers that give every vector's
 exponent S = l^T B l by one square and one exact division, and its
 class when the run fixes it, and the series steps each run in one flat
-loop; the tail keeps its integer exponents, and a Fraction is made only
-where the result divides: delta, and c_l / 2^#high.  Every
-support vector lies in 2Z^s + delta, so sorting the walk by Spin^c
-class gives the same series as enumerating each full coset, since
-everything dropped has c_l = 0.
+loop.  The series keeps bounds, exponents and coefficients in integers
+and gives each class as an integer record; Fractions (delta, c_l /
+2^#high) are made only at the API edge, and the CLI quotes the record's
+integers straight.  Every support vector lies in 2Z^s + delta, so sorting
+the walk by Spin^c class gives the same series as enumerating each full
+coset, since everything dropped has c_l = 0.
 
 All classes of a graph share one walk.  The class-independent set-up
 (elimination, adjugate, Smith form, factored form, leaf assignments,
@@ -47,12 +48,13 @@ a product over the nodes of a path, and the Smith form runs only when
 with one degree >= 3 vertex at least at the least S of the support plus
 the span, so a class whose leading term does not cancel is walked once.
 A class still empty that the support never meets is zero: the classes it
-meets are the cosets, one per leaf assignment, of the subgroup of H_1
-the node columns span, so one reduction of the class's digits by a
-triangular basis of that subgroup decides it, for any |H_1|.  The rest
-escalate together: with one degree >= 3 vertex up to a bound B* past
-which a class still empty is provably zero, with more for a fixed number
-of doublings.  Every later pass (each doubling and the last top-up to
+meets are the cosets, one per leaf assignment and one per its conjugate,
+of the subgroup G of H_1 the node columns span.  One class map lists
+them, each seed's coset stepped through a triangular basis of G, so no
+class is tested by itself.  The met classes still empty escalate
+together: with one degree >= 3 vertex up to a bound B* past which a
+class still empty is provably zero, with more for a fixed number of
+doublings.  Every later pass (each doubling and the last top-up to
 order above the leading term) walks only the new shell floor < q <=
 bound of the classes it still needs: the class is affine in the last
 walked coordinate, so that level hands out runs stepped straight
@@ -67,9 +69,10 @@ else: never met), and only the classes escalated in vain (one node, more
 nodes) are listed with a note of their own.  Every class is then read in
 order as the row (index, *representative): the first Smith digit runs
 through one zip of ranges stepped by a column of 2U^-1, and only the
-higher digits step an odometer.  ``compute_zhat_all`` lists the classes;
-the CLI writes each class with terms or a note of its own by itself and
-maps one %-template over the rows between them.  On L(100000,1), where
+higher digits step an odometer.  ``compute_zhat_all`` lists the classes,
+each result made from its record; the CLI writes each class with terms
+or a note of its own by itself and maps one %-template over the rows
+between them.  On L(100000,1), where
 99,997 of the 100,000 classes are zero, ``zhat graph --all --format
 json`` takes about 0.2 s and peaks at about 17 MB RSS on Python 3.11
 (x86-64 Linux), 1 MB above importing ``zhat.cli`` alone.
@@ -81,9 +84,9 @@ from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, repeat
-from math import comb, floor, gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import add, mul
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import ConsistencyError, EmptySeries, NotNegativeDefinite, Record, SingularMatrix
 from .exact import _integer_rows, _ldl_ordered, _range_under_square, smith_normal_form
@@ -430,41 +433,6 @@ class _SupportForm:
         """The class of -l for every l in class ``idx``: digit -x - (U delta)_j mod d_j."""
         return sum((-(idx // stride) - twice // 2) % d * stride for _, d, stride, twice in self.classes)
 
-    def coset_test(self) -> Callable[[int], bool]:
-        """Whether the support meets a class.  Each assignment seeds its
-        digits at y_h = m_h mod 2, and its conjugate -l the digits
-        -x - (U delta)_j; adding 2 to y_h adds its column of
-        U, so the support meets the seeds' cosets of the subgroup G the
-        node columns span mod d, and no other class.  G + (d_i e_i) gets
-        an upper-triangular basis, one Euclid pass per column and node;
-        reducing each digit in turn into [0, pivot) by its row gives the
-        canonical point of a coset, once per seed and once per class."""
-        mods = [d for _, d, _, _ in self.classes]
-        basis = [[d * (i == j) for j in range(len(mods))] for i, d in enumerate(mods)]
-        for _, _, _, _, cols in self.levels:
-            g = list(cols)
-            for i in range(len(mods)):
-                while g[i]:
-                    q = g[i] // basis[i][i]
-                    g = [(x - q * y) % d for x, y, d in zip(g, basis[i], mods)]
-                    if g[i]:
-                        basis[i], g = g, basis[i]
-
-        def reduced(digits: list[int]) -> tuple[int, ...]:
-            for i, row in enumerate(basis):
-                q = digits[i] // row[i]
-                if q:
-                    digits = [x - q * y for x, y in zip(digits, row)]
-            return tuple(digits)
-
-        odd = [sum(cols[i] for _, _, _, m, cols in self.levels if m % 2) for i in range(len(mods))]
-        seeds = set()
-        for _, _, _, res in self.assignments:
-            full = [r + o for r, o in zip(res, odd)]
-            seeds.add(reduced([x // 2 % d for x, d in zip(full, mods)]))
-            seeds.add(reduced([(-x - twice) // 2 % d for x, (_, d, _, twice) in zip(full, self.classes)]))
-        return lambda idx: reduced([idx // stride % d for _, d, stride, _ in self.classes]) in seeds
-
     def zero_bound(self) -> int:
         """One node: B* such that a class with no term at S <= B* is zero.
         With b = D_0 and n = b y - V_x, b S = n^2 + E_x (E_x the M_0 of x).
@@ -491,6 +459,67 @@ class _SupportForm:
                 y = m if v > 0 else -m
             least.append((e + (b * y - v) ** 2) // b)
         return min(least)
+
+
+class _ClassMap:
+    """The Spin^c classes the support of one form meets.  Each listed
+    assignment seeds its digits at y_h = m_h mod 2, and its conjugate -l
+    the digits -x - (U delta)_j; adding 2 to y_h adds its column of U, so
+    the support meets the seeds' cosets of the subgroup G the node columns
+    span mod d, and no other class.  G + (d_i e_i) gets an upper-triangular
+    basis, one Euclid pass per column and node; reducing each digit in
+    turn into [0, pivot) by its row gives the canonical point of a coset,
+    kept once per distinct seed.  ``in`` reduces one class; ``listed``
+    costs about one step per met class, never one per class of H_1."""
+
+    def __init__(self, form: _SupportForm):
+        self.mods = mods = [d for _, d, _, _ in form.classes]
+        self.strides = [stride for _, _, stride, _ in form.classes]
+        self.basis = basis = [[d * (i == j) for j in range(len(mods))] for i, d in enumerate(mods)]
+        for _, _, _, _, cols in form.levels:
+            g = list(cols)
+            for i in range(len(mods)):
+                while g[i]:
+                    q = g[i] // basis[i][i]
+                    g = [(x - q * y) % d for x, y, d in zip(g, basis[i], mods)]
+                    if g[i]:
+                        basis[i], g = g, basis[i]
+        odd = [sum(cols[i] for _, _, _, m, cols in form.levels if m % 2) for i in range(len(mods))]
+        reduced, seeds = self.reduced, set()
+        for _, _, _, res in form.assignments:
+            full = [r + o for r, o in zip(res, odd)]
+            seeds.add(reduced([x // 2 % d for x, d in zip(full, mods)]))
+            seeds.add(reduced([(-x - twice) // 2 % d for x, (_, d, _, twice) in zip(full, form.classes)]))
+        self.seeds = seeds
+
+    def reduced(self, digits: list[int]) -> tuple[int, ...]:
+        """The canonical point of the coset of G through ``digits``."""
+        for i, row in enumerate(self.basis):
+            q = digits[i] // row[i]
+            if q:
+                digits = [x - q * y for x, y in zip(digits, row)]
+        return tuple(digits)
+
+    def __contains__(self, idx: int) -> bool:
+        return self.reduced([idx // stride % d for d, stride in zip(self.mods, self.strides)]) in self.seeds
+
+    def listed(self) -> Iterator[int]:
+        """Every met class, each once: row i of the basis, pivot p_i, steps
+        digit i through the d_i / p_i values of its residue mod p_i, and
+        the last digit's values are one range of indices."""
+        if not self.mods:
+            return iter([0])
+        *rows, (row, d, stride) = zip(self.basis, self.mods, self.strides)
+        points = [(0, seed) for seed in self.seeds]
+        for i, (step, d_i, stride_i) in enumerate(rows):
+            p = step[i]
+            points = [
+                (idx + y[i] % d_i * stride_i, y)
+                for idx, x in points
+                for y in ([a + k * b for a, b in zip(x, step)] for k in range(d_i // p))
+            ]
+        p = row[-1]
+        return chain.from_iterable(range(idx + x[-1] % p * stride, idx + d * stride, p * stride) for idx, x in points)
 
 
 # -- Spin^c bookkeeping ----------------------------------------------------
@@ -614,14 +643,15 @@ class _GraphSetup:
     """Everything one graph's series share across Spin^c classes: the
     tree elimination and inertia, the adjugate on the support, one Smith
     form (none when |H_1| = 1), one factored support form, e0, the sign,
-    the vertex-factor tables and the coefficient Fractions c / 2^#high.
+    the vertex-factor tables, and the coefficient Fractions C / 2^#high
+    that ``fields`` makes at the API edge.
 
     ``series`` computes any set of classes from shared walks of the
-    support.  Each walked vector l goes to its class by the residues mod
-    2d_j, on the support coordinates, of the context's rows of U (Smith
-    form U M V = D, one row per factor d_j > 1): the class index has
-    digits (U(l - delta))_j / 2 mod d_j, O(k) per vector for k leaves and
-    nodes.
+    support, in integers.  Each walked vector l goes to its class by the
+    residues mod 2d_j, on the support coordinates, of the context's rows
+    of U (Smith form U M V = D, one row per factor d_j > 1): the class
+    index has digits (U(l - delta))_j / 2 mod d_j, O(k) per vector for k
+    leaves and nodes.
     """
 
     def __init__(self, graph: PlumbingGraph, allow_weakly: bool):
@@ -664,11 +694,11 @@ class _GraphSetup:
                 c *= table[x]
             self.low_coefficients.append(c)
         self.tables = [_Memo(lambda k, deg=degrees[h]: _twice_vertex_factor(deg, -k)) for h in high]
-        # Fractions are immutable, so every class shares one per coefficient
+        # Fractions are immutable, so every result shares one per coefficient
         scale = 2 ** len(high)
         self.coefficients = _Memo(lambda c: Fraction(c, scale))
 
-    def _walk(self, terms: dict[int, dict], want: list[int] | None, bound, lower=None) -> None:
+    def _walk(self, terms: dict[int, dict], want: list[int] | None, bound: int, lower: int | None = None) -> None:
         """Add every support vector l with lower < S <= bound, S = l^T B l
         = |det M| * l^T N l (no ``lower``: S <= bound), of the classes
         ``want`` (None: every class; else closed under conjugation), to
@@ -689,9 +719,7 @@ class _GraphSetup:
         # without a node every run is the one value 0 of no coordinate
         *tables, last_table = self.tables or [{0: 1}]
         steps = form.steps
-        for idx, mirror, a, head, first, last, step, m, det_p, center, res in form.walk(
-            floor(bound), None if lower is None else floor(lower), want
-        ):
+        for idx, mirror, a, head, first, last, step, m, det_p, center, res in form.walk(bound, lower, want):
             c = low[a]
             for table, y in zip(tables, head):
                 c *= table[y]
@@ -732,14 +760,13 @@ class _GraphSetup:
 
     def series(self, want: list[int] | None, order: Fraction) -> tuple[dict[int, tuple | str], str]:
         """The classes ``want`` (distinct; None: every class) with terms,
-        as class -> the fields of its ZhatResult after the representative
-        (with ``want`` their conjugates too, which the walks fill alike),
-        and those escalated in vain, as class -> the note of their zero
-        verdict; and the default note, that of every other class of
-        ``want``, each zero by the rule of its note:
+        as class -> its record (``_result``; with ``want`` their conjugates
+        too, which the walks fill alike), and those escalated in vain, as
+        class -> the note of their zero verdict; and the default note, that
+        of every other class of ``want``, each zero by the rule of its note:
 
         - no node (the default): the walk listed the whole finite support;
-        - failing ``coset_test`` (the default with a node): the support
+        - not in the class map (the default with a node): the support
           never meets the class;
         - escalated on one node: every coefficient cancels below the bound B*;
         - escalated on more nodes: "raise order", past _MAX_BOUND_DOUBLINGS
@@ -747,73 +774,74 @@ class _GraphSetup:
 
         One walk to 4(order + 1) serves every class; with one node it goes
         on to the least S of the whole support plus the span, which
-        completes every class whose leading term sits there.  Classes still
-        empty that the support never meets are zero, for any |H_1|; the
-        rest escalate together, each pass walking only the new shell of the
-        classes it still needs, up to the bound B* of ``zero_bound`` on one
-        node or _MAX_BOUND_DOUBLINGS doublings on more, and a last shell
-        tops every class up to 4 * order above its leading term.  Every q below a
+        completes every class whose leading term sits there.  The classes
+        still empty that the support meets escalate together (with ``want``
+        the class map is asked for each; without, it lists the met
+        classes), each pass walking only the new shell of the classes it
+        still needs, up to the bound B* of ``zero_bound`` on one node or
+        _MAX_BOUND_DOUBLINGS doublings on more, and a last shell tops every
+        class up to 4 * order above its leading term.  Every q below a
         walked bound is complete, so each result depends only on its
         class's series, not on which other classes share the walk or how
-        far it went.  Bounds are kept on the scale of S = |det M| * q.  The
-        escalation bounds stay exact rationals (the last one decides "raise
-        order"); a class's terms are needed up to the integer min S + span,
-        span = floor(4 * order * |det M|), which selects the same S since
-        every S is an integer.
+        far it went.  Bounds are integers on the scale of S = |det M| * q,
+        kept times the denominator of ``order`` = num / den: 4(num +
+        den)|det M|, then 2B + 4|det M| den, each walk to B // den; a class
+        needs its terms up to min S + span, span = 4 num |det M| // den.
         """
-        det = self.form.det
-        span = floor(4 * order * det)
+        det, num, den = self.form.det, order.numerator, order.denominator
+        span = 4 * num * det // den
         if want is not None:
             # the walk credits -l's class too, so it walks the classes of ``want`` and their conjugates
             want = list(dict.fromkeys([*want, *map(self.form.conjugate, want)]))
         terms: dict[int, dict] = defaultdict(dict)
-        bound = 4 * (order + 1) * det
+        bound = 4 * (num + den) * det
         if len(self.high) == 1:
-            bound = max(bound, self.form.least() + span)
-        self._walk(terms, want, bound)
+            bound = max(bound, (self.form.least() + span) * den)
+        self._walk(terms, want, bound // den)
         pending = []
         if self.high:
-            classes = range(self.ctx.count) if want is None else want
-            if len(terms) < len(classes):
+            if len(terms) < (self.ctx.count if want is None else len(want)):
                 # before escalating, a class the support never meets is zero
-                meets = self.form.coset_test()
-                pending = [idx for idx in classes if idx not in terms and meets(idx)]
+                met = _ClassMap(self.form)
+                if want is None:
+                    pending = [idx for idx in met.listed() if idx not in terms]
+                else:
+                    pending = [idx for idx in want if idx not in terms and idx in met]
             # the bound each class's terms must be complete to
             needed = {idx: min(acc) + span for idx, acc in terms.items()}
-            # more nodes: the last doubling's bound, as b + 4|det M| doubles each
-            # pass; one node: B*, where a class still empty is zero
-            stop = 2**_MAX_BOUND_DOUBLINGS * (bound + 4 * det) - 4 * det if pending else bound
+            # more nodes: the last doubling's bound, as B + 4|det M| den doubles
+            # each pass; one node: B*, where a class still empty is zero
+            step = 4 * det * den
+            stop = 2**_MAX_BOUND_DOUBLINGS * (bound + step) - step if pending else bound
             if pending and len(self.high) == 1:
-                stop = self.form.zero_bound()
+                stop = self.form.zero_bound() * den
             while pending and bound < stop:
-                lower, bound = bound, min(2 * bound + 4 * det, stop)
-                walked = floor(lower)  # every need is an integer
-                self._walk(terms, pending + [idx for idx, need in needed.items() if need > walked], bound, lower)
+                lower, bound = bound, min(2 * bound + step, stop)
+                walked = lower // den
+                self._walk(terms, pending + [idx for idx, need in needed.items() if need > walked], bound // den, walked)
                 for idx in pending:
                     if idx in terms:
                         needed[idx] = min(terms[idx]) + span
                 pending = [idx for idx in pending if idx not in terms]
-            reached = floor(bound)  # every S walked so far is <= reached
+            reached = bound // den  # every S walked so far is <= reached
             top = max(needed.values(), default=reached)
             if top > reached:
                 self._walk(terms, [idx for idx, need in needed.items() if need > reached], top, reached)
-        results: dict[int, tuple | str] = {idx: self._result(acc, order, span) for idx, acc in terms.items()}
+        results: dict[int, tuple | str] = {idx: self._result(acc, span) for idx, acc in terms.items()}
         if not self.high:
             return results, _FINITE_SUPPORT
         results.update(dict.fromkeys(pending, _BELOW_ZERO_BOUND if len(self.high) == 1 else _RAISE_ORDER))
         return results, _NEVER_MET
 
-    def _result(self, acc: dict, order: Fraction, span: int) -> tuple:
-        """The fields of a class's ZhatResult after the representative:
-        the tail read off the integer exponents S, 4|det M| apart in a
-        class, up to S = min S + span, as the integer exponents (S - min
-        S) / (4|det M|); delta = e0 + min S / (4|det M|) is one Fraction.
-        The coefficients are the shared Fractions C / 2^#high with C the
-        nonzero integers in ``acc``, so eta = max(0, #high - v2(C)) over
-        the terms, read off the lowest set bit of their OR."""
+    def _result(self, acc: dict, span: int) -> tuple:
+        """A class's record (min S, ((e, C), ...), eta): its terms up to
+        S = min S + span, the S of a class 4|det M| apart, as the integer
+        exponents e = (S - min S) / (4|det M|) and C = (-1)^pi times the
+        nonzero integers of ``acc``, which stand for C / 2^#high; eta =
+        max(0, #high - v2(C)) over the terms, read off the lowest set bit
+        of their OR."""
         den, keys = 4 * self.form.det, sorted(acc)
-        s0 = keys[0]
-        coefficients, sign = self.coefficients, self.sign
+        s0, sign = keys[0], self.sign
         terms = []
         bits = 0
         for s in keys[: bisect_right(keys, s0 + span)]:
@@ -822,9 +850,21 @@ class _GraphSetup:
                 raise ConsistencyError(f"exponents S = {s0} and {s} of one class differ by a non-multiple of {den}")
             c = acc[s]
             bits |= c
-            terms.append((e, coefficients[sign * c]))
+            terms.append((e, sign * c))
         eta = max(0, len(self.high) + 1 - (bits & -bits).bit_length())
-        return Fraction(self.e0_scaled + s0, den), QSeries(tuple(terms), order), eta, self.sign, order
+        return s0, tuple(terms), eta
+
+    def delta(self, s0: int) -> Fraction:
+        """delta = e0 + min S / (4|det M|) of a class whose least S is ``s0``."""
+        return Fraction(self.e0_scaled + s0, 4 * self.form.det)
+
+    def fields(self, record: tuple, order: Fraction) -> tuple:
+        """The fields of a class's ZhatResult after the representative,
+        from its record (``_result``), with the shared Fractions C / 2^#high."""
+        s0, terms, eta = record
+        coefficients = self.coefficients
+        tail = QSeries(tuple([(e, coefficients[c]) for e, c in terms]), order)
+        return self.delta(s0), tail, eta, self.sign, order
 
 
 def _checked_order(order) -> Fraction:
@@ -871,19 +911,25 @@ def compute_zhat(
     res = results.get(rep.class_index, default)
     if isinstance(res, str):
         raise EmptySeries(res, rep)
-    return ZhatResult(rep, *res)
+    return ZhatResult(rep, *setup.fields(res, order))
 
 
-def _class_stream(graph: PlumbingGraph, order, allow_weakly: bool) -> tuple[Iterator[tuple[int, ...]], dict, str]:
-    """Every Spin^c class of ``graph``: the rows (index, *representative)
-    of ``blocks()`` in class order; the classes with terms or with a note
-    of their own, as ``series`` gives them; and the note of every other
-    class, which is zero.  Every walk has finished when this returns, so
-    a domain error comes before any class, and the rows are made as they
-    are read."""
+def _class_stream(
+    graph: PlumbingGraph, order, allow_weakly: bool, index: int | None = None
+) -> tuple[_GraphSetup, tuple[Iterator[tuple[int, ...]], dict, str]]:
+    """The set-up of ``graph``, whose ``fields`` turns a record into the
+    fields of a ZhatResult, and every Spin^c class (with ``index``, that
+    class alone): the rows (index, *representative) of ``blocks()`` in
+    class order; the classes with terms or with a note of their own, as
+    records or notes of ``series``; and the note of every other class,
+    which is zero.  Every walk has finished when this returns, so a domain
+    error comes before any class, and the rows are made as they are read."""
     order = _checked_order(order)
     setup = _GraphSetup(graph, allow_weakly)
-    return chain.from_iterable(setup.ctx.blocks()), *setup.series(None, order)
+    if index is None:
+        return setup, (chain.from_iterable(setup.ctx.blocks()), *setup.series(None, order))
+    results, default = setup.series([index], order)
+    return setup, (iter([(index, *setup.ctx.vector_of_index(index))]), {index: results.get(index, default)}, default)
 
 
 def compute_zhat_all(
@@ -897,12 +943,13 @@ def compute_zhat_all(
     Each entry is what :func:`compute_zhat` gives for that class: its
     result, or the EmptySeries it would raise.
     """
-    rows, results, default = _class_stream(graph, order, allow_weakly)
+    order = _checked_order(order)
+    setup, (rows, results, default) = _class_stream(graph, order, allow_weakly)
     classes = []
     for row in rows:
         rep = SpinCRep(row[1:], row[0])
         res = results.get(row[0], default)
-        classes.append((rep, EmptySeries(res, rep) if isinstance(res, str) else ZhatResult(rep, *res)))
+        classes.append((rep, EmptySeries(res, rep) if isinstance(res, str) else ZhatResult(rep, *setup.fields(res, order))))
     return classes
 
 

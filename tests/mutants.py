@@ -1,0 +1,148 @@
+"""Mutation check: each listed fault, made on purpose in a copy of the
+package, must be caught by the tests named with it.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # only these
+
+A mutant is (file under ``src/zhat``, the exact text it replaces, the new
+text, the pytest ids that must fail).  For each one the runner copies
+``src/`` to a temporary directory, makes the one replacement there and
+runs only the named tests against the copy, with a fixed hypothesis seed;
+the named tests must first pass on ``src/`` itself.  A mutant whose tests
+all pass survives; one whose old text no longer
+occurs exactly once in its file is stale, and its entry must follow the
+code.  The exit code is 1 when any mutant survives or is stale.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = {
+    # a period-1 run's -l credited to the run's own class
+    "mirror_is_fixed": (
+        "engine.py",
+        "                    mirror = conjugate(fixed)\n",
+        "                    mirror = fixed\n",
+        ["tests/test_golden.py::test_golden_bytes[graph_period_one_star]"],
+    ),
+    # a self-conjugate run credited once with c_l, not with 2 c_l
+    "no_doubling_of_a_self_conjugate_run": (
+        "engine.py",
+        "                if mirror is not None:\n                    c *= 2\n",
+        "",
+        ["tests/test_engine.py::TestConjugation::test_self_conjugate_classes_against_the_coset"],
+    ),
+    # the conjugate class with the sign of U delta flipped
+    "conjugate_offset_sign": (
+        "engine.py",
+        "(-(idx // stride) - twice // 2) % d",
+        "(-(idx // stride) + twice // 2) % d",
+        ["tests/test_engine.py::TestConjugation::test_conjugate_map_and_one_class_query"],
+    ),
+    # every leaf assignment listed, so each vector is credited twice to a and -a
+    "every_assignment_listed": (
+        "engine.py",
+        "for x in (1,) if self.halved and not j else windows[v]:",
+        "for x in windows[v]:",
+        ["tests/test_golden.py::test_golden_bytes[graph_det51_star]"],
+    ),
+    # the runs of a graph without a node credited to their own class only
+    "no_conjugate_without_a_node": (
+        "engine.py",
+        "runs.append((idx, self.conjugate(idx) if self.halved else None, a,",
+        "runs.append((idx, None, a,",
+        ["tests/test_golden.py::test_golden_bytes[graph_lens_chain]"],
+    ),
+    # the class map seeds each assignment but not its conjugate
+    "no_conjugate_seed": (
+        "engine.py",
+        "            seeds.add(reduced([(-x - twice) // 2 % d for x, (_, d, _, twice) in zip(full, form.classes)]))\n",
+        "",
+        [
+            "tests/test_engine.py::TestSupportProbe::test_matches_the_oracle",
+            "tests/test_engine.py::TestSupportProbe::test_listed_classes_are_the_met_ones",
+        ],
+    ),
+    # the listing steps no basis row of G before the last digit
+    "listing_skips_a_generator": (
+        "engine.py",
+        "for y in ([a + k * b for a, b in zip(x, step)] for k in range(d_i // p))",
+        "for y in ([a + k * b for a, b in zip(x, step)] for k in range(1))",
+        ["tests/test_engine.py::TestSupportProbe::test_listing_steps_every_basis_row"],
+    ),
+    # the escalation step left on the scale of S, not times the order's denominator
+    "escalation_step_without_den": (
+        "engine.py",
+        "            step = 4 * det * den\n",
+        "            step = 4 * det\n",
+        ["tests/test_engine.py::TestIntegerBookkeeping::test_walk_bounds_are_the_floors_of_the_fraction_schedule"],
+    ),
+    # the JSON writer quotes coefficients over 2^(#high + 1)
+    "coefficient_scale_off_by_one_bit": (
+        "cli.py",
+        "2 ** len(setup.high)\n",
+        "2 ** (len(setup.high) + 1)\n",
+        ["tests/test_golden.py::test_golden_bytes[graph_det51_star]"],
+    ),
+}
+
+
+def passes(src: Path, tests: list[str]) -> bool:
+    """Whether ``tests`` all pass with the package imported from ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    where = subprocess.run(
+        [sys.executable, "-c", "import zhat; print(zhat.__file__)"], env=env, capture_output=True, text=True, check=True
+    ).stdout.strip()
+    if not Path(where).is_relative_to(src):
+        raise SystemExit(f"zhat imported from {where}, not from {src}")
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0", *tests]
+    result = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+    if result.returncode not in (0, 1):
+        raise SystemExit(f"pytest exited {result.returncode} on {tests}\n{result.stdout}{result.stderr}")
+    return result.returncode == 0
+
+
+def run(name: str, work: Path) -> str:
+    """'killed', 'survived' or 'stale' for mutant ``name``, made in a copy of
+    ``src/`` under ``work``."""
+    path, old, new, tests = MUTANTS[name]
+    src = work / name / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    target = src / "zhat" / path
+    text = target.read_text(encoding="utf-8")
+    if text.count(old) != 1:
+        return "stale"
+    target.write_text(text.replace(old, new), encoding="utf-8")
+    return "survived" if passes(src, tests) else "killed"
+
+
+def main(argv: list[str]) -> int:
+    unknown = [name for name in argv if name not in MUTANTS]
+    if unknown:
+        print(f"unknown mutants {unknown}; the mutants are {list(MUTANTS)}", file=sys.stderr)
+        return 2
+    names = argv or list(MUTANTS)
+    # a mutant is killed only by tests that pass on the code as it is
+    if not passes(ROOT / "src", sorted({test for name in names for test in MUTANTS[name][3]})):
+        print("the named tests fail without a mutant", file=sys.stderr)
+        return 1
+    verdicts = {}
+    with tempfile.TemporaryDirectory() as work:
+        for name in names:
+            verdicts[name] = run(name, Path(work))
+            print(f"{verdicts[name]:>8}  {name}", flush=True)
+    bad = [name for name, verdict in verdicts.items() if verdict != "killed"]
+    print(f"{len(verdicts)} mutants: {len(verdicts) - len(bad)} killed, {len(bad)} survived or stale")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

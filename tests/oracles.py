@@ -18,9 +18,9 @@ the reference for the engine's flat loop over each run
 
 ``classes_missing_support`` decides which classes the support of c_l
 never meets in the group prod Z/2d_i of all Smith rows, from the full
-rows of U on every listed leaf assignment; the engine decides the same
-class by class, by a coset test on its walk's class digits
-(``_SupportForm.coset_test``).
+rows of U on every listed leaf assignment; the engine lists the met
+classes from one class map on its walk's class digits, coset by coset
+(``_ClassMap``).
 
 ``dense_smith_normal_form`` is the Smith normal form as every step of it
 was once made in full: each pivot search scans the whole remaining

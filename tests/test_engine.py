@@ -18,6 +18,7 @@ from zhat.brieskorn import brieskorn_data, build_plumbing, zhat0_brieskorn
 from zhat.engine import (
     SpinCRep,
     ZhatResult,
+    _ClassMap,
     _GraphSetup,
     _SpinCContext,
     _SupportForm,
@@ -816,10 +817,137 @@ class TestOneNodeSchedule:
         assert len(calls) == 1
 
 
+class TestIntegerBookkeeping:
+    """``series`` keeps its bounds in integers and each class as an integer
+    record; Fractions are made only at the API edge (``fields``)."""
+
+    @staticmethod
+    def fraction_schedule(g, order, results):
+        """The (bound, lower) of every walk of ``compute_zhat_all`` as the
+        schedule once ran it in Fractions: 4(order + 1)|det M| (with one
+        node at least the least S plus the span), then 2 bound + 4|det M|
+        while a met class is empty, up to B* on one node or the doubling
+        cap on more, each walk taking the floors; then a last shell to
+        min S + floor(4 order |det M|) of every class.  The classes' least
+        S and their zero verdicts come from ``results``."""
+        setup = _GraphSetup(g, True)
+        form, det = setup.form, setup.form.det
+        span = floor(4 * order * det)
+        least = [res.delta * 4 * det - setup.e0_scaled for _, res in results if not isinstance(res, EmptySeries)]
+        escalated = any("cancels below" in str(res) for _, res in results if isinstance(res, EmptySeries))
+        bound = 4 * (order + 1) * det
+        if len(form.high) == 1:
+            bound = max(bound, form.least() + span)
+        walks = [(floor(bound), None)]
+        if not form.high:
+            return walks
+        stop = form.zero_bound() if len(form.high) == 1 else 2**zhat.engine._MAX_BOUND_DOUBLINGS * (bound + 4 * det) - 4 * det
+        while (escalated or any(s > floor(bound) for s in least)) and bound < stop:
+            lower, bound = bound, min(2 * bound + 4 * det, stop)
+            walks.append((floor(bound), floor(lower)))
+        top = max(s + span for s in least)
+        if top > floor(bound):
+            walks.append((top, floor(bound)))
+        return walks
+
+    def check_schedule(self, g, order, doublings=4):
+        calls = []
+        walk = _GraphSetup._walk
+
+        def recorded(setup, terms, want, bound, lower=None):
+            calls.append((bound, lower))
+            return walk(setup, terms, want, bound, lower)
+
+        with mock.patch.object(zhat.engine, "_MAX_BOUND_DOUBLINGS", doublings):
+            with mock.patch.object(_GraphSetup, "_walk", recorded):
+                results = compute_zhat_all(g, order, allow_weakly=True)
+            assert calls == self.fraction_schedule(g, order, results)
+        assert all(type(bound) is int and type(lower) in (int, type(None)) for bound, lower in calls)
+        return calls
+
+    ORDERS = [Fraction(0), Fraction(1, 2), Fraction(7, 3), Fraction(5, 2), Fraction(5)]
+
+    @pytest.mark.parametrize("order", ORDERS, ids=str)
+    @pytest.mark.parametrize(
+        "name", ["escalation_star.plumb", "two_node_tree.plumb", "two_node_probe.plumb", "raise_order"]
+    )
+    def test_walk_bounds_are_the_floors_of_the_fraction_schedule(self, name, order):
+        if name == "raise_order":
+            # class 2 escalates to the cap of doublings
+            g = PlumbingGraph((-3, -3, -2, -2, -1, -1), ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5)))
+        else:
+            g = parse_plumb((DATA / name).read_text())
+        calls = self.check_schedule(g, order)
+        if name in ("escalation_star.plumb", "raise_order") and order == 0:
+            assert len(calls) > 2  # the escalation is exercised
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(one_node_trees(st.integers(-8, -1), st.integers(-3, -1)), st.sampled_from(ORDERS))
+    def test_walk_bounds_on_one_node(self, g, order):
+        assume(0 < abs(g.elimination().det) <= 60 and g.elimination().is_negative_definite)
+        self.check_schedule(g, order)
+
+    @pytest.mark.parametrize("name", ["escalation_star.plumb", "two_node_tree.plumb", "det51_star.plumb"])
+    def test_series_makes_no_fraction(self, name):
+        # every Fraction the engine makes goes through its module's name, and
+        # an order that refuses arithmetic and comparison shows that series
+        # reads only its numerator and denominator
+        made = []
+
+        class Counted(Fraction):
+            def __new__(cls, *args, **kwargs):
+                made.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        class Opaque(Fraction):
+            def refuse(self, *args):
+                raise AssertionError("the order was used as a Fraction")
+
+            __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = refuse
+            __truediv__ = __rtruediv__ = __floordiv__ = __rfloordiv__ = __floor__ = refuse
+            __lt__ = __le__ = __gt__ = __ge__ = __eq__ = refuse
+
+        setup = _GraphSetup(parse_plumb((DATA / name).read_text()), False)
+        with mock.patch.object(zhat.engine, "Fraction", Counted):
+            results, _ = setup.series(None, Opaque(5, 2))
+        assert made == []
+        records = [res for res in results.values() if not isinstance(res, str)]
+        assert records and all(
+            type(s0) is int and all(type(e) is int and type(c) is int for e, c in terms) for s0, terms, _ in records
+        )
+
+    def test_compute_zhat_matches_the_recording(self):
+        # compute_zhat on classes of the walk graphs at orders 0, 1/2 and 5/2,
+        # recorded when the results were still made inside the engine
+        rows = json.loads((DATA / "walk_graphs_zhat.json").read_text())
+        assert len(rows) == 90
+        for row in rows:
+            g = PlumbingGraph(tuple(row["weights"]), tuple(map(tuple, row["edges"])))
+            try:
+                got = compute_zhat(g, row["class"], Fraction(row["order"]), allow_weakly=True)
+            except EmptySeries as exc:
+                assert str(exc) == row["result"]
+                continue
+            assert got == ZhatResult.from_json_obj(row["result"])
+            assert got.to_json_obj() == row["result"]
+
+
 class TestSupportProbe:
-    """Classes the support never meets, from the coset test on the walk's
+    """Classes the support never meets, from the class map on the walk's
     class digits, against the oracle that closes the full rows of U in
-    prod Z/2d_i."""
+    prod Z/2d_i: the classes it lists and its membership answers."""
+
+    @staticmethod
+    def missing(g, setup):
+        """``classes_missing_support`` of ``g``: every row of U, since the
+        oracle steps node coordinates by +-1 and so needs the rows of the
+        unit factors too, which the context leaves out."""
+        ctx = setup.ctx
+        assert 2 ** g.vertex_count * ctx.count <= 200_000  # the oracle runs
+        windows = [_support_window(d) for d in g.degree_vector()]
+        u, dmat, _ = smith_normal_form(g.linking_rows())
+        diagonal = [row[i] for i, row in enumerate(dmat)]
+        return classes_missing_support(u, diagonal, windows, setup.high, ctx.representatives())
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(trees(max_size=8, weights=st.integers(-4, 1)))
@@ -835,20 +963,46 @@ class TestSupportProbe:
             setup = _GraphSetup(g, True)
         except NotNegativeDefinite:
             assume(False)
-        ctx = setup.ctx
-        assert 2 ** g.vertex_count * ctx.count <= 200_000  # the oracle runs
-        windows = [_support_window(d) for d in g.degree_vector()]
-        # every row of U: the oracle steps node coordinates by +-1, so it needs
-        # the rows of the unit factors too, which the context leaves out
-        u, dmat, _ = smith_normal_form(g.linking_rows())
-        diagonal = [row[i] for i, row in enumerate(dmat)]
-        expected = classes_missing_support(u, diagonal, windows, setup.high, ctx.representatives())
-        meets = setup.form.coset_test()
-        assert {idx for idx in range(ctx.count) if not meets(idx)} == expected
+        expected = self.missing(g, setup)
+        met = _ClassMap(setup.form)
+        assert {idx for idx in range(setup.ctx.count) if idx not in met} == expected
+
+    def check_listing(self, g, setup, want):
+        met = _ClassMap(setup.form)
+        listed = list(met.listed())
+        assert len(listed) == len(set(listed))
+        assert set(listed) == set(range(setup.ctx.count)) - self.missing(g, setup)
+        assert [idx for idx in want if idx in met] == [idx for idx in want if idx in listed]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from([0, 1, 2]).flatmap(lambda nodes: trees_with_nodes(nodes, st.integers(-4, -1))), st.data())
+    def test_listed_classes_are_the_met_ones(self, g, data):
+        assume(0 < abs(g.elimination().det) <= 60)
+        try:
+            setup = _GraphSetup(g, True)
+        except NotNegativeDefinite:
+            assume(False)
+        assume(2 ** g.vertex_count * setup.ctx.count <= 200_000)
+        self.check_listing(g, setup, data.draw(st.lists(st.integers(0, setup.ctx.count - 1), max_size=6, unique=True)))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # H_1 = Z/2 + Z/2 + Z/84; G has a basis row above the last digit
+            SIX_LEAF_STAR,
+            # two nodes and Smith digits 2 and 4, with the triangular basis (1 2; 0 4)
+            PlumbingGraph((-2, -2, -3, -4, -5, -5, -1), ((0, 1), (0, 2), (1, 3), (1, 4), (4, 5), (0, 6))),
+            parse_plumb((DATA / "two_node_probe.plumb").read_text()),
+        ],
+        ids=["six_leaf_star", "two_digit_basis", "two_node_probe"],
+    )
+    def test_listing_steps_every_basis_row(self, g):
+        setup = _GraphSetup(g, True)
+        self.check_listing(g, setup, range(setup.ctx.count))
 
     def test_never_met_above_200000_classes(self):
-        # |H_1| = 619,300: a zero class is decided by its own coset test,
-        # which holds nothing of size |H_1|
+        # |H_1| = 619,300: a zero class is decided by the class map, which
+        # holds nothing of size |H_1|
         star = PlumbingGraph((-3, -50, -60, -70), ((0, 1), (0, 2), (0, 3)))
         for idx in (2, 3):
             with pytest.raises(EmptySeries, match="support never meets the coset"):
