@@ -26,24 +26,28 @@ is integer throughout: it runs on the form
 B = |det M| * (-M^-1) = -sign(det M) * adj(M), factored fraction-free
 (trailing minors and their adjugates), so each level's range is one
 integer square root.  The walk hands out runs of its last coordinate,
-not vectors: each run carries the integers that give every vector's
-exponent S = l^T B l by one square and one exact division, and its
-class when the run fixes it, and the series steps each run in one flat
-loop.  The series keeps bounds, exponents and coefficients in integers
-and gives each class as an integer record; Fractions (delta, c_l /
-2^#high) are made only at the API edge, and the CLI quotes the record's
-integers straight.  Every support vector lies in 2Z^s + delta, so sorting
+not vectors: each run carries its class, that of -l, and the integers
+that give every vector's exponent S = l^T B l by one square and one
+exact division, and the series steps each run in one flat loop.  The
+series keeps bounds, exponents and coefficients in integers and gives
+each class as an integer record; Fractions (delta, c_l / 2^#high) are
+made only at the API edge, and the CLI quotes the record's integers
+straight.  Every support vector lies in 2Z^s + delta, so sorting
 the walk by Spin^c class gives the same series as enumerating each full
 coset, since everything dropped has c_l = 0.
 
 All classes of a graph share one walk.  The class-independent set-up
 (elimination, adjugate, Smith form, factored form, leaf assignments,
-vertex-factor tables) is built once, and each walked vector goes to its
-class by residues of the Smith form's U on the leaves and nodes, one row
-per invariant factor d_j > 1, O(k) per vector.  The graph's one rooted
-traversal, made when it is built, gives the elimination; one pass up
-from it gives the adjugate on those k leaves and nodes alone, each entry
-a product over the nodes of a path, and the Smith form runs only when
+vertex-factor tables) is built once.  A vector's class has the digits
+(U l - U delta)_j / 2 mod d_j, from the rows of the Smith form's U on
+the leaves and nodes, one per invariant factor d_j > 1, and -l has the
+digits -x_j - (U delta)_j; the class is affine in the last walked
+coordinate, with some period P, so each run of the walk is cut into at
+most P progressions, one per class it meets, and carries that class and
+its conjugate, read once.  The graph's one rooted traversal, made when
+it is built, gives the elimination; one pass up from it gives the
+adjugate on those k leaves and nodes alone, each entry a product over
+the nodes of a path, and the Smith form runs only when
 |H_1| = |det M| > 1.  The quadratic bound starts at 4(order + 1), and
 with one degree >= 3 vertex at least at the least S of the support plus
 the span, so a class whose leading term does not cancel is walked once.
@@ -257,19 +261,18 @@ class _SupportForm:
     range is one integer square root and M_(p+1) follows by one exact
     division.  Exponents come out as the integers S, l^T N l = S/|det M|.
 
-    The last level hands out each stretch of its coordinate as one run
-    (see ``walk``) instead of one vector per value.  Each vector's Spin^c
-    class index comes from ``classes``, one (row of U, offset U delta, d,
-    stride) per invariant factor d > 1: digit (U l - U delta) / 2 mod d,
-    and -l has the digits -digit - (U delta) mod d (``conjugate``).
-    Adding 2 to the last coordinate adds its column of U mod d to the
-    digits, so the class is affine in it with some ``period``.  With
-    period 1 (always for a homology sphere) a run has one class; when only
-    some classes are wanted, a long run becomes one progression of step
-    2 * period per wanted class it meets, found through ``hits``.
+    The last level hands out each stretch of its coordinate as runs
+    (see ``walk``) instead of one vector per value, each with its class
+    and that of -l from the Spin^c context ``ctx``, which owns the digit
+    arithmetic.  Each assignment starts its residues U l - U delta at
+    -U delta, and each level adds its column of U: adding 2 to the last
+    coordinate adds that column mod d to the digits, so the class is
+    affine in it with some ``period``, and ``hits`` maps the digit step
+    of j such additions back to j < period.
     """
 
-    def __init__(self, adj: Mapping[int, Sequence[int]], det: int, high: Sequence[int], windows: list, classes: list):
+    def __init__(self, adj: Mapping[int, Sequence[int]], det: int, high: Sequence[int], windows: list, ctx: _SpinCContext):
+        self.ctx = ctx
         self.high = list(high)
         in_high = set(self.high)
         # degree-2 windows are {0}: those coordinates stay 0
@@ -282,7 +285,7 @@ class _SupportForm:
         hh = [row[n_low:] for row in form[n_low:]]
         factors = _ldl_ordered(hh)
         minors = [det_p for det_p, _ in factors] + [1]
-        # per level: D_p, D_(p+1), the row giving V_p from the earlier y, the window, the U columns
+        # per level: D_p, D_(p+1), the row giving V_p from the earlier y, the window, the U column
         centers = [adj_p[0] for _, adj_p in factors]
         self.levels = [
             (
@@ -290,25 +293,17 @@ class _SupportForm:
                 minors[p + 1],
                 [-sum(r * hh[p + j][q] for j, r in enumerate(centers[p])) for q in range(p)],
                 windows[h],
-                [row[h] for row, _, _, _ in classes],
+                [row[h] for row in ctx.u_int],
             )
             for p, h in enumerate(self.high)
         ]
-        # per factor: 2d, d, stride, and 2 (U delta) mod 2d, which mirrors a residue to -l's
-        self.classes = [(2 * d, d, stride, 2 * offset % (2 * d)) for _, offset, d, stride in classes]
-        self.steps = []
         if k:
             # the digit step of the last coordinate and the cyclic group it spans
-            step = [c % d for c, (_, d, _, _) in zip(self.levels[-1][4], self.classes)]
+            step = self.levels[-1][4]
             self.period = 1
-            for c, (_, d, _, _) in zip(step, self.classes):
+            for c, d in zip(step, ctx.d):
                 self.period = lcm(self.period, d // gcd(d, c))
-            self.hits = {
-                sum(j * c % d * stride for c, (_, d, stride, _) in zip(step, self.classes)): j
-                for j in range(self.period)
-            }
-            # the last coordinate's U column, modulus 2d, stride and mirror offset per digit
-            self.steps = [(c, mod, stride, twice) for c, (mod, _, stride, twice) in zip(self.levels[-1][4], self.classes)]
+            self.hits = {ctx.index([j * c for c in step]): j for j in range(self.period)}
         # With b = B_hx x, M_0 = D_0 x^T B_xx x - b^T adj(B_hh) b = x^T Q x and
         # V^0 = W x.  One low coordinate x_j at a time, x^T Q x, W x and the
         # class residues U x - U delta each grow by one term, from row j of
@@ -316,7 +311,7 @@ class _SupportForm:
         bx = [[row[j] for row in form[n_low:]] for j in range(n_low)]  # columns of B_hx
         adj0 = factors[0][1] if k else []
         adj_bx = [[sum(map(mul, row, col)) for row in adj0] for col in bx]
-        partial = [((), 0, [0] * k, [-offset for _, offset, _, _ in classes])]
+        partial = [((), 0, [0] * k, [-offset for offset in ctx.offsets])]
         # -l has the S and the c_l of l, so with a leaf first only its value
         # +1 is listed; the walk credits each vector to its class and -l's.
         # A lone vertex has no leaf, and its value 0 is its own conjugate.
@@ -325,7 +320,7 @@ class _SupportForm:
             qrow = [minors[0] * form[j][i] - sum(map(mul, bx[j], adj_bx[i])) for i in range(j + 1)]
             diag = qrow[j]
             wcol = [-sum(map(mul, c, bx[j][p:])) for p, c in enumerate(centers)]
-            ucol = [row[v] for row, _, _, _ in classes]
+            ucol = [row[v] for row in ctx.u_int]
             grown = []
             for combo, m, v0, res in partial:
                 twice = 2 * sum(map(mul, qrow, combo))
@@ -340,10 +335,6 @@ class _SupportForm:
                     )
             partial = grown
         self.assignments = partial
-        # the digits of each wanted class, made once per class and kept for
-        # every walk (escalation passes walk the same classes again)
-        mods = [(d, stride) for _, d, stride, _ in self.classes]
-        self.digits = _Memo(lambda w: [w // stride % d for d, stride in mods])
 
     def walk(self, bound: int, lower: int | None = None, want: Sequence[int] | None = None) -> list[tuple]:
         """Every window-feasible support vector l of the listed assignments
@@ -352,34 +343,34 @@ class _SupportForm:
         only those in the listed classes), as runs of its last coordinate
         y_(k-1) = first, first + step, ..., <= last, each
 
-            (class index or None, class of -l or None, assignment index,
-             y_0 .. y_(k-2), first, last, step, M, D, centre, residues),
+            (class index, class of -l, assignment index, y_0 .. y_(k-2),
+             first, last, step, M, D, centre),
 
         with S = (M + (D y_(k-1) - centre)^2) / D exactly.  With ``halved``
-        the other half of the support is -l, of the same S.  A run carries
-        its class and that of -l when the run fixes them: when the last
-        column of U steps no digit (period 1, always so for a homology
-        sphere), or as one ``want`` progression of step 2 * period through
-        ``hits``.  Else both are None and each y_(k-1) = v has the digits
-        (r + c v) mod 2d / 2 of the residues r, and -l the digits
-        (-r - c v - 2 U delta) mod 2d / 2, read with ``steps``; with ``want``
-        the caller keeps only the listed classes.  Without degree >= 3
-        vertices each assignment is one run of the single value 0, with
-        D = 1, centre 0 and M = S, whatever the bound (above ``lower``, if
-        given); a lone vertex lists all its values, and its runs carry no
-        class of -l."""
+        the other half of the support is -l, of the same S.  Every run
+        carries its class and that of -l.  When the last column of U steps
+        no digit (period 1, always so for a homology sphere) a stretch of
+        y_(k-1) is one run of step 2, its class read once per last-level
+        call.  Else the class at y_(k-1) repeats with period P, and a
+        stretch becomes one progression of step 2P per class it meets, at
+        most min(P, length) of them; when ``want`` holds fewer classes than
+        that, one progression per wanted class the stretch meets, found
+        through ``hits``.  Without degree >= 3 vertices each assignment is
+        one run of the single value 0, with D = 1, centre 0 and M = S,
+        whatever the bound (above ``lower``, if given); a lone vertex lists
+        all its values, and its runs carry None as the class of -l."""
         wanted = None if want is None else set(want)
-        assignments, levels, classes = self.assignments, self.levels, self.classes
+        assignments, levels = self.assignments, self.levels
+        index, conjugate = self.ctx.index, self.ctx.conjugate
         runs = []
         k = len(levels)
         if not k:
             for a, (_, s, _, res) in enumerate(assignments):
-                idx = sum(r % mod // 2 * stride for r, (mod, _, stride, _) in zip(res, classes))
+                idx = index([r // 2 for r in res])
                 if (lower is None or s > lower) and (wanted is None or idx in wanted):
-                    runs.append((idx, self.conjugate(idx) if self.halved else None, a, (), 0, 0, 1, s, 1, 0, None))
+                    runs.append((idx, conjugate(idx) if self.halved else None, a, (), 0, 0, 1, s, 1, 0))
             return runs
-        digits, conjugate = self.digits, self.conjugate
-        hits, period = self.hits, self.period
+        digits, hits, period = self.ctx.digits, self.hits, self.period
         ys = [0] * k
         last = k - 1
 
@@ -394,12 +385,11 @@ class _SupportForm:
                         z = det_p * v - center
                         level(p + 1, (det_next * m + z * z) // det_p, [r + c * v for r, c in zip(res, cols)], v0, a)
                 return
-            fixed = None
             if period == 1:
                 # every v here has the parity of the window, so one class, and -l one
                 fixed = mirror = 0
-                if classes:
-                    fixed = sum((r + c * parity) % mod // 2 * stride for r, c, (mod, _, stride, _) in zip(res, cols, classes))
+                if res:
+                    fixed = index([(r + c * parity) // 2 for r, c in zip(res, cols)])
                     if wanted is not None and fixed not in wanted:
                         return
                     mirror = conjugate(fixed)
@@ -411,27 +401,26 @@ class _SupportForm:
             head = tuple(ys[:last])
             for span_lo, span_hi in spans:
                 for first, end in _parity_runs(parity, span_lo, span_hi):
-                    if fixed is not None:
-                        runs.append((fixed, mirror, a, head, first, end, 2, m, det_p, center, None))
-                    elif wanted is None or len(wanted) > (end - first) // 2:
-                        runs.append((None, None, a, head, first, end, 2, m, det_p, center, res))
-                    else:
-                        base = [(r + c * first) % mod // 2 for r, c, (mod, _, _, _) in zip(res, cols, classes)]
+                    if period == 1:
+                        runs.append((fixed, mirror, a, head, first, end, 2, m, det_p, center))
+                        continue
+                    # the first period of values meets every class of the stretch
+                    stop = min(end, first + 2 * period - 2)
+                    if wanted is not None and len(wanted) <= (stop - first) // 2:
+                        base = [(r + c * first) // 2 for r, c in zip(res, cols)]
                         for idx in want:
-                            gap = sum((x - y) % d * stride for x, y, (_, d, stride, _) in zip(digits[idx], base, classes))
-                            j = hits.get(gap)
+                            j = hits.get(index([x - y for x, y in zip(digits[idx], base)]))
                             if j is not None and first + 2 * j <= end:
-                                runs.append(
-                                    (idx, conjugate(idx), a, head, first + 2 * j, end, 2 * period, m, det_p, center, None)
-                                )
+                                runs.append((idx, conjugate(idx), a, head, first + 2 * j, end, 2 * period, m, det_p, center))
+                        continue
+                    for y in range(first, stop + 1, 2):
+                        idx = index([(r + c * y) // 2 for r, c in zip(res, cols)])
+                        if wanted is None or idx in wanted:
+                            runs.append((idx, conjugate(idx), a, head, y, end, 2 * period, m, det_p, center))
 
         for a, (_, m0, v0, res) in enumerate(assignments):
             level(0, m0, res, v0, a)
         return runs
-
-    def conjugate(self, idx: int) -> int:
-        """The class of -l for every l in class ``idx``: digit -x - (U delta)_j mod d_j."""
-        return sum((-(idx // stride) - twice // 2) % d * stride for _, d, stride, twice in self.classes)
 
     def zero_bound(self) -> int:
         """One node: B* such that a class with no term at S <= B* is zero.
@@ -463,8 +452,9 @@ class _SupportForm:
 
 class _ClassMap:
     """The Spin^c classes the support of one form meets.  Each listed
-    assignment seeds its digits at y_h = m_h mod 2, and its conjugate -l
-    the digits -x - (U delta)_j; adding 2 to y_h adds its column of U, so
+    assignment seeds the class of its digits at y_h = m_h mod 2, and its
+    conjugate -l the conjugate class (``ctx.conjugate``), both split into
+    digits by the context; adding 2 to y_h adds its column of U, so
     the support meets the seeds' cosets of the subgroup G the node columns
     span mod d, and no other class.  G + (d_i e_i) gets an upper-triangular
     basis, one Euclid pass per column and node; reducing each digit in
@@ -473,8 +463,8 @@ class _ClassMap:
     costs about one step per met class, never one per class of H_1."""
 
     def __init__(self, form: _SupportForm):
-        self.mods = mods = [d for _, d, _, _ in form.classes]
-        self.strides = [stride for _, _, stride, _ in form.classes]
+        self.ctx = ctx = form.ctx
+        mods = ctx.d
         self.basis = basis = [[d * (i == j) for j in range(len(mods))] for i, d in enumerate(mods)]
         for _, _, _, _, cols in form.levels:
             g = list(cols)
@@ -485,11 +475,11 @@ class _ClassMap:
                     if g[i]:
                         basis[i], g = g, basis[i]
         odd = [sum(cols[i] for _, _, _, m, cols in form.levels if m % 2) for i in range(len(mods))]
-        reduced, seeds = self.reduced, set()
+        reduced, digits, seeds = self.reduced, ctx.digits, set()
         for _, _, _, res in form.assignments:
-            full = [r + o for r, o in zip(res, odd)]
-            seeds.add(reduced([x // 2 % d for x, d in zip(full, mods)]))
-            seeds.add(reduced([(-x - twice) // 2 % d for x, (_, d, _, twice) in zip(full, form.classes)]))
+            idx = ctx.index([(r + o) // 2 for r, o in zip(res, odd)])
+            seeds.add(reduced(digits[idx]))
+            seeds.add(reduced(digits[ctx.conjugate(idx)]))
         self.seeds = seeds
 
     def reduced(self, digits: list[int]) -> tuple[int, ...]:
@@ -501,15 +491,15 @@ class _ClassMap:
         return tuple(digits)
 
     def __contains__(self, idx: int) -> bool:
-        return self.reduced([idx // stride % d for d, stride in zip(self.mods, self.strides)]) in self.seeds
+        return self.reduced(self.ctx.digits[idx]) in self.seeds
 
     def listed(self) -> Iterator[int]:
         """Every met class, each once: row i of the basis, pivot p_i, steps
         digit i through the d_i / p_i values of its residue mod p_i, and
         the last digit's values are one range of indices."""
-        if not self.mods:
+        if not self.ctx.d:
             return iter([0])
-        *rows, (row, d, stride) = zip(self.basis, self.mods, self.strides)
+        *rows, (row, d, stride) = zip(self.basis, self.ctx.d, self.ctx.strides)
         points = [(0, seed) for seed in self.seeds]
         for i, (step, d_i, stride_i) in enumerate(rows):
             p = step[i]
@@ -529,11 +519,15 @@ class _SpinCContext:
     """The group H_1 = (+) Z/d_j of the Spin^c classes of one integer matrix
     m.  With U m V = D its Smith form, only the invariant factors d_j > 1
     are kept: the r factors ``d``, their rows ``u_int`` of U and columns
-    ``uinv`` of U^-1.  A class index reads the digits (U(l - delta))_j / 2
-    mod d_j in mixed radix, the first lowest, so the d_0 classes of each
-    value of the higher digits are consecutive and their representatives
-    step by one column of 2U^-1 (``blocks``).  ``m`` None stands for
-    |det m| = 1: the empty group (r = 0, one class, delta), no Smith form.
+    ``uinv`` of U^-1.  It owns the class arithmetic: a class index reads
+    the digits (U(l - delta))_j / 2 mod d_j in mixed radix, the first
+    lowest (``index``, place values ``strides``; ``digits`` splits an
+    index, once per class asked for), and -l has the digits
+    -x_j - (U delta)_j (``conjugate``, offsets U delta).  So the d_0
+    classes of each value of the higher digits are consecutive and their
+    representatives step by one column of 2U^-1 (``blocks``).  ``m`` None
+    stands for |det m| = 1: the empty group (r = 0, one class, delta), no
+    Smith form.
     """
 
     def __init__(self, m: Sequence[Sequence[int]] | None, delta_vec: Sequence[int]):
@@ -553,6 +547,25 @@ class _SpinCContext:
             m_nonzero = [[(k, x) for k, x in enumerate(row) if x] for row in m]
             self.uinv = [[sum(x * v[k][j] for k, x in row) // factors[j] for j in keep] for row in m_nonzero]
         self.count = prod(self.d)
+        # the place value of each digit, and U delta, from which -l's digits mirror l's
+        self.strides = [prod(self.d[:j]) for j in range(len(self.d))]
+        self.offsets = [sum(map(mul, row, self.delta)) for row in self.u_int]
+        radix = list(zip(self.d, self.strides))
+        self.digits = _Memo(lambda idx: [idx // stride % d for d, stride in radix])
+
+    def index(self, digits: Sequence[int]) -> int:
+        """The class whose digits are ``digits`` mod d_j."""
+        idx = 0
+        for x, d, stride in zip(digits, self.d, self.strides):
+            idx += x % d * stride
+        return idx
+
+    def conjugate(self, idx: int) -> int:
+        """The class of -l for every l in class ``idx``: digit -x - (U delta)_j mod d_j."""
+        mirror = 0
+        for d, stride, offset in zip(self.d, self.strides, self.offsets):
+            mirror += (-(idx // stride) - offset) % d * stride
+        return mirror
 
     def index_of_vector(self, vector: Sequence[int]) -> int:
         if len(vector) != len(self.delta):
@@ -562,20 +575,15 @@ class _SpinCContext:
             if (lv - dv) % 2 != 0:
                 raise ValueError("vector is not in 2Z^s + delta")
             x.append((lv - dv) // 2)
-        y = [sum(a * b for a, b in zip(row, x)) % d for row, d in zip(self.u_int, self.d)]
-        return sum(yj * prod(self.d[:j]) for j, yj in enumerate(y))
+        return self.index([sum(map(mul, row, x)) for row in self.u_int])
 
     def vector_of_index(self, idx: int) -> tuple[int, ...]:
         if not (0 <= idx < self.count):
             raise ValueError(f"class index {idx} out of range [0, {self.count})")
         if not self.d:
             return self.delta
-        y = []
-        for di in self.d:
-            y.append(idx % di)
-            idx //= di
-        x = [sum(a * b for a, b in zip(row, y)) for row in self.uinv]
-        return tuple(dv + 2 * xi for dv, xi in zip(self.delta, x))
+        y = self.digits[idx]
+        return tuple(dv + 2 * sum(map(mul, row, y)) for dv, row in zip(self.delta, self.uinv))
 
     def blocks(self) -> Iterator[Iterator[tuple[int, ...]]]:
         """Every class as the row (i, *vector_of_index(i)), in order, one
@@ -647,11 +655,10 @@ class _GraphSetup:
     that ``fields`` makes at the API edge.
 
     ``series`` computes any set of classes from shared walks of the
-    support, in integers.  Each walked vector l goes to its class by the
-    residues mod 2d_j, on the support coordinates, of the context's rows
-    of U (Smith form U M V = D, one row per factor d_j > 1): the class
-    index has digits (U(l - delta))_j / 2 mod d_j, O(k) per vector for k
-    leaves and nodes.
+    support, in integers.  Each run of the walk carries its class and
+    that of -l, which the context ``ctx`` reads off the residues of its
+    rows of U (Smith form U M V = D, one row per factor d_j > 1) on the
+    leaves and nodes, once per run.
     """
 
     def __init__(self, graph: PlumbingGraph, allow_weakly: bool):
@@ -674,12 +681,8 @@ class _GraphSetup:
         self.sign = -1 if pi_count % 2 else 1
         self.high = high
         windows = [_support_window(d) for d in degrees]
-        classes = [
-            (row, sum(r * x for r, x in zip(row, degrees)), dj, prod(self.ctx.d[:j]))
-            for j, (row, dj) in enumerate(zip(self.ctx.u_int, self.ctx.d))
-        ]
         try:
-            self.form = _SupportForm(adj, elim.det, high, windows, classes)
+            self.form = _SupportForm(adj, elim.det, high, windows, self.ctx)
         except NotNegativeDefinite:
             # -M^-1 on the degree >= 3 vertices is not positive definite
             raise NotNegativeDefinite("linking matrix is not weakly negative definite") from None
@@ -705,37 +708,23 @@ class _GraphSetup:
         ``terms[class of l][S]`` as 2^#high * c_l; ``terms`` makes a class's
         dict at its first vector.  The walk lists one of l and -l, which
         share S and c_l, so each walked vector is credited to its class and
-        to that of -l.  Each run of the walk is stepped in one flat loop: the
-        coefficient of its assignment and earlier coordinates once, then per
-        value of the last coordinate S, its table entry and, where the run
-        does not fix the classes, the class digits of l and -l.  A run whose
-        one class is its own conjugate (every run of a homology sphere) is
-        credited once with 2 c_l.  Then drop the zeros, and the walked
-        classes left with none."""
+        to that of -l, both carried by its run (a lone vertex lists all its
+        values, and its runs carry no class of -l).  Each run is stepped in
+        one flat loop: the coefficient of its assignment and earlier
+        coordinates once, then per value of the last coordinate S and its
+        table entry.  A run whose one class is its own conjugate (every run
+        of a homology sphere) is credited once with 2 c_l.  Then drop the
+        zeros, and the walked classes left with none."""
         if want is not None and len(want) == self.ctx.count:
             want = None
-        wanted = None if want is None else set(want)
-        low, form = self.low_coefficients, self.form
+        low = self.low_coefficients
         # without a node every run is the one value 0 of no coordinate
         *tables, last_table = self.tables or [{0: 1}]
-        steps = form.steps
-        for idx, mirror, a, head, first, last, step, m, det_p, center, res in form.walk(bound, lower, want):
+        for idx, mirror, a, head, first, last, step, m, det_p, center in self.form.walk(bound, lower, want):
             c = low[a]
             for table, y in zip(tables, head):
                 c *= table[y]
-            if idx is None:
-                for v in range(first, last + 1, step):
-                    idx = sum((r + u * v) % mod // 2 * stride for r, (u, mod, stride, _) in zip(res, steps))
-                    if wanted is None or idx in wanted:
-                        z = det_p * v - center
-                        s = (m + z * z) // det_p
-                        x = c * last_table[v]
-                        acc = terms[idx]
-                        acc[s] = acc.get(s, 0) + x
-                        idx = sum((-r - u * v - o) % mod // 2 * stride for r, (u, mod, stride, o) in zip(res, steps))
-                        acc = terms[idx]
-                        acc[s] = acc.get(s, 0) + x
-            elif mirror is None or mirror == idx:
+            if mirror is None or mirror == idx:
                 if mirror is not None:
                     c *= 2
                 acc = terms[idx]
@@ -792,7 +781,7 @@ class _GraphSetup:
         span = 4 * num * det // den
         if want is not None:
             # the walk credits -l's class too, so it walks the classes of ``want`` and their conjugates
-            want = list(dict.fromkeys([*want, *map(self.form.conjugate, want)]))
+            want = list(dict.fromkeys([*want, *map(self.ctx.conjugate, want)]))
         terms: dict[int, dict] = defaultdict(dict)
         bound = 4 * (num + den) * det
         if len(self.high) == 1:

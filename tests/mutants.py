@@ -9,9 +9,11 @@ text, the pytest ids that must fail).  For each one the runner copies
 ``src/`` to a temporary directory, makes the one replacement there and
 runs only the named tests against the copy, with a fixed hypothesis seed;
 the named tests must first pass on ``src/`` itself.  A mutant whose tests
-all pass survives; one whose old text no longer
-occurs exactly once in its file is stale, and its entry must follow the
-code.  The exit code is 1 when any mutant survives or is stale.
+all pass survives; one whose tests run past ``TIMEOUT`` seconds is killed
+(a fault can make the code loop forever), and printed as timed out; one
+whose old text no longer occurs exactly once in its file is stale, and
+its entry must follow the code.  The exit code is 1 when any mutant
+survives or is stale.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# seconds the named tests of one mutant may run; the slowest take a few
+TIMEOUT = 60
 
 MUTANTS = {
     # a period-1 run's -l credited to the run's own class
@@ -43,8 +48,8 @@ MUTANTS = {
     # the conjugate class with the sign of U delta flipped
     "conjugate_offset_sign": (
         "engine.py",
-        "(-(idx // stride) - twice // 2) % d",
-        "(-(idx // stride) + twice // 2) % d",
+        "(-(idx // stride) - offset) % d",
+        "(-(idx // stride) + offset) % d",
         ["tests/test_engine.py::TestConjugation::test_conjugate_map_and_one_class_query"],
     ),
     # every leaf assignment listed, so each vector is credited twice to a and -a
@@ -57,18 +62,73 @@ MUTANTS = {
     # the runs of a graph without a node credited to their own class only
     "no_conjugate_without_a_node": (
         "engine.py",
-        "runs.append((idx, self.conjugate(idx) if self.halved else None, a,",
+        "runs.append((idx, conjugate(idx) if self.halved else None, a,",
         "runs.append((idx, None, a,",
         ["tests/test_golden.py::test_golden_bytes[graph_lens_chain]"],
     ),
     # the class map seeds each assignment but not its conjugate
     "no_conjugate_seed": (
         "engine.py",
-        "            seeds.add(reduced([(-x - twice) // 2 % d for x, (_, d, _, twice) in zip(full, form.classes)]))\n",
+        "            seeds.add(reduced(digits[ctx.conjugate(idx)]))\n",
         "",
         [
             "tests/test_engine.py::TestSupportProbe::test_matches_the_oracle",
             "tests/test_engine.py::TestSupportProbe::test_listed_classes_are_the_met_ones",
+        ],
+    ),
+    # the Euclid pass for the basis of G keeps no remainder as a new row
+    "no_euclid_swap": (
+        "engine.py",
+        "                    if g[i]:\n                        basis[i], g = g, basis[i]\n",
+        "",
+        ["tests/test_engine.py::TestSupportProbe::test_matches_the_oracle"],
+    ),
+    # a coset's canonical point reduces only the pivot's own digit
+    "reduce_only_the_diagonal_digit": (
+        "engine.py",
+        "                digits = [x - q * y for x, y in zip(digits, row)]\n",
+        "                digits = digits[:i] + [digits[i] - q * row[i]] + digits[i + 1 :]\n",
+        ["tests/test_engine.py::TestSupportProbe::test_matches_the_oracle"],
+    ),
+    # a wanted class's progression loses its value at the end of the run
+    "wanted_progression_cut_short": (
+        "engine.py",
+        "if j is not None and first + 2 * j <= end:",
+        "if j is not None and first + 2 * j < end:",
+        [
+            "tests/test_golden.py::test_golden_bytes[graph_det51_spinc]",
+            "tests/test_engine.py::TestConjugation::test_conjugate_map_and_one_class_query",
+        ],
+    ),
+    # the coefficient of the first node coordinate left out of a run's c_l
+    "skipped_head_coefficient": (
+        "engine.py",
+        "for table, y in zip(tables, head):",
+        "for table, y in zip(tables[1:], head[1:]):",
+        [
+            "tests/test_golden.py::test_golden_bytes[graph_two_node_tree_rational]",
+            "tests/test_engine.py::TestIntegerBookkeeping::test_compute_zhat_matches_the_recording",
+            "tests/test_engine.py::TestRunAccumulation::test_flat_loop_is_the_per_vector_sum",
+        ],
+    ),
+    # S of a run credited to two classes taken with the centre's sign flipped
+    "wrong_s": (
+        "engine.py",
+        "z = det_p * v - center\n                    s = (m + z * z) // det_p\n                    x = c",
+        "z = det_p * v + center\n                    s = (m + z * z) // det_p\n                    x = c",
+        [
+            "tests/test_golden.py::test_golden_bytes[graph_det51_spinc]",
+            "tests/test_engine.py::TestRunAccumulation::test_flat_loop_is_the_per_vector_sum",
+        ],
+    ),
+    # a progression of period P > 1 credited to its class but not to -l's
+    "progression_without_its_conjugate": (
+        "engine.py",
+        "if wanted is None or idx in wanted:\n                            runs.append((idx, conjugate(idx),",
+        "if wanted is None or idx in wanted:\n                            runs.append((idx, None,",
+        [
+            "tests/test_golden.py::test_golden_bytes[graph_det51_star]",
+            "tests/test_engine.py::TestRunAccumulation::test_flat_loop_is_the_per_vector_sum",
         ],
     ),
     # the listing steps no basis row of G before the last digit
@@ -95,8 +155,9 @@ MUTANTS = {
 }
 
 
-def passes(src: Path, tests: list[str]) -> bool:
-    """Whether ``tests`` all pass with the package imported from ``src``."""
+def passes(src: Path, tests: list[str], timeout: float | None = None) -> bool:
+    """Whether ``tests`` all pass with the package imported from ``src``;
+    past ``timeout`` seconds pytest is killed and TimeoutExpired raised."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     where = subprocess.run(
         [sys.executable, "-c", "import zhat; print(zhat.__file__)"], env=env, capture_output=True, text=True, check=True
@@ -104,15 +165,15 @@ def passes(src: Path, tests: list[str]) -> bool:
     if not Path(where).is_relative_to(src):
         raise SystemExit(f"zhat imported from {where}, not from {src}")
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0", *tests]
-    result = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+    result = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=timeout)
     if result.returncode not in (0, 1):
         raise SystemExit(f"pytest exited {result.returncode} on {tests}\n{result.stdout}{result.stderr}")
     return result.returncode == 0
 
 
 def run(name: str, work: Path) -> str:
-    """'killed', 'survived' or 'stale' for mutant ``name``, made in a copy of
-    ``src/`` under ``work``."""
+    """'killed', 'killed (timed out)', 'survived' or 'stale' for mutant
+    ``name``, made in a copy of ``src/`` under ``work``."""
     path, old, new, tests = MUTANTS[name]
     src = work / name / "src"
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -121,7 +182,10 @@ def run(name: str, work: Path) -> str:
     if text.count(old) != 1:
         return "stale"
     target.write_text(text.replace(old, new), encoding="utf-8")
-    return "survived" if passes(src, tests) else "killed"
+    try:
+        return "survived" if passes(src, tests, TIMEOUT) else "killed"
+    except subprocess.TimeoutExpired:
+        return "killed (timed out)"
 
 
 def main(argv: list[str]) -> int:
@@ -138,8 +202,8 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as work:
         for name in names:
             verdicts[name] = run(name, Path(work))
-            print(f"{verdicts[name]:>8}  {name}", flush=True)
-    bad = [name for name, verdict in verdicts.items() if verdict != "killed"]
+            print(f"{verdicts[name]:>18}  {name}", flush=True)
+    bad = [name for name, verdict in verdicts.items() if not verdict.startswith("killed")]
     print(f"{len(verdicts)} mutants: {len(verdicts) - len(bad)} killed, {len(bad)} survived or stale")
     return 1 if bad else 0
 

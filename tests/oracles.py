@@ -11,9 +11,11 @@ recursion in turn by scanning a box point by point.
 ``run_vectors`` expands the runs of the engine walk
 (``_SupportForm.walk``) into its vectors one at a time, each listed
 vector l followed by -l, which the walk leaves out and the engine credits
-through its own conjugate map; here -l gets its class from the full
-vector.  ``per_vector_terms`` sums their coefficients vector by vector,
-the reference for the engine's flat loop over each run
+through its own conjugate map.  Every run carries its class, and here
+each listed l must lie in it, and -l gets its class, both read from the
+full vector by the Smith form's ``index_of_vector``.
+``per_vector_terms`` sums their coefficients vector by vector, the
+reference for the engine's flat loop over each run
 (``_GraphSetup._walk``).
 
 ``classes_missing_support`` decides which classes the support of c_l
@@ -256,31 +258,30 @@ def run_vectors(form, ctx, runs, want=None) -> Iterator[tuple[int, tuple[int, ..
     ``form.walk`` gives, one at a time as (class index, l on ``form.low``,
     l on ``form.high``, S).  Each run steps y = first, first + step, ...
     up to last, with S = (M + (D y - centre)^2) / D, which must divide
-    exactly.  A run without a class reads it for each y from its residues
-    r and ``form.steps``, digit (r + c y) mod 2d / 2, and keeps only the
-    classes in ``want`` (all of them when None).  On a graph of more than
+    exactly, and each l must lie in the run's class, read by
+    ``ctx.index_of_vector`` from the full vector.  On a graph of more than
     one vertex the walk lists one of each pair l, -l (same S, same c_l),
-    so each listed l is followed by -l, its class read by
-    ``ctx.index_of_vector`` from the full vector and kept when in
-    ``want``; the run's own class of -l is not read."""
+    so each listed l is followed by -l, its class read from the full
+    vector too and kept when in ``want`` (all classes when None); the
+    run's own class of -l is not read."""
     size, support = len(ctx.delta), form.low + form.high
-    for idx, _, a, head, first, last, step, m, det_p, center, res in runs:
+
+    def full(x, ys, sign):
+        l = [0] * size
+        for v, t in zip(support, x + ys):
+            l[v] = sign * t
+        return l
+
+    for idx, _, a, head, first, last, step, m, det_p, center in runs:
         x = form.assignments[a][0]
         for y in range(first, last + 1, step):
             s, rest = divmod(m + (det_p * y - center) ** 2, det_p)
             assert rest == 0, (m, det_p, center, y)
-            cls = idx
-            if cls is None:
-                cls = sum((r + c * y) % mod // 2 * stride for r, (c, mod, stride, _) in zip(res, form.steps))
-                if want is not None and cls not in want:
-                    continue
             ys = head + (y,) if form.high else ()
-            yield cls, x, ys, s
+            assert ctx.index_of_vector(full(x, ys, 1)) == idx, (idx, x, ys)
+            yield idx, x, ys, s
             if size > 1:
-                neg = [0] * size
-                for v, t in zip(support, x + ys):
-                    neg[v] = -t
-                cls = ctx.index_of_vector(neg)
+                cls = ctx.index_of_vector(full(x, ys, -1))
                 if want is None or cls in want:
                     yield cls, tuple(-t for t in x), tuple(-t for t in ys), s
 

@@ -407,8 +407,9 @@ class TestCrossOracle:
         high = g.high_degree_vertices()
         det = abs(int(m.determinant()))
         bound = Fraction(60)
-        form = _SupportForm(adjugate(g), int(m.determinant()), high, windows, [])
-        walked = {l: s for _, l, s in support_vectors(form, _SpinCContext(None, degrees), int(bound * det))}
+        ctx = _SpinCContext(None, degrees)
+        form = _SupportForm(adjugate(g), int(m.determinant()), high, windows, ctx)
+        walked = {l: s for _, l, s in support_vectors(form, ctx, int(bound * det))}
         for l, s in walked.items():
             assert s == -det * sum(minv.rows[i][j] * l[i] * l[j] for i in range(m.size) for j in range(m.size))
             assert s <= bound * det
@@ -1174,7 +1175,7 @@ class TestConjugation:
         assume(elim.is_negative_definite and abs(elim.det) <= 400)
         setup = _GraphSetup(g, False)
         ctx, rows, degrees = setup.ctx, g.linking_rows(), g.degree_vector()
-        conjugates = [setup.form.conjugate(a) for a in range(ctx.count)]
+        conjugates = [setup.ctx.conjugate(a) for a in range(ctx.count)]
         assert conjugates == [
             conjugate_spin_c(SpinCRep(ctx.vector_of_index(a), a), rows, degrees).class_index for a in range(ctx.count)
         ]
@@ -1201,7 +1202,7 @@ class TestConjugation:
     )
     def test_self_conjugate_classes_against_the_coset(self, g, self_conjugate):
         setup, order = _GraphSetup(g, False), 10
-        assert [a for a in range(setup.ctx.count) if setup.form.conjugate(a) == a] == self_conjugate
+        assert [a for a in range(setup.ctx.count) if setup.ctx.conjugate(a) == a] == self_conjugate
         results = compute_zhat_all(g, order)
         top = max(res.delta for _, res in results if not isinstance(res, EmptySeries)) + order
         for rep, res in results:
@@ -1306,8 +1307,8 @@ class TestHomologySphereContext:
         rows = [[int(x) for x in row] for row in m.rows]
         ctx, dense = _SpinCContext(None, degrees), _SpinCContext(rows, degrees)
         # the empty group, field for field: the Smith path keeps no unit factor
-        fields = [(c.d, c.u_int, c.uinv, c.count) for c in (ctx, dense)]
-        assert fields == [([], [], [[]] * g.vertex_count, 1)] * 2
+        fields = [(c.d, c.u_int, c.uinv, c.count, c.strides, c.offsets) for c in (ctx, dense)]
+        assert fields == [([], [], [[]] * g.vertex_count, 1, [], [])] * 2
         assert ctx.vector_of_index(0) == dense.vector_of_index(0) == tuple(degrees)
         rng = random.Random(g.vertex_count)
         for _ in range(10):
