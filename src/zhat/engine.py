@@ -17,9 +17,12 @@ vertices.  One enumeration serves every tree: the finitely many
 assignments of the leaves are listed once per graph, and for each one a
 Fincke-Pohst walk over the degree >= 3 coordinates alone (the principal
 block of -M^-1 there is positive definite) finds the rest under the
-quadratic bound.  The vector -l has the S and the c_l of l (each vertex
-factor has f(-k) = (-1)^deg f(k), and the degrees of a tree sum to an
-even number) and lies in the conjugate class -a, so only the half of the
+quadratic bound.  With a node the leaves decouple (deleting the nodes
+leaves paths, no two leaves on one), so every assignment starts the walk
+at one minimum M_0; only its centres and class residues differ.  The
+vector -l has the S and the c_l of l (each vertex factor has
+f(-k) = (-1)^deg f(k), and the degrees of a tree sum to an even number)
+and lies in the conjugate class -a, so only the half of the
 assignments whose first leaf is +1 is listed, and each walked vector is
 credited to its class and to that of -l (Zhat_{-a} = Zhat_a).  The walk
 is integer throughout: it runs on the form
@@ -46,8 +49,8 @@ coordinate, with some period P, so each run of the walk is cut into at
 most P progressions, one per class it meets, and carries that class and
 its conjugate, read once.  The graph's one rooted traversal, made when
 it is built, gives the elimination; one pass up from it gives the
-adjugate on those k leaves and nodes alone, each entry a product over
-the nodes of a path, and the Smith form runs only when
+adjugate on the node rows and the leaf diagonals alone, each entry a
+product over the nodes of a path, and the Smith form runs only when
 |H_1| = |det M| > 1.  The quadratic bound starts at 4(order + 1), and
 with one degree >= 3 vertex at least at the least S of the support plus
 the span, so a class whose leading term does not cancel is walked once.
@@ -240,8 +243,9 @@ class _SupportForm:
 
     Only leaves (l_v = +-1), an isolated vertex (l_v in {-2, 0, 2}) and
     the degree >= 3 vertices ``high`` can carry l_v != 0, and
-    B = -sign(det M) * adj(M) is an integer matrix, read on those
-    vertices only (``adj[u][v]``).  The principal block B_hh on ``high``
+    B = -sign(det M) * adj(M) is an integer matrix, read on the node
+    rows and the leaf diagonals only (``adj[u][v]``; without a node, on
+    the whole low block).  The principal block B_hh on ``high``
     is positive definite for negative definite and weakly negative
     definite trees alike; it is factored fraction-free once (trailing
     minors D_p and their adjugates).  The finitely many assignments x of
@@ -252,8 +256,10 @@ class _SupportForm:
 
         S = l^T B l = x^T B_xx x + 2 y^T B_hx x + y^T B_hh y,
 
-    and M_0 = D_0 * min_y S (over real y) and the scaled centers V_p^0
-    follow from B_hx x and x^T B_xx x.
+    and M_0 = D_0 * min_y S (over real y) = x^T Q x, with Q the Schur
+    complement D_0 B_xx - B_xh adj(B_hh) B_hx, and the scaled centers
+    V_p^0 follow from B_hx x.  With a node Q is diagonal (the leaves
+    decouple), so M_0 = trace Q is one constant of every assignment.
 
     The walk fixes y_0, y_1, ... in turn.  At level p the minimum of S
     over the later coordinates, times D_p, is M_p, and fixing y_p = v
@@ -274,15 +280,14 @@ class _SupportForm:
     def __init__(self, adj: Mapping[int, Sequence[int]], det: int, high: Sequence[int], windows: list, ctx: _SpinCContext):
         self.ctx = ctx
         self.high = list(high)
-        in_high = set(self.high)
         # degree-2 windows are {0}: those coordinates stay 0
-        self.low = [v for v in range(len(windows)) if v not in in_high and windows[v] != (0,)]
+        self.low = [v for v in range(len(windows)) if v not in self.high and windows[v] != (0,)]
         self.det = abs(det)
         sign = 1 if det > 0 else -1
-        support = self.low + self.high
-        form = [[-sign * adj[i][j] for j in support] for i in support]
-        n_low, k = len(self.low), len(self.high)
-        hh = [row[n_low:] for row in form[n_low:]]
+        k = len(self.high)
+        # B on the node rows: the block B_hh, and B_hx by its columns
+        hh = [[-sign * adj[h][g] for g in self.high] for h in self.high]
+        bx = [[-sign * adj[h][v] for h in self.high] for v in self.low]
         factors = _ldl_ordered(hh)
         minors = [det_p for det_p, _ in factors] + [1]
         # per level: D_p, D_(p+1), the row giving V_p from the earlier y, the window, the U column
@@ -304,36 +309,28 @@ class _SupportForm:
             for c, d in zip(step, ctx.d):
                 self.period = lcm(self.period, d // gcd(d, c))
             self.hits = {ctx.index([j * c for c in step]): j for j in range(self.period)}
-        # With b = B_hx x, M_0 = D_0 x^T B_xx x - b^T adj(B_hh) b = x^T Q x and
-        # V^0 = W x.  One low coordinate x_j at a time, x^T Q x, W x and the
-        # class residues U x - U delta each grow by one term, from row j of
-        # Q up to the diagonal, column j of W and the U column.
-        bx = [[row[j] for row in form[n_low:]] for j in range(n_low)]  # columns of B_hx
-        adj0 = factors[0][1] if k else []
-        adj_bx = [[sum(map(mul, row, col)) for row in adj0] for col in bx]
-        partial = [((), 0, [0] * k, [-offset for offset in ctx.offsets])]
-        # -l has the S and the c_l of l, so with a leaf first only its value
-        # +1 is listed; the walk credits each vector to its class and -l's.
-        # A lone vertex has no leaf, and its value 0 is its own conjugate.
+        # M_0 = x^T Q x (see above).  With a node each x_j^2 = 1 gives trace Q,
+        # Q_jj = D_0 B_jj - b_j^T adj(B_hh) b_j for column b_j of B_hx.
+        m0 = 0
+        for v, b in zip(self.low, bx) if k else ():
+            m0 += minors[0] * -sign * adj[v][v] - sum(x * sum(map(mul, row, b)) for x, row in zip(b, factors[0][1]))
+        # V^0 = W x and the class residues U x - U delta grow by one term per
+        # low coordinate x_j: column j of W and the U column.  -l has the S
+        # and the c_l of l, so with a leaf first only its value +1 is listed;
+        # a lone vertex has no leaf, and its value 0 is its own conjugate.
+        partial = [((), m0, [0] * k, [-offset for offset in ctx.offsets])]
         self.halved = windows[self.low[0]] == (-1, 1)
         for j, v in enumerate(self.low):
-            qrow = [minors[0] * form[j][i] - sum(map(mul, bx[j], adj_bx[i])) for i in range(j + 1)]
-            diag = qrow[j]
             wcol = [-sum(map(mul, c, bx[j][p:])) for p, c in enumerate(centers)]
             ucol = [row[v] for row in ctx.u_int]
-            grown = []
-            for combo, m, v0, res in partial:
-                twice = 2 * sum(map(mul, qrow, combo))
-                for x in (1,) if self.halved and not j else windows[v]:
-                    grown.append(
-                        (
-                            combo + (x,),
-                            m + x * (twice + x * diag),
-                            [y + x * a for y, a in zip(v0, wcol)],
-                            [r + x * u for r, u in zip(res, ucol)],
-                        )
-                    )
-            partial = grown
+            partial = [
+                (combo + (x,), m, [y + x * a for y, a in zip(v0, wcol)], [r + x * u for r, u in zip(res, ucol)])
+                for combo, m, v0, res in partial
+                for x in ((1,) if self.halved and not j else windows[v])
+            ]
+        if not k:  # M_0 = S = x^T B_xx x on a chain's two leaves or a lone vertex
+            form = [[-sign * adj[u][w] for w in self.low] for u in self.low]
+            partial = [(c, sum(x * sum(map(mul, row, c)) for x, row in zip(c, form)), v0, r) for c, _, v0, r in partial]
         self.assignments = partial
 
     def walk(self, bound: int, lower: int | None = None, want: Sequence[int] | None = None) -> list[tuple]:
@@ -424,30 +421,29 @@ class _SupportForm:
 
     def zero_bound(self) -> int:
         """One node: B* such that a class with no term at S <= B* is zero.
-        With b = D_0 and n = b y - V_x, b S = n^2 + E_x (E_x the M_0 of x).
-        For |n| > D = max E - min E a term comes from one E and +-n only; for
-        |n| > N_1 = b m + max |V_x| (m = deg - 2) its node factor is a
-        polynomial of degree m - 1 in n on each class mod L = 2 b P, and B*
-        reaches m points of each class above max(D, N_1)."""
+        With b = D_0 and n = b y - V_x, b S = n^2 + E, E the M_0 every
+        assignment shares (so D = max E - min E, past which a term comes
+        from one E and +-n only, is 0).  For |n| > N_1 = b m + max |V_x|
+        (m = deg - 2) a term's node factor is a polynomial of degree m - 1
+        in n on each class mod L = 2 b P, and B* reaches m points of each
+        class above N_1."""
         ((b, _, _, m, _),) = self.levels
-        es = [e for _, e, _, _ in self.assignments]
-        n_1 = b * m + max(abs(v) for _, _, (v,), _ in self.assignments)
-        n_star = max(max(es) - min(es), n_1) + 2 * m * b * self.period
-        return -(-(n_star * n_star + max(es)) // b)
+        n_star = b * m + max(abs(v) for _, _, (v,), _ in self.assignments) + 2 * m * b * self.period
+        return -(-(n_star * n_star + self.assignments[0][1]) // b)
 
     def least(self) -> int:
         """One node: the least S over every support vector.  On each
-        assignment b S = (b y - V_x)^2 + E_x is least at the y = m (mod 2)
-        nearest V_x / b, or, when that lies in the gap |y| < m, at the
-        nearer end +-m."""
+        assignment b S = (b y - V_x)^2 + E (E the one M_0) is least at the
+        y = m (mod 2) nearest V_x / b, or, when that lies in the gap
+        |y| < m, at the nearer end +-m."""
         ((b, _, _, m, _),) = self.levels
         least = []
-        for _, e, (v,), _ in self.assignments:
+        for _, _, (v,), _ in self.assignments:
             y = m + 2 * ((v + b - b * m) // (2 * b))
             if abs(y) < m:
                 y = m if v > 0 else -m
-            least.append((e + (b * y - v) ** 2) // b)
-        return min(least)
+            least.append((b * y - v) ** 2)
+        return (min(least) + self.assignments[0][1]) // b
 
 
 class _ClassMap:
@@ -690,12 +686,7 @@ class _GraphSetup:
         low_tables = [
             {x: _twice_vertex_factor(degrees[v], -x) // 2 for x in windows[v]} for v in self.form.low
         ]
-        self.low_coefficients = []
-        for combo, _, _, _ in self.form.assignments:
-            c = 1
-            for table, x in zip(low_tables, combo):
-                c *= table[x]
-            self.low_coefficients.append(c)
+        self.low_coefficients = [prod(t[x] for t, x in zip(low_tables, combo)) for combo, _, _, _ in self.form.assignments]
         self.tables = [_Memo(lambda k, deg=degrees[h]: _twice_vertex_factor(deg, -k)) for h in high]
         # Fractions are immutable, so every result shares one per coefficient
         scale = 2 ** len(high)

@@ -16,8 +16,9 @@ Weights and edge endpoints are integers (read through
 at vertex 0, it eliminates the linking matrix in integers, leaf first.
 :meth:`PlumbingGraph.elimination` gives det M and the inertia, and
 :meth:`PlumbingGraph.support_adjugate` adds one pass up for adj(M) on
-the leaves and nodes.  :meth:`PlumbingGraph.linking_matrix` gives the
-dense :class:`~zhat.exact.ExactMatrix`, which no computation here builds.
+the node rows and the leaf diagonals.
+:meth:`PlumbingGraph.linking_matrix` gives the dense
+:class:`~zhat.exact.ExactMatrix`, which no computation here builds.
 """
 
 from __future__ import annotations
@@ -161,9 +162,11 @@ class PlumbingGraph(Record):
         return self._elimination
 
     def support_adjugate(self) -> tuple[TreeElimination, dict]:
-        """The elimination, and adj(M) = det(M) * M^-1 as ``block[u][v]`` for
-        u, v in the support (every vertex of degree != 2), from the
-        traversal of the tree rooted at 0 that construction made.
+        """The elimination, and adj(M) = det(M) * M^-1 as ``block[u][v]`` on
+        the support (every vertex of degree != 2), from the traversal of the
+        tree rooted at 0 that construction made: with a node (degree >= 3),
+        the node rows over the support and each leaf's diagonal alone;
+        without one, the whole block of at most 2x2.
 
         adj(M)[u][v] is (-1)^k times the product of det C over the
         components C hanging off the path of k edges from u to v.  The pass
@@ -171,7 +174,8 @@ class PlumbingGraph(Record):
         above it by the (product, sum) pairs of ``_eliminate``, so no
         determinant is divided and zero ones stay exact.  Nothing hangs off
         a degree-2 vertex inside the path, so an entry is a product over
-        its stops alone: the support and the root.
+        its stops alone: the support and the root.  A leaf's diagonal,
+        det(M - leaf), is the det of the component through its one link.
         """
         nbrs, elim = self._nbrs, self._elimination
         sub, stripped = elim.subtree_dets, elim.stripped_dets
@@ -202,7 +206,7 @@ class PlumbingGraph(Record):
                 todo.append((y, last, up, off))
                 prod, acc = prod * sub[c], acc * sub[c] + prod * stripped[c]
         block = {}
-        for u in support:
+        for u in [v for v in support if len(nbrs[v]) > 2] or support:
             row = block[u] = {}
             # (stop, its neighbour towards u, (-1)^k times the components off the path so far)
             todo = [(u, -1, 1)]
@@ -217,6 +221,8 @@ class PlumbingGraph(Record):
                     head *= det_c
                 if x in support:
                     row[x] = acc * head
+        for x in support - block.keys():  # the leaves of a tree with a node
+            block[x] = {x: links[x][0][1]}
         return elim, block
 
     def linking_rows(self) -> list[list[int]]:

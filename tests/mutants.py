@@ -5,15 +5,16 @@ package, must be caught by the tests named with it.
     python tests/mutants.py NAME ...   # only these
 
 A mutant is (file under ``src/zhat``, the exact text it replaces, the new
-text, the pytest ids that must fail).  For each one the runner copies
-``src/`` to a temporary directory, makes the one replacement there and
-runs only the named tests against the copy, with a fixed hypothesis seed;
-the named tests must first pass on ``src/`` itself.  A mutant whose tests
-all pass survives; one whose tests run past ``TIMEOUT`` seconds is killed
-(a fault can make the code loop forever), and printed as timed out; one
-whose old text no longer occurs exactly once in its file is stale, and
-its entry must follow the code.  The exit code is 1 when any mutant
-survives or is stale.
+text, the pytest ids that must fail), optionally followed by its own
+timeout in seconds.  For each one the runner copies ``src/`` to a
+temporary directory, makes the one replacement there and runs only the
+named tests against the copy, with a fixed hypothesis seed; the named
+tests must first pass on ``src/`` itself.  A mutant whose tests all pass
+survives; one whose tests run past its timeout (``TIMEOUT`` by default)
+is killed (a fault can make the code loop forever), and printed as timed
+out; one whose old text no longer occurs exactly once in its file is
+stale, and its entry must follow the code.  The exit code is 1 when any
+mutant survives or is stale.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# seconds the named tests of one mutant may run; the slowest take a few
+# seconds the named tests of one mutant may run; the slowest take a few.
+# A mutant known to hang carries a shorter timeout of its own, still far
+# above what its tests take on the code as it is.
 TIMEOUT = 60
 
 MUTANTS = {
@@ -55,8 +58,8 @@ MUTANTS = {
     # every leaf assignment listed, so each vector is credited twice to a and -a
     "every_assignment_listed": (
         "engine.py",
-        "for x in (1,) if self.halved and not j else windows[v]:",
-        "for x in windows[v]:",
+        "for x in ((1,) if self.halved and not j else windows[v])",
+        "for x in windows[v]",
         ["tests/test_golden.py::test_golden_bytes[graph_det51_star]"],
     ),
     # the runs of a graph without a node credited to their own class only
@@ -82,6 +85,7 @@ MUTANTS = {
         "                    if g[i]:\n                        basis[i], g = g, basis[i]\n",
         "",
         ["tests/test_engine.py::TestSupportProbe::test_matches_the_oracle"],
+        15,
     ),
     # a coset's canonical point reduces only the pivot's own digit
     "reduce_only_the_diagonal_digit": (
@@ -152,6 +156,61 @@ MUTANTS = {
         "2 ** (len(setup.high) + 1)\n",
         ["tests/test_golden.py::test_golden_bytes[graph_det51_star]"],
     ),
+    # a leaf's diagonal of adj(M), det(M - leaf), read with its sign flipped
+    "leaf_diagonal_sign_flipped": (
+        "plumbing.py",
+        "block[x] = {x: links[x][0][1]}",
+        "block[x] = {x: -links[x][0][1]}",
+        [
+            "tests/test_tree_elimination.py::TestSupportAdjugate::test_block_matches_the_oracle_on_random_trees",
+            "tests/test_engine.py::TestLeafDecoupling::test_leaf_schur_complement_is_diagonal",
+            "tests/test_golden.py::test_golden_bytes[graph_det51_star]",
+        ],
+    ),
+    # the first leaf's Q_jj left out of the one M_0 of a graph with a node
+    "leaf_left_out_of_m0": (
+        "engine.py",
+        "for v, b in zip(self.low, bx) if k else ():",
+        "for v, b in zip(self.low[1:], bx[1:]) if k else ():",
+        [
+            "tests/test_engine.py::TestLeafDecoupling::test_leaf_schur_complement_is_diagonal",
+            "tests/test_golden.py::test_golden_bytes[graph_det51_star]",
+        ],
+    ),
+    # adj(M) rows built for the first node only
+    "node_rows_for_the_first_node_only": (
+        "plumbing.py",
+        "for u in [v for v in support if len(nbrs[v]) > 2] or support:",
+        "for u in [v for v in support if len(nbrs[v]) > 2][:1] or support:",
+        [
+            "tests/test_tree_elimination.py::TestSupportAdjugate::test_block_matches_the_oracle_on_random_trees",
+            "tests/test_golden.py::test_golden_bytes[graph_two_node_tree_rational]",
+        ],
+    ),
+    # a period-1 run handed out whatever its class, wanted or not
+    "dropped_want_filter_on_a_period_one_run": (
+        "engine.py",
+        "                    if wanted is not None and fixed not in wanted:\n                        return\n",
+        "",
+        ["tests/test_engine.py::TestIntegerWalk::test_restricted_walk_is_the_filtered_walk"],
+    ),
+    # a node's vertex-factor table read at +k, not -k: an odd m flips its sign
+    "vertex_factor_table_sign_flipped": (
+        "engine.py",
+        "_twice_vertex_factor(deg, -k)) for h in high]",
+        "_twice_vertex_factor(deg, k)) for h in high]",
+        [
+            "tests/test_engine.py::TestCrossOracle::test_matches_closed_form_order_100",
+            "tests/test_golden.py::test_golden_bytes[graph_det51_star]",
+        ],
+    ),
+    # a period-1 run's class read one step off the parity of the node's window
+    "period_one_class_at_the_wrong_parity": (
+        "engine.py",
+        "fixed = index([(r + c * parity) // 2 for r, c in zip(res, cols)])",
+        "fixed = index([(r + c * (parity + 1)) // 2 for r, c in zip(res, cols)])",
+        ["tests/test_golden.py::test_golden_bytes[graph_period_one_star]"],
+    ),
 }
 
 
@@ -174,7 +233,7 @@ def passes(src: Path, tests: list[str], timeout: float | None = None) -> bool:
 def run(name: str, work: Path) -> str:
     """'killed', 'killed (timed out)', 'survived' or 'stale' for mutant
     ``name``, made in a copy of ``src/`` under ``work``."""
-    path, old, new, tests = MUTANTS[name]
+    path, old, new, tests, *own = MUTANTS[name]
     src = work / name / "src"
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
     target = src / "zhat" / path
@@ -183,7 +242,7 @@ def run(name: str, work: Path) -> str:
         return "stale"
     target.write_text(text.replace(old, new), encoding="utf-8")
     try:
-        return "survived" if passes(src, tests, TIMEOUT) else "killed"
+        return "survived" if passes(src, tests, own[0] if own else TIMEOUT) else "killed"
     except subprocess.TimeoutExpired:
         return "killed (timed out)"
 

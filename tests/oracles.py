@@ -24,6 +24,11 @@ rows of U on every listed leaf assignment; the engine lists the met
 classes from one class map on its walk's class digits, coset by coset
 (``_ClassMap``).
 
+``leaf_schur_complement`` is the Schur complement of the engine's form
+B = |det M| * (-M^-1) on the leaves given the nodes, from the dense
+rational inverse: the engine takes it to be diagonal on every tree with
+a node, and lists its trace as the one M_0 of every leaf assignment.
+
 ``dense_smith_normal_form`` is the Smith normal form as every step of it
 was once made in full: each pivot search scans the whole remaining
 matrix and each row and column operation touches every row.
@@ -303,6 +308,31 @@ def per_vector_terms(graph, form, ctx, bound: int, lower: int | None = None, wan
         acc = terms.setdefault(idx, {})
         acc[s] = acc.get(s, 0) + int(c)
     return {idx: {s: c for s, c in acc.items() if c} for idx, acc in terms.items() if any(acc.values())}
+
+
+def leaf_schur_complement(graph) -> tuple[Fraction, list[list[Fraction]]]:
+    """(D_0, Q) with D_0 = det B_hh and Q = D_0 (B_xx - B_xh B_hh^-1 B_hx)
+    on the leaves x, for B = |det M| * (-M^-1) from the dense rational
+    inverse of the linking matrix and h the vertices of degree >= 3, both
+    in vertex order.  The engine's M_0 of a leaf assignment x is x^T Q x."""
+    m = graph.linking_matrix()
+    scale = -abs(m.determinant())
+    inv = m.inverse()
+    degrees = graph.degree_vector()
+    leaves = [v for v, d in enumerate(degrees) if d == 1]
+    nodes = [v for v, d in enumerate(degrees) if d >= 3]
+
+    def b(u, v):
+        return scale * inv.entry(u, v)
+
+    b_hh = ExactMatrix([[b(u, v) for v in nodes] for u in nodes])
+    d0, hh_inv = b_hh.determinant(), b_hh.inverse()
+
+    def q(x, y):
+        through = sum(b(x, g) * hh_inv.entry(i, j) * b(h, y) for i, g in enumerate(nodes) for j, h in enumerate(nodes))
+        return d0 * (b(x, y) - through)
+
+    return d0, [[q(x, y) for y in leaves] for x in leaves]
 
 
 def dense_smith_normal_form(rows) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:

@@ -13,7 +13,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import trees
-from oracles import adjugate, classes_missing_support, enumerate_coset_under_bound, per_vector_terms, run_vectors
+from oracles import (
+    adjugate,
+    classes_missing_support,
+    enumerate_coset_under_bound,
+    leaf_schur_complement,
+    per_vector_terms,
+    run_vectors,
+)
 from zhat.brieskorn import brieskorn_data, build_plumbing, zhat0_brieskorn
 from zhat.engine import (
     SpinCRep,
@@ -1095,11 +1102,12 @@ class TestIntegerWalk:
 
 @st.composite
 def trees_with_nodes(draw, nodes, weights=st.integers(-5, -1), node_weights=st.integers(-8, -2)):
-    """A tree with exactly ``nodes`` (0, 1 or 2) vertices of degree >= 3:
-    a chain of one to five vertices, or a node with three to five legs,
-    or two nodes joined by a path of one to three edges, each with two to
-    four more legs; every leg has one or two vertices.  The nodes draw
-    from ``node_weights``, every other vertex from ``weights``."""
+    """A tree with exactly ``nodes`` (0 to 3) vertices of degree >= 3: a
+    chain of one to five vertices, or a node with three to five legs, or
+    two or three nodes on a path, each joined to the next by one to three
+    edges, each of degree three to five with legs for the rest; every leg
+    has one or two vertices.  The nodes draw from ``node_weights``, every
+    other vertex from ``weights``."""
     w, edges = [draw(node_weights if nodes else weights)], []
 
     def path(start, length, last_weights=weights):
@@ -1113,10 +1121,11 @@ def trees_with_nodes(draw, nodes, weights=st.integers(-5, -1), node_weights=st.i
         path(0, draw(st.integers(0, 4)))
     else:
         ends = [0]
-        if nodes == 2:
-            ends.append(path(0, draw(st.integers(1, 3)), node_weights))
-        for node in ends:
-            for _ in range(draw(st.integers(3, 5)) - (nodes - 1)):
+        for _ in range(nodes - 1):
+            ends.append(path(ends[-1], draw(st.integers(1, 3)), node_weights))
+        for i, node in enumerate(ends):
+            # the paths to the neighbouring nodes count towards the degree
+            for _ in range(draw(st.integers(3, 5)) - (i > 0) - (i < nodes - 1)):
                 path(node, draw(st.integers(1, 2)))
     return PlumbingGraph(tuple(w), tuple(edges))
 
@@ -1154,6 +1163,33 @@ class TestRunAccumulation:
         terms = defaultdict(dict)
         setup._walk(terms, want, bound, lower)
         assert terms == per_vector_terms(g, form, ctx, bound, lower, want)
+
+
+class TestLeafDecoupling:
+    """With a node the leaves decouple: the Schur complement Q of the form
+    on the leaves given the nodes, from the dense rational inverse
+    (``leaf_schur_complement``), is diagonal, so every leaf assignment
+    x = (+-1, ...) has the one M_0 = x^T Q x = trace Q that the form lists."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([1, 2, 3]).flatmap(
+            # about half of the trees the form accepts are weakly negative definite
+            lambda nodes: trees_with_nodes(nodes, st.sampled_from([-4, -3, -2, -1, 1]), st.integers(-6, -1))
+        )
+    )
+    @example(PlumbingGraph((-1, -2, -3, -7), ((0, 1), (0, 2), (0, 3))))  # Sigma(2, 3, 7)
+    @example(PlumbingGraph((-2, -1, -3, -2, 1), ((0, 1), (1, 2), (2, 3), (1, 4))))  # weakly, one positive eigenvalue
+    def test_leaf_schur_complement_is_diagonal(self, g):
+        assume(g.elimination().det != 0)
+        try:
+            form = _GraphSetup(g, allow_weakly=True).form
+        except NotNegativeDefinite:
+            assume(False)
+        d0, q = leaf_schur_complement(g)
+        assert [q[i][j] for i in range(len(q)) for j in range(len(q)) if i != j] == [0] * (len(q) ** 2 - len(q))
+        assert form.levels[0][0] == d0
+        assert {m for _, m, _, _ in form.assignments} == {sum(q[i][i] for i in range(len(q)))}
 
 
 D4_STAR = PlumbingGraph((-2, -2, -2, -2), ((0, 1), (0, 2), (0, 3)))

@@ -184,9 +184,20 @@ def test_wide_random_tree_inverse():
     assert inv == g.linking_matrix().inverse()
 
 
+def expected_entries(g: PlumbingGraph) -> dict:
+    """The entries ``support_adjugate`` holds, as row -> its columns: with a
+    node, every node row over the support and each leaf's diagonal; without
+    one, the whole support block."""
+    degrees = g.degree_vector()
+    support = [v for v, d in enumerate(degrees) if d != 2]
+    nodes = [v for v in support if degrees[v] >= 3]
+    return {u: support if u in nodes or not nodes else [u] for u in support}
+
+
 class TestSupportAdjugate:
-    """adj(M) on the support from one rooted traversal, against the
-    per-column rerooting oracle."""
+    """adj(M) on the node rows and leaf diagonals (the whole support block
+    without a node) from one rooted traversal: every entry it holds against
+    the per-column rerooting oracle, and no entry besides."""
 
     def test_block_matches_the_oracle_on_random_trees(self):
         rng = random.Random(41)
@@ -198,11 +209,10 @@ class TestSupportAdjugate:
             edges = tuple((label[rng.randrange(v)], label[v]) for v in range(1, n))
             g = PlumbingGraph(tuple(rng.randint(-3, 3) for _ in range(n)), edges)
             degrees = g.degree_vector()
-            support = [v for v, d in enumerate(degrees) if d != 2]
             full = adjugate(g)
             elim, block = g.support_adjugate()
             assert elim == g.elimination()
-            assert block == {u: {v: full[u][v] for v in support} for u in support}
+            assert block == {u: {v: full[u][v] for v in row} for u, row in expected_entries(g).items()}
             seen["single vertex"] += n == 1
             seen["chain"] += n > 2 and max(degrees) == 2
             seen["zero subtree det"] += 0 in elim.subtree_dets
@@ -218,7 +228,10 @@ class TestSupportAdjugate:
         g = PlumbingGraph(tuple(weights), tuple(edges))
         support = [0] + [3 * leg + 3 for leg in range(12)]
         full = adjugate(g)
-        assert g.support_adjugate()[1] == {u: {v: full[u][v] for v in support} for u in support}
+        block = g.support_adjugate()[1]
+        # the node row and the twelve leaf diagonals: 25 entries, not 13^2
+        assert block == {0: {v: full[0][v] for v in support}, **{u: {u: full[u][u]} for u in support[1:]}}
+        assert sum(map(len, block.values())) == 25
 
     @pytest.mark.parametrize("vertex", [-1, 3, 5])
     def test_vertex_out_of_range(self, vertex):
