@@ -350,7 +350,8 @@ def _cmd_report(args, out) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by name, built once."""
     parser = argparse.ArgumentParser(prog="zhat", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"zhat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -404,12 +405,22 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, order_default="100")
     p.set_defaults(func=_cmd_report)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser of ``zhat``, built once."""
+    return _parsers()[0]
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # A command's arguments go straight to its own parser, one argparse pass;
+    # anything else (no argv, -h, --version, an unknown command) to the top level.
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     try:
         return args.func(args, sys.stdout)
     except ZhatError as exc:

@@ -47,7 +47,10 @@ the leaves and nodes, one per invariant factor d_j > 1, and -l has the
 digits -x_j - (U delta)_j; the class is affine in the last walked
 coordinate, with some period P, so each run of the walk is cut into at
 most P progressions, one per class it meets, and carries that class and
-its conjugate, read once.  The graph's one rooted traversal, made when
+its conjugate, read once.  When fewer classes are wanted than a stretch
+meets, each wanted class's first value in it is one linear congruence
+in the number of steps, solved digit by digit and joined by the CRT, so
+nothing of size P is built.  The graph's one rooted traversal, made when
 it is built, gives the elimination; one pass up from it gives the
 adjugate on the node rows and the leaf diagonals alone, each entry a
 product over the nodes of a path, and the Smith form runs only when
@@ -273,8 +276,8 @@ class _SupportForm:
     arithmetic.  Each assignment starts its residues U l - U delta at
     -U delta, and each level adds its column of U: adding 2 to the last
     coordinate adds that column mod d to the digits, so the class is
-    affine in it with some ``period``, and ``hits`` maps the digit step
-    of j such additions back to j < period.
+    affine in it with some ``period``, and ``ctx.solve`` gives the least
+    number j of such additions that steps the digits by a given amount.
     """
 
     def __init__(self, adj: Mapping[int, Sequence[int]], det: int, high: Sequence[int], windows: list, ctx: _SpinCContext):
@@ -308,7 +311,6 @@ class _SupportForm:
             self.period = 1
             for c, d in zip(step, ctx.d):
                 self.period = lcm(self.period, d // gcd(d, c))
-            self.hits = {ctx.index([j * c for c in step]): j for j in range(self.period)}
         # M_0 = x^T Q x (see above).  With a node each x_j^2 = 1 gives trace Q,
         # Q_jj = D_0 B_jj - b_j^T adj(B_hh) b_j for column b_j of B_hx.
         m0 = 0
@@ -351,11 +353,12 @@ class _SupportForm:
         call.  Else the class at y_(k-1) repeats with period P, and a
         stretch becomes one progression of step 2P per class it meets, at
         most min(P, length) of them; when ``want`` holds fewer classes than
-        that, one progression per wanted class the stretch meets, found
-        through ``hits``.  Without degree >= 3 vertices each assignment is
-        one run of the single value 0, with D = 1, centre 0 and M = S,
-        whatever the bound (above ``lower``, if given); a lone vertex lists
-        all its values, and its runs carry None as the class of -l."""
+        that, one progression per wanted class the stretch meets, its
+        first value found by solving one congruence (``ctx.solve``).
+        Without degree >= 3 vertices each assignment is one run of the
+        single value 0, with D = 1, centre 0 and M = S, whatever the bound
+        (above ``lower``, if given); a lone vertex lists all its values,
+        and its runs carry None as the class of -l."""
         wanted = None if want is None else set(want)
         assignments, levels = self.assignments, self.levels
         index, conjugate = self.ctx.index, self.ctx.conjugate
@@ -367,7 +370,7 @@ class _SupportForm:
                 if (lower is None or s > lower) and (wanted is None or idx in wanted):
                     runs.append((idx, conjugate(idx) if self.halved else None, a, (), 0, 0, 1, s, 1, 0))
             return runs
-        digits, hits, period = self.ctx.digits, self.hits, self.period
+        digits, solve, period = self.ctx.digits, self.ctx.solve, self.period
         ys = [0] * k
         last = k - 1
 
@@ -406,7 +409,7 @@ class _SupportForm:
                     if wanted is not None and len(wanted) <= (stop - first) // 2:
                         base = [(r + c * first) // 2 for r, c in zip(res, cols)]
                         for idx in want:
-                            j = hits.get(index([x - y for x, y in zip(digits[idx], base)]))
+                            j = solve(cols, [x - y for x, y in zip(digits[idx], base)])
                             if j is not None and first + 2 * j <= end:
                                 runs.append((idx, conjugate(idx), a, head, first + 2 * j, end, 2 * period, m, det_p, center))
                         continue
@@ -519,8 +522,9 @@ class _SpinCContext:
     the digits (U(l - delta))_j / 2 mod d_j in mixed radix, the first
     lowest (``index``, place values ``strides``; ``digits`` splits an
     index, once per class asked for), and -l has the digits
-    -x_j - (U delta)_j (``conjugate``, offsets U delta).  So the d_0
-    classes of each value of the higher digits are consecutive and their
+    -x_j - (U delta)_j (``conjugate``, offsets U delta); ``solve`` counts
+    the steps of a column that move the digits by a given amount.  So the
+    d_0 classes of each value of the higher digits are consecutive and their
     representatives step by one column of 2U^-1 (``blocks``).  ``m`` None
     stands for |det m| = 1: the empty group (r = 0, one class, delta), no
     Smith form.
@@ -555,6 +559,27 @@ class _SpinCContext:
         for x, d, stride in zip(digits, self.d, self.strides):
             idx += x % d * stride
         return idx
+
+    def solve(self, step: Sequence[int], target: Sequence[int]) -> int | None:
+        """The least j >= 0 with j * step_i = target_i (mod d_i) for every
+        digit i, or None when there is none.  Per digit, with g = gcd(step_i,
+        d_i), j is a residue mod d_i / g when g divides target_i (none
+        else), and the digits' residues are combined by the CRT, which needs
+        them to agree mod the gcd of their moduli."""
+        j, n = 0, 1  # the digits so far hold for j mod n alone
+        for c, t, d in zip(step, target, self.d):
+            g = gcd(c, d)
+            if t % g:
+                return None
+            m = d // g
+            r = t // g * pow(c // g, -1, m) % m  # this digit holds for r mod m alone
+            g = gcd(n, m)
+            if (r - j) % g:
+                return None
+            k = m // g
+            j += n * ((r - j) // g * pow(n // g, -1, k) % k)
+            n *= k
+        return j
 
     def conjugate(self, idx: int) -> int:
         """The class of -l for every l in class ``idx``: digit -x - (U delta)_j mod d_j."""

@@ -211,6 +211,33 @@ MUTANTS = {
         "fixed = index([(r + c * (parity + 1)) // 2 for r, c in zip(res, cols)])",
         ["tests/test_golden.py::test_golden_bytes[graph_period_one_star]"],
     ),
+    # the CRT joins two digits' residues without checking that they agree
+    "congruence_without_agreement_check": (
+        "engine.py",
+        "            if (r - j) % g:\n                return None\n",
+        "",
+        [
+            "tests/test_engine.py::TestStepCongruence::test_edge_cases",
+            "tests/test_engine.py::TestStepCongruence::test_matches_the_scan_of_a_period",
+        ],
+    ),
+    # B* of a one-node graph one short of its certified value
+    "zero_bound_one_short": (
+        "engine.py",
+        "return -(-(n_star * n_star + self.assignments[0][1]) // b)",
+        "return -(-(n_star * n_star + self.assignments[0][1]) // b) - 1",
+        ["tests/test_engine.py::TestAllClasses::test_escalation_pair"],
+    ),
+    # a command's parser handed the whole argv, the command's name included
+    "whole_argv_to_the_command": (
+        "cli.py",
+        "command.parse_args(argv[1:])",
+        "command.parse_args(argv)",
+        [
+            "tests/test_cli.py::TestArgumentDispatch::test_top_level_parser_is_not_asked_for_a_command",
+            "tests/test_cli.py::TestBrieskornCommand::test_sigma_2_9_11",
+        ],
+    ),
 }
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import trees
+from zhat import __version__
 from zhat.cli import build_parser, main
 from zhat.compare import generate_table
 from zhat.plumbing import format_plumb
@@ -302,6 +304,72 @@ class TestFuzzedArguments:
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
+
+
+def exit_outcome(capsys, parse, argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``parse(argv)``, which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+class TestArgumentDispatch:
+    """A command's arguments are read by its own parser, in one argparse
+    pass; any other argv goes to the top-level parser, as it always did."""
+
+    def test_unrecognized_argument_is_reported_by_the_command(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        f = tmp_path / "l5.plumb"
+        f.write_text(L5_FILE)
+        code, out, err = exit_outcome(capsys, main, ["graph", str(f), "--bogus"])
+        assert code == 2 and out == ""
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: zhat graph [-h] [--spinc SPINC | --all] ")
+        assert error == "zhat graph: error: unrecognized arguments: --bogus"
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["--version"], ["bogus"], ["--", "graph"]])
+    def test_other_argv_is_read_by_the_top_level_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "200")
+        outcome = exit_outcome(capsys, main, argv)
+        assert outcome == exit_outcome(capsys, build_parser().parse_args, argv)
+        code, out, err = outcome
+        usage = "usage: zhat [-h] [--version] {brieskorn,graph,delta,table,check,report} ...\n"
+        if argv == ["--version"]:
+            assert (code, out, err) == (0, f"zhat {__version__}\n", "")
+        elif argv == ["-h"]:
+            assert code == 0 and out.startswith(usage) and "graph FILE" in out and err == ""
+        else:
+            assert code == 2 and out == "" and err.startswith(usage + "zhat: error: ")
+
+    def test_top_level_parser_is_not_asked_for_a_command(self, tmp_path, capsys, monkeypatch):
+        parser = build_parser()
+        calls = []
+
+        def spy(method):
+            def called(*args, **kwargs):
+                calls.append(method)
+                return getattr(argparse.ArgumentParser, method)(parser, *args, **kwargs)
+
+            return called
+
+        for method in ("parse_args", "parse_known_args"):
+            monkeypatch.setattr(parser, method, spy(method))
+        f = tmp_path / "l5.plumb"
+        f.write_text(L5_FILE)
+        for argv in [
+            ["graph", str(f), "--all", "--format", "json"],
+            ["delta", str(f), "--spinc", "2"],
+            ["brieskorn", "2", "3", "7", "--order", "3"],
+            ["table", "d-family", "--pmax", "3"],
+            ["report", "--order", "2"],
+        ]:
+            assert main(argv) == 0
+        assert exit_outcome(capsys, main, ["check", "2", "3", "7", "--bogus"])[0] == 2
+        assert calls == []
+        # the spy sees the top-level parser when it does parse
+        assert exit_outcome(capsys, main, ["--version"])[0] == 0
+        assert calls[0] == "parse_args"
 
 
 class TestDeltaCommand:

@@ -2,9 +2,12 @@ import functools
 import json
 import random
 import re
+import tracemalloc
 from collections import Counter, defaultdict
 from fractions import Fraction
-from math import floor
+from itertools import accumulate
+from math import floor, lcm
+from operator import mul
 from pathlib import Path
 from unittest import mock
 
@@ -264,6 +267,67 @@ class TestSpinC:
 
         with pytest.raises(SingularMatrix):
             spin_c_representatives(ExactMatrix([[0]]), (0,))
+
+
+# A weakly negative definite tree with three nodes whose last node steps
+# the one Smith digit with period |H_1| = 9,204,375
+PERIOD_IS_H1_TREE = PlumbingGraph(
+    (-1, -2, -3, -3, -1, -5, -3, -2, -6, -6, -4, -6, -2, -5, 1, -4, -3),
+    ((0, 4), (0, 7), (1, 3), (1, 5), (2, 5), (2, 9), (2, 13), (3, 7))
+    + ((3, 12), (5, 8), (6, 16), (8, 11), (9, 10), (11, 15), (12, 16), (13, 14)),
+)
+
+
+class TestStepCongruence:
+    """``_SpinCContext.solve``: the least number of steps of a column that
+    moves the class digits by a target, against a scan of one period."""
+
+    @staticmethod
+    def check(ratios, step, target):
+        # the factors of a Smith form divide one another, so the moduli share factors
+        d = list(accumulate(ratios, mul))
+        ctx = _SpinCContext([[-x * (i == j) for j in range(len(d))] for i, x in enumerate(d)], [0] * len(d))
+        assert ctx.d == d
+        scan = (j for j in range(lcm(*d)) if all((j * c - t) % x == 0 for c, t, x in zip(step, target, d)))
+        assert ctx.solve(step, target) == next(scan, None)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(2, 6), min_size=1, max_size=3), st.data())
+    def test_matches_the_scan_of_a_period(self, ratios, data):
+        size = len(ratios)
+        step = data.draw(st.lists(st.sampled_from([0, 0, *range(-9, 10)]), min_size=size, max_size=size))
+        # half of the targets are reachable, the rest mostly not
+        j0 = data.draw(st.integers(0, 6**size))
+        reachable = st.just([j0 * c for c in step])
+        target = data.draw(st.one_of(reachable, st.lists(st.integers(-20, 20), min_size=size, max_size=size)))
+        self.check(ratios, step, target)
+
+    @pytest.mark.parametrize(
+        "ratios, step, target",
+        [
+            # d = (2, 4): j = 0 mod 2 and j = 1 mod 4 each hold alone, never together
+            ([2, 2], [1, 1], [0, 1]),
+            ([2, 2], [1, 1], [1, 1]),
+            # a zero step reaches only the zero target
+            ([3], [0], [0]),
+            ([3], [0], [3]),
+            ([3], [0], [1]),
+            ([2, 3], [0, 2], [0, 4]),
+        ],
+    )
+    def test_edge_cases(self, ratios, step, target):
+        self.check(ratios, step, target)
+
+    def test_set_up_of_a_tree_whose_period_is_its_h1(self):
+        # nothing of the size of the period is built, so the set-up stays small
+        tracemalloc.start()
+        try:
+            setup = _GraphSetup(PERIOD_IS_H1_TREE, allow_weakly=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert setup.form.period == setup.ctx.count == 9_204_375
+        assert peak < 2**20
 
 
 # (-3; three legs of four -2): H_1 = Z/5 + Z/15, and column 0 of 2U^-1 is
