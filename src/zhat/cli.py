@@ -8,6 +8,7 @@ Subcommands:
 * ``table ID``            recompute a reference table (d-family, batch,
                           hom-cob-family)
 * ``check B1 B2 B3``      run the invariant suite for one triple
+* ``report``              homology cobordism counterexample report
 
 Every rational in the output is exact (num/den); there is no floating
 point anywhere.  Exit codes: 0 success, 1 check failure, 2 input or
@@ -233,10 +234,10 @@ def _cmd_graph(args, out) -> int:
     label = f"class %d (rep [{', '.join(['%d'] * graph.vertex_count)}])"
 
     def record(row, rec) -> str:
-        delta, tail, eta = setup.fields(rec, order)[:3]
+        res = setup.result(None, rec, order)
         at = label % row
-        text = f"{at}: delta = {delta}\n{at}: zhat = q^({delta}) * ({tail.text()})\n"
-        return f"{text}{at}: eta = {eta} (coefficients in Z/2^eta)\n" if eta else text
+        text = f"{at}: delta = {res.delta}\n{at}: zhat = q^({res.delta}) * ({res.tail.text()})\n"
+        return f"{text}{at}: eta = {res.eta_pow2} (coefficients in Z/2^eta)\n" if res.eta_pow2 else text
 
     _write_classes(out, stream, record, lambda note: f"{label}: zhat = 0 ({note.replace('%', '%%')})\n")
     return 0
@@ -369,23 +370,18 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     common(p)
     p.set_defaults(func=_cmd_brieskorn)
 
-    p = sub.add_parser("graph", help="series from a PLUMB v1 file")
-    p.add_argument("file")
-    one = p.add_mutually_exclusive_group()
-    one.add_argument("--spinc", type=int, help="spin-c class index (default 0)")
-    one.add_argument("--all", action="store_true", help="every spin-c class")
-    p.add_argument("--experimental-weakly", action="store_true", help="accept weakly negative definite input")
-    common(p)
-    p.set_defaults(func=_cmd_graph)
-
-    p = sub.add_parser("delta", help="leading exponents from a PLUMB v1 file")
-    p.add_argument("file")
-    one = p.add_mutually_exclusive_group()
-    one.add_argument("--spinc", type=int)
-    one.add_argument("--all", action="store_true")
-    p.add_argument("--experimental-weakly", action="store_true")
-    common(p, order_default=None)
-    p.set_defaults(func=_cmd_delta)
+    for name, help_text, order_default, func in [
+        ("graph", "series from a PLUMB v1 file", str(DEFAULT_ORDER), _cmd_graph),
+        ("delta", "leading exponents from a PLUMB v1 file", None, _cmd_delta),
+    ]:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file")
+        one = p.add_mutually_exclusive_group()
+        one.add_argument("--spinc", type=int, help="spin-c class index (default 0)")
+        one.add_argument("--all", action="store_true", help="every spin-c class")
+        p.add_argument("--experimental-weakly", action="store_true", help="accept weakly negative definite input")
+        common(p, order_default)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("table", help="recompute a reference table")
     p.add_argument("table_id", choices=("d-family", "batch", "brieskorn-batch", "hom-cob-family"))
@@ -423,10 +419,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     try:
         return args.func(args, sys.stdout)
-    except ZhatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ZhatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

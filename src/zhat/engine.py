@@ -79,13 +79,16 @@ else: never met), and only the classes escalated in vain (one node, more
 nodes) are listed with a note of their own.  Every class is then read in
 order as the row (index, *representative): the first Smith digit runs
 through one zip of ranges stepped by a column of 2U^-1, and only the
-higher digits step an odometer.  ``compute_zhat_all`` lists the classes,
-each result made from its record; the CLI writes each class with terms
-or a note of its own by itself and maps one %-template over the rows
-between them.  On L(100000,1), where
-99,997 of the 100,000 classes are zero, ``zhat graph --all --format
-json`` takes about 0.2 s and peaks at about 17 MB RSS on Python 3.11
-(x86-64 Linux), 1 MB above importing ``zhat.cli`` alone.
+higher digits step an odometer.  One table of rows, records and notes
+(``_class_stream``) serves every entry point: ``compute_zhat_all`` reads
+it in full and ``compute_zhat`` reads the one entry of a one-class
+table, each result made from its record or note by one conversion
+(``_GraphSetup.result``); the CLI writes each class with terms or a note
+of its own by itself and maps one %-template over the rows between
+them.  On L(100000,1), where 99,997 of the 100,000 classes are zero,
+``zhat graph --all --format json`` takes about 0.2 s and peaks at about
+17 MB RSS on Python 3.11 (x86-64 Linux), 1 MB above importing
+``zhat.cli`` alone.
 """
 
 from __future__ import annotations
@@ -633,8 +636,12 @@ class _SpinCContext:
         """``SpinCRep(vector_of_index(i), i)`` for every i in order."""
         return [SpinCRep(row[1:], row[0]) for row in chain.from_iterable(self.blocks())]
 
-    def canonical(self, vector: Sequence[int]) -> SpinCRep:
-        idx = self.index_of_vector(vector)
+    def canonical(self, spinc) -> SpinCRep:
+        """The class of ``spinc``, a SpinCRep, an index or a vector in
+        2Z^s + delta, with its representative."""
+        if isinstance(spinc, SpinCRep):
+            spinc = spinc.vector
+        idx = spinc if isinstance(spinc, int) else self.index_of_vector(spinc)
         return SpinCRep(self.vector_of_index(idx), idx)
 
 
@@ -673,7 +680,7 @@ class _GraphSetup:
     tree elimination and inertia, the adjugate on the support, one Smith
     form (none when |H_1| = 1), one factored support form, e0, the sign,
     the vertex-factor tables, and the coefficient Fractions C / 2^#high
-    that ``fields`` makes at the API edge.
+    that ``result`` makes at the API edge.
 
     ``series`` computes any set of classes from shared walks of the
     support, in integers.  Each run of the walk carries its class and
@@ -863,13 +870,16 @@ class _GraphSetup:
         """delta = e0 + min S / (4|det M|) of a class whose least S is ``s0``."""
         return Fraction(self.e0_scaled + s0, 4 * self.form.det)
 
-    def fields(self, record: tuple, order: Fraction) -> tuple:
-        """The fields of a class's ZhatResult after the representative,
-        from its record (``_result``), with the shared Fractions C / 2^#high."""
-        s0, terms, eta = record
+    def result(self, rep: SpinCRep | None, res: tuple | str, order: Fraction) -> ZhatResult | EmptySeries:
+        """The ZhatResult of class ``rep`` from its record (``_result``),
+        with the shared Fractions C / 2^#high, or the EmptySeries of its
+        note."""
+        if isinstance(res, str):
+            return EmptySeries(res, rep)
+        s0, terms, eta = res
         coefficients = self.coefficients
         tail = QSeries(tuple([(e, coefficients[c]) for e, c in terms]), order)
-        return self.delta(s0), tail, eta, self.sign, order
+        return ZhatResult(rep, self.delta(s0), tail, eta, self.sign, order)
 
 
 def _checked_order(order) -> Fraction:
@@ -899,42 +909,40 @@ def compute_zhat(
     definite input is accepted only with ``allow_weakly=True``
     (experimental).  Raises EmptySeries when every coefficient cancels
     below the order, with a message saying whether raising the order can
-    help.  This is the one-class case of :func:`compute_zhat_all`.
+    help.  This reads the one entry of the one-class table of
+    :func:`_class_stream`, as :func:`compute_zhat_all` reads every class.
     """
     order = _checked_order(order)
     if isinstance(spinc, bool) or not isinstance(spinc, (SpinCRep, int, Sequence)):
         raise TypeError(f"a Spin^c class is a SpinCRep, an index or a vector, not the {type(spinc).__name__} {spinc!r}")
-    setup = _GraphSetup(graph, allow_weakly)
-    ctx = setup.ctx
-    if isinstance(spinc, SpinCRep):
-        rep = ctx.canonical(spinc.vector)
-    elif isinstance(spinc, int):
-        rep = SpinCRep(ctx.vector_of_index(spinc), spinc)
-    else:
-        rep = ctx.canonical(list(spinc))
-    results, default = setup.series([rep.class_index], order)
-    res = results.get(rep.class_index, default)
-    if isinstance(res, str):
-        raise EmptySeries(res, rep)
-    return ZhatResult(rep, *setup.fields(res, order))
+    setup, (rows, results, default) = _class_stream(graph, order, allow_weakly, spinc)
+    row = next(rows)
+    res = setup.result(SpinCRep(row[1:], row[0]), results[row[0]], order)
+    if isinstance(res, EmptySeries):
+        raise res
+    return res
 
 
 def _class_stream(
-    graph: PlumbingGraph, order, allow_weakly: bool, index: int | None = None
+    graph: PlumbingGraph, order: Fraction, allow_weakly: bool, spinc=None
 ) -> tuple[_GraphSetup, tuple[Iterator[tuple[int, ...]], dict, str]]:
-    """The set-up of ``graph``, whose ``fields`` turns a record into the
-    fields of a ZhatResult, and every Spin^c class (with ``index``, that
-    class alone): the rows (index, *representative) of ``blocks()`` in
-    class order; the classes with terms or with a note of their own, as
-    records or notes of ``series``; and the note of every other class,
-    which is zero.  Every walk has finished when this returns, so a domain
-    error comes before any class, and the rows are made as they are read."""
-    order = _checked_order(order)
+    """The set-up of ``graph``, whose ``result`` turns a record or note
+    into a ZhatResult or an EmptySeries, and its table of every Spin^c
+    class (with ``spinc``, a SpinCRep, an index or a vector, of that class
+    alone): the rows (index, *representative) of ``blocks()`` in class
+    order; the classes with terms or with a note of their own, as records
+    or notes of ``series`` (one class: its record or note, whichever it
+    is); and the note of every other class, which is zero.  ``order`` is
+    checked by the caller (``_checked_order``).  Every walk has finished
+    when this returns, so a domain error comes before any class, and the
+    rows are made as they are read."""
     setup = _GraphSetup(graph, allow_weakly)
-    if index is None:
+    if spinc is None:
         return setup, (chain.from_iterable(setup.ctx.blocks()), *setup.series(None, order))
-    results, default = setup.series([index], order)
-    return setup, (iter([(index, *setup.ctx.vector_of_index(index))]), {index: results.get(index, default)}, default)
+    rep = setup.ctx.canonical(spinc)
+    idx = rep.class_index
+    results, default = setup.series([idx], order)
+    return setup, (iter([(idx, *rep.vector)]), {idx: results.get(idx, default)}, default)
 
 
 def compute_zhat_all(
@@ -943,19 +951,15 @@ def compute_zhat_all(
     allow_weakly: bool = False,
 ) -> list[tuple[SpinCRep, ZhatResult | EmptySeries]]:
     """Every Spin^c class with its series, in class order, from one
-    shared enumeration.
+    shared enumeration: the table of :func:`_class_stream`, read in full.
 
     Each entry is what :func:`compute_zhat` gives for that class: its
     result, or the EmptySeries it would raise.
     """
     order = _checked_order(order)
     setup, (rows, results, default) = _class_stream(graph, order, allow_weakly)
-    classes = []
-    for row in rows:
-        rep = SpinCRep(row[1:], row[0])
-        res = results.get(row[0], default)
-        classes.append((rep, EmptySeries(res, rep) if isinstance(res, str) else ZhatResult(rep, *setup.fields(res, order))))
-    return classes
+    reps = [SpinCRep(row[1:], row[0]) for row in rows]
+    return [(rep, setup.result(rep, results.get(rep.class_index, default), order)) for rep in reps]
 
 
 def delta_a(graph: PlumbingGraph, spinc, allow_weakly: bool = False) -> Fraction:

@@ -15,8 +15,10 @@ Run as a script, it also checks the per-class output of ``graph --all``
 and ``delta --all`` against the classes' records from
 ``compute_zhat_all`` (in JSON through ``json.dumps`` of their
 ``to_json_obj()``) on every input file, on seeded random trees and on
-``EXTRA_GRAPHS``, so interpreters without pytest get every check
-(``tests/test_golden.py`` runs the same cases under pytest).
+``EXTRA_GRAPHS``, and the JSON of ``graph`` and ``delta --spinc i``
+against ``compute_zhat(g, i)`` for every class i of every input file, so
+interpreters without pytest get every check (``tests/test_golden.py``
+runs the same cases under pytest).
 """
 
 from __future__ import annotations
@@ -156,19 +158,29 @@ def doublings_cap(cap: int | None):
         zhat.engine._MAX_BOUND_DOUBLINGS = saved
 
 
-def oracle_output(command: str, path: str, order: str | None, weakly: bool, text: bool = False) -> str:
+def oracle_output(
+    command: str, path: str, order: str | None, weakly: bool, text: bool = False, spinc: int | None = None
+) -> str:
     """What ``zhat graph|delta PATH --all`` printed before its per-class
-    writer, from ``compute_zhat_all``, whose zero classes are EmptySeries:
-    in JSON the envelope of the classes' ``to_json_obj()`` records,
-    through ``json.dumps``; in text one line per class, or per class and
-    field."""
+    writer, from ``compute_zhat_all``, whose zero classes are EmptySeries
+    (with ``spinc``, what ``--spinc`` prints, from ``compute_zhat`` of that
+    class, or the EmptySeries it raises): in JSON the envelope of the
+    classes' ``to_json_obj()`` records, through ``json.dumps``; in text one
+    line per class, or per class and field."""
     from zhat import __version__
-    from zhat.engine import compute_zhat_all
+    from zhat.engine import compute_zhat, compute_zhat_all
     from zhat.errors import EmptySeries
     from zhat.plumbing import parse_plumb
 
     graph = parse_plumb(Path(path).read_text(encoding="utf-8"))
-    results = compute_zhat_all(graph, Fraction(order or 0), allow_weakly=weakly)
+    if spinc is None:
+        results = compute_zhat_all(graph, Fraction(order or 0), allow_weakly=weakly)
+    else:
+        try:
+            res = compute_zhat(graph, spinc, Fraction(order or 0), allow_weakly=weakly)
+        except EmptySeries as exc:
+            res = exc
+        results = [(res.spinc, res)]
     if text:
         lines = []
         for rep, res in results:
@@ -209,23 +221,32 @@ def oracle_output(command: str, path: str, order: str | None, weakly: bool, text
 
 
 def streamed_mismatch(
-    command: str, path: str, order: str | None = None, weakly: bool = False, text: bool = False, cap: int | None = None
+    command: str,
+    path: str,
+    order: str | None = None,
+    weakly: bool = False,
+    text: bool = False,
+    cap: int | None = None,
+    spinc: int | None = None,
 ) -> str | None:
-    """How the CLI's ``--all`` output (JSON, or ``text``) differs from
-    ``oracle_output``, or None; both run under ``doublings_cap(cap)``."""
+    """How the CLI's ``--all`` output (with ``spinc``, its ``--spinc``
+    output; JSON, or ``text``) differs from ``oracle_output``, or None;
+    both run under ``doublings_cap(cap)``."""
     from zhat.cli import main
 
-    argv = [command, path, "--all"] + ([] if text else ["--format", "json"])
+    argv = [command, path] + (["--all"] if spinc is None else ["--spinc", str(spinc)])
+    argv += [] if text else ["--format", "json"]
     argv += ["--order", order] if order is not None else []
     argv += ["--experimental-weakly"] if weakly else []
     out = io.StringIO()
     with doublings_cap(cap):
         with contextlib.redirect_stdout(out):
             code = main(argv)
-        want = oracle_output(command, path, order, weakly, text)
+        want = oracle_output(command, path, order, weakly, text, spinc)
     if code != 0:
         return f"{argv}: exit code {code}"
-    return None if out.getvalue() == want else f"{argv}: output differs from the records of compute_zhat_all"
+    source = "compute_zhat_all" if spinc is None else "compute_zhat"
+    return None if out.getvalue() == want else f"{argv}: output differs from the records of {source}"
 
 
 def random_tree_plumb(rng: random.Random) -> str:
@@ -267,6 +288,22 @@ def differential_cases(work: Path, trees: int, seed: int) -> list[tuple]:
     return cases_of(paths)
 
 
+def spinc_cases() -> list[tuple]:
+    """``streamed_mismatch`` arguments for ``graph`` and ``delta --spinc i``
+    in JSON, for every class i of every ``tests/data/*.plumb`` file, graph
+    at the orders of DIFFERENTIAL_ORDERS in turn."""
+    from zhat.plumbing import parse_plumb
+
+    cases = []
+    for path in sorted(DATA.glob("*.plumb")):
+        count = abs(parse_plumb(path.read_text(encoding="utf-8")).elimination().det)
+        weakly = path.name.startswith("weakly_")
+        for i in range(count):
+            order = DIFFERENTIAL_ORDERS[i % len(DIFFERENTIAL_ORDERS)]
+            cases += [("graph", str(path), order, weakly, False, None, i), ("delta", str(path), None, weakly, False, None, i)]
+    return cases
+
+
 def extra_cases(work: Path) -> list[tuple]:
     """``cases_of`` each of EXTRA_GRAPHS, written to ``work``, under its cap."""
     cases = []
@@ -287,7 +324,7 @@ def main(argv: list[str]) -> int:
         return 0
     failures = [f"{name}: {problem}" for name in CASES for problem in mismatches(name)]
     with tempfile.TemporaryDirectory() as work:
-        cases = differential_cases(Path(work), DIFFERENTIAL_TREES, seed=0) + extra_cases(Path(work))
+        cases = differential_cases(Path(work), DIFFERENTIAL_TREES, seed=0) + extra_cases(Path(work)) + spinc_cases()
         failures += [f"streamed: {bad}" for case in cases for bad in [streamed_mismatch(*case)] if bad]
     for line in failures:
         print(line)

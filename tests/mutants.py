@@ -226,6 +226,41 @@ MUTANTS = {
         "engine.py",
         "return -(-(n_star * n_star + self.assignments[0][1]) // b)",
         "return -(-(n_star * n_star + self.assignments[0][1]) // b) - 1",
+        [
+            "tests/test_engine.py::TestAllClasses::test_escalation_pair",
+            "tests/test_engine.py::TestZeroCertificate::test_zero_bound_from_its_definition",
+        ],
+    ),
+    # a one-class walk wants the class alone, not its conjugate too, so the
+    # vectors listed as -l of the conjugate class are never walked
+    "want_not_closed_under_conjugation": (
+        "engine.py",
+        "            want = list(dict.fromkeys([*want, *map(self.ctx.conjugate, want)]))\n",
+        "            want = list(want)\n",
+        ["tests/test_engine.py::TestAllClasses::test_matches_per_class"],
+    ),
+    # the Smith form's unit pivot taken as the later of a row's first 1 and
+    # first -1, and none when the row has only one of them
+    "smith_unit_pivot_chosen_late": (
+        "exact.py",
+        "j = min(row.index(1) if 1 in row else n, row.index(-1) if -1 in row else n)",
+        "j = max(row.index(1) if 1 in row else n, row.index(-1) if -1 in row else n)",
+        ["tests/test_exact.py::TestSmithNormalForm::test_same_steps_as_the_dense_form"],
+    ),
+    # the Smith form's pivot of least size taken as one of largest size:
+    # the steps never end, on diag(2, 3) already
+    "smith_pivot_of_largest_size": (
+        "exact.py",
+        "least = min(((abs(x), i, j)",
+        "least = max(((abs(x), i, j)",
+        ["tests/test_exact.py::TestSmithNormalForm::test_same_steps_as_the_dense_form"],
+        15,
+    ),
+    # every zero class given the default note with a node, not its own
+    "every_zero_class_the_default_note": (
+        "engine.py",
+        "            return EmptySeries(res, rep)\n",
+        "            return EmptySeries(_NEVER_MET, rep)\n",
         ["tests/test_engine.py::TestAllClasses::test_escalation_pair"],
     ),
     # a command's parser handed the whole argv, the command's name included

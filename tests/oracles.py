@@ -29,6 +29,10 @@ B = |det M| * (-M^-1) on the leaves given the nodes, from the dense
 rational inverse: the engine takes it to be diagonal on every tree with
 a node, and lists its trace as the one M_0 of every leaf assignment.
 
+``zero_bound_from_definition`` is the one-node bound B* past which a
+class still empty is zero, from its definition on the dense inverse and
+the dense Smith form, against the engine's ``_SupportForm.zero_bound``.
+
 ``dense_smith_normal_form`` is the Smith normal form as every step of it
 was once made in full: each pivot search scans the whole remaining
 matrix and each row and column operation touches every row.
@@ -333,6 +337,27 @@ def leaf_schur_complement(graph) -> tuple[Fraction, list[list[Fraction]]]:
         return d0 * (b(x, y) - through)
 
     return d0, [[q(x, y) for y in leaves] for x in leaves]
+
+
+def zero_bound_from_definition(graph) -> int:
+    """B* = ceil((N*^2 + E) / b), N* = b m + max |V_x| + 2 m b P, of a tree
+    with one node h of degree m + 2, for B = |det M| * (-M^-1) from the
+    dense rational inverse: b = D_0 = B_hh and E = trace Q, the one M_0 of
+    every leaf assignment, from ``leaf_schur_complement``; V_x = -sum_j
+    B_hj x_j over the leaves j, largest in size at x_j = sign of B_hj; and
+    P the order of h's column of U modulo the invariant factors of the
+    dense Smith form U M V = D, which is the period of the class along y_h."""
+    m = graph.linking_matrix()
+    scale = -abs(m.determinant())
+    inv = m.inverse()
+    degrees = graph.degree_vector()
+    (node,) = [v for v, d in enumerate(degrees) if d >= 3]
+    b, q = leaf_schur_complement(graph)
+    v_max = sum(abs(scale * inv.entry(node, v)) for v, d in enumerate(degrees) if d == 1)
+    u, d, _ = dense_smith_normal_form(graph.linking_rows())
+    period = math.lcm(*(row[j] // math.gcd(row[j], u[j][node]) for j, row in enumerate(d)))
+    n_star = b * (degrees[node] - 2) + v_max + 2 * (degrees[node] - 2) * b * period
+    return math.ceil((n_star * n_star + sum(q[i][i] for i in range(len(q)))) / b)
 
 
 def dense_smith_normal_form(rows) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:

@@ -338,9 +338,18 @@ class TestArgumentDispatch:
         if argv == ["--version"]:
             assert (code, out, err) == (0, f"zhat {__version__}\n", "")
         elif argv == ["-h"]:
-            assert code == 0 and out.startswith(usage) and "graph FILE" in out and err == ""
+            assert code == 0 and out.startswith(usage) and err == ""
+            # the module docstring lists every command
+            for command in ("brieskorn", "graph", "delta", "table", "check", "report"):
+                assert f"* ``{command}" in out
         else:
             assert code == 2 and out == "" and err.startswith(usage + "zhat: error: ")
+
+    def test_delta_declares_the_class_options_of_graph(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        helps = {command: exit_outcome(capsys, main, [command, "-h"]) for command in ("graph", "delta")}
+        for text in ("spin-c class index (default 0)", "every spin-c class", "accept weakly negative definite input"):
+            assert all(code == 0 and text in out and err == "" for code, out, err in helps.values())
 
     def test_top_level_parser_is_not_asked_for_a_command(self, tmp_path, capsys, monkeypatch):
         parser = build_parser()

@@ -23,6 +23,7 @@ from oracles import (
     leaf_schur_complement,
     per_vector_terms,
     run_vectors,
+    zero_bound_from_definition,
 )
 from zhat.brieskorn import brieskorn_data, build_plumbing, zhat0_brieskorn
 from zhat.engine import (
@@ -833,6 +834,22 @@ class TestZeroCertificate:
         assume(not g.elimination().is_negative_definite)
         self.check(g, order, allow_weakly=True)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            one_node_trees(st.integers(-8, -1), st.integers(-3, -1)),
+            one_node_trees(st.integers(-6, -1), st.sampled_from([-2, -1, 1, 2])),
+        )
+    )
+    @example(ESCALATION_STAR)
+    def test_zero_bound_from_its_definition(self, g):
+        assume(g.elimination().det != 0)
+        try:
+            form = _GraphSetup(g, allow_weakly=True).form
+        except NotNegativeDefinite:
+            assume(False)
+        assert form.zero_bound() == zero_bound_from_definition(g)
+
 
 class TestOneNodeSchedule:
     """One node: the first walk reaches the least S over every support
@@ -891,7 +908,7 @@ class TestOneNodeSchedule:
 
 class TestIntegerBookkeeping:
     """``series`` keeps its bounds in integers and each class as an integer
-    record; Fractions are made only at the API edge (``fields``)."""
+    record; Fractions are made only at the API edge (``result``)."""
 
     @staticmethod
     def fraction_schedule(g, order, results):

@@ -1,6 +1,7 @@
 """CLI outputs byte for byte against the recording in tests/data/golden,
 and the per-class output of ``graph --all`` / ``delta --all``, JSON and
-text, against the classes' records from ``compute_zhat_all``.
+text, against the classes' records from ``compute_zhat_all``, and the
+one-class output of ``--spinc`` against ``compute_zhat``.
 
 ``tests/golden.py`` holds the cases and runs the same checks without
 pytest; see its docstring for re-recording.
@@ -29,6 +30,12 @@ class TestPerClassWriter:
     def test_extra_graphs(self, tmp_path):
         # every zero rule, "raise order" included, and thousands of classes
         cases = golden.extra_cases(tmp_path)
+        assert [bad for case in cases for bad in [golden.streamed_mismatch(*case)] if bad] == []
+
+    def test_one_class_matches_compute_zhat(self):
+        # graph and delta --spinc i read the one-class table compute_zhat reads
+        cases = golden.spinc_cases()
+        assert len(cases) == 2 * 205
         assert [bad for case in cases for bad in [golden.streamed_mismatch(*case)] if bad] == []
 
     def test_one_write_per_class(self):
