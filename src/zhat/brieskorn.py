@@ -86,7 +86,7 @@ class BrieskornData(Record):
                 json_ints(obj["a"]),
                 json_value(obj["p"], int),
                 json_ints(obj["alphas"]),
-                tuple(json_ints(f) for f in json_value(obj["legFractions"], list, tuple)),
+                tuple([json_ints(f) for f in json_value(obj["legFractions"], list, tuple)]),
                 json_ints(obj["h"]),
                 json_fraction(obj["xi"]),
                 json_fraction(obj["delta0"]),
@@ -162,7 +162,7 @@ def alphas(b1: int, b2: int, b3: int) -> tuple[int, int, int, int]:
 
 
 def _leg_fractions(b: tuple[int, int, int], a: tuple[int, int, int]):
-    return tuple(tuple(hj_continued_fraction(bi, ai)) for bi, ai in zip(b, a))
+    return tuple([tuple(hj_continued_fraction(bi, ai)) for bi, ai in zip(b, a)])
 
 
 def build_plumbing_from_legs(seifert_b: int, leg_fractions) -> PlumbingGraph:
@@ -189,7 +189,7 @@ def leg_determinants(g: PlumbingGraph, leg_fractions) -> tuple[int, int, int]:
     (:meth:`~zhat.plumbing.PlumbingGraph.support_adjugate`)."""
     terminals = list(itertools.accumulate(len(f) for f in leg_fractions))  # the center is vertex 0
     _, block = g.support_adjugate()  # each terminal is a leaf, so in the support
-    return tuple(abs(block[t][t]) for t in terminals)
+    return tuple([abs(block[t][t]) for t in terminals])
 
 
 def _exclude_2_3_5(b1: int, b2: int, b3: int) -> None:
@@ -250,7 +250,7 @@ def false_theta(p: int, a: int, order) -> QSeries:
     order = _checked_order(order)
     top = math.isqrt(4 * p * order.numerator // order.denominator)  # n^2 <= 4p * order iff n <= top
     terms = sorted((n, c) for r, c in _residues(p, ((a, 1), (-a, -1))) for n in range(r, top + 1, 2 * p))
-    return QSeries(tuple((Fraction(n * n, 4 * p), c) for n, c in terms), order)
+    return QSeries(tuple([(Fraction(n * n, 4 * p), c) for n, c in terms]), order)
 
 
 def _tail_terms(p: int, al: Sequence[int]) -> Iterator[tuple[int, int]]:

@@ -133,7 +133,7 @@ class ComparisonRow(Record):
 
 def _row(triple: tuple[int, int, int], prefix_terms: int, d_value: int | None) -> ComparisonRow:
     data = brieskorn_data(*triple)
-    terms = tuple(islice(_tail_terms(data.p, data.alphas), prefix_terms))  # one pass of the kernel
+    terms = tuple(list(islice(_tail_terms(data.p, data.alphas), prefix_terms)))  # one pass of the kernel
     prefix = QSeries(terms, Fraction(terms[-1][0]))  # cut at the last term's exponent
     if d_value is not None:
         check = check_mod1_relation(data.delta0, d_value)

@@ -85,10 +85,13 @@ it in full and ``compute_zhat`` reads the one entry of a one-class
 table, each result made from its record or note by one conversion
 (``_GraphSetup.result``); the CLI writes each class with terms or a note
 of its own by itself and maps one %-template over the rows between
-them.  On L(100000,1), where 99,997 of the 100,000 classes are zero,
-``zhat graph --all --format json`` takes about 0.2 s and peaks at about
-17 MB RSS on Python 3.11 (x86-64 Linux), 1 MB above importing
-``zhat.cli`` alone.
+them.  Nothing on this path refers to itself (the walk goes level by
+level, with no recursive closure, and a zero class's EmptySeries is
+raised straight from the expression that makes it), so a call leaves
+nothing for the cyclic garbage collector.  On L(100000,1), where 99,997
+of the 100,000 classes are zero, ``zhat graph --all --format json``
+takes about 0.2 s and peaks at about 17 MB RSS on Python 3.11 (x86-64
+Linux), 1 MB above importing ``zhat.cli`` alone.
 """
 
 from __future__ import annotations
@@ -352,12 +355,13 @@ class _SupportForm:
         the other half of the support is -l, of the same S.  Every run
         carries its class and that of -l.  When the last column of U steps
         no digit (period 1, always so for a homology sphere) a stretch of
-        y_(k-1) is one run of step 2, its class read once per last-level
-        call.  Else the class at y_(k-1) repeats with period P, and a
-        stretch becomes one progression of step 2P per class it meets, at
-        most min(P, length) of them; when ``want`` holds fewer classes than
-        that, one progression per wanted class the stretch meets, its
-        first value found by solving one congruence (``ctx.solve``).
+        y_(k-1) is one run of step 2, its class read once per point of
+        the last level.  Else the class at y_(k-1) repeats with period P,
+        and a stretch becomes one progression of step 2P per class it
+        meets, at most min(P, length) of them; when ``want`` holds fewer
+        classes than that, one progression per wanted class the stretch
+        meets, its first value found by solving one congruence
+        (``ctx.solve``).
         Without degree >= 3 vertices each assignment is one run of the
         single value 0, with D = 1, centre 0 and M = S, whatever the bound
         (above ``lower``, if given); a lone vertex lists all its values,
@@ -374,34 +378,41 @@ class _SupportForm:
                     runs.append((idx, conjugate(idx) if self.halved else None, a, (), 0, 0, 1, s, 1, 0))
             return runs
         digits, solve, period = self.ctx.digits, self.ctx.solve, self.period
-        ys = [0] * k
-        last = k - 1
-
-        def level(p: int, m: int, res: list[int], v0: list[int], a: int) -> None:
-            det_p, det_next, row, parity, cols = levels[p]
-            center = v0[p] + sum(map(mul, row, ys))
-            lo, hi = _range_under_square(det_p, -center, det_next * (det_p * bound - m))
-            if p < last:
-                for first, end in _parity_runs(parity, lo, hi):
+        # Level by level: each point (assignment, M, residues, V^0, y_0 ..
+        # y_(p-1)) of a level before the last becomes, in order, its points
+        # on the next, so the last level meets them in the order of a
+        # depth-first walk.  No nested function refers to itself, so a walk
+        # leaves no reference cycle.
+        *inner, (det_p, det_next, row, parity, cols) = levels
+        heads = [(a, m0, res, v0, ()) for a, (_, m0, v0, res) in enumerate(assignments)]
+        for p, (det_q, det_r, row_q, parity_q, cols_q) in enumerate(inner):
+            deeper = []
+            for a, m, res, v0, head in heads:
+                center = v0[p] + sum(map(mul, row_q, head))
+                lo, hi = _range_under_square(det_q, -center, det_r * (det_q * bound - m))
+                for first, end in _parity_runs(parity_q, lo, hi):
                     for v in range(first, end + 1, 2):
-                        ys[p] = v
-                        z = det_p * v - center
-                        level(p + 1, (det_next * m + z * z) // det_p, [r + c * v for r, c in zip(res, cols)], v0, a)
-                return
+                        z = det_q * v - center
+                        residues = [r + c * v for r, c in zip(res, cols_q)]
+                        deeper.append((a, (det_r * m + z * z) // det_q, residues, v0, head + (v,)))
+            heads = deeper
+        last = k - 1
+        for a, m, res, v0, head in heads:
+            center = v0[last] + sum(map(mul, row, head))
+            lo, hi = _range_under_square(det_p, -center, det_next * (det_p * bound - m))
             if period == 1:
                 # every v here has the parity of the window, so one class, and -l one
                 fixed = mirror = 0
                 if res:
                     fixed = index([(r + c * parity) // 2 for r, c in zip(res, cols)])
                     if wanted is not None and fixed not in wanted:
-                        return
+                        continue
                     mirror = conjugate(fixed)
             spans = [(lo, hi)]
             if lower is not None:
                 inner_lo, inner_hi = _range_under_square(det_p, -center, det_p * lower - m)
                 if inner_lo <= inner_hi:
                     spans = [(lo, inner_lo - 1), (inner_hi + 1, hi)]
-            head = tuple(ys[:last])
             for span_lo, span_hi in spans:
                 for first, end in _parity_runs(parity, span_lo, span_hi):
                     if period == 1:
@@ -420,9 +431,6 @@ class _SupportForm:
                         idx = index([(r + c * y) // 2 for r, c in zip(res, cols)])
                         if wanted is None or idx in wanted:
                             runs.append((idx, conjugate(idx), a, head, y, end, 2 * period, m, det_p, center))
-
-        for a, (_, m0, v0, res) in enumerate(assignments):
-            level(0, m0, res, v0, a)
         return runs
 
     def zero_bound(self) -> int:
@@ -533,6 +541,11 @@ class _SpinCContext:
     Smith form.
     """
 
+    # The empty group (no factor d_j > 1) has the one class 0, whose digits
+    # are none: it builds no place values, offsets or digit table.
+    strides = offsets = ()
+    digits = ((),)
+
     def __init__(self, m: Sequence[Sequence[int]] | None, delta_vec: Sequence[int]):
         self.delta = _integers(delta_vec, "Spin^c offset")
         self.u_int, self.d, self.uinv = [], [], [[] for _ in self.delta]
@@ -550,11 +563,12 @@ class _SpinCContext:
             m_nonzero = [[(k, x) for k, x in enumerate(row) if x] for row in m]
             self.uinv = [[sum(x * v[k][j] for k, x in row) // factors[j] for j in keep] for row in m_nonzero]
         self.count = prod(self.d)
-        # the place value of each digit, and U delta, from which -l's digits mirror l's
-        self.strides = [prod(self.d[:j]) for j in range(len(self.d))]
-        self.offsets = [sum(map(mul, row, self.delta)) for row in self.u_int]
-        radix = list(zip(self.d, self.strides))
-        self.digits = _Memo(lambda idx: [idx // stride % d for d, stride in radix])
+        if self.d:
+            # the place value of each digit, and U delta, from which -l's digits mirror l's
+            self.strides = [prod(self.d[:j]) for j in range(len(self.d))]
+            self.offsets = [sum(map(mul, row, self.delta)) for row in self.u_int]
+            radix = list(zip(self.d, self.strides))
+            self.digits = _Memo(lambda idx: [idx // stride % d for d, stride in radix])
 
     def index(self, digits: Sequence[int]) -> int:
         """The class whose digits are ``digits`` mod d_j."""
@@ -607,7 +621,7 @@ class _SpinCContext:
         if not self.d:
             return self.delta
         y = self.digits[idx]
-        return tuple(dv + 2 * sum(map(mul, row, y)) for dv, row in zip(self.delta, self.uinv))
+        return tuple([dv + 2 * sum(map(mul, row, y)) for dv, row in zip(self.delta, self.uinv)])
 
     def blocks(self) -> Iterator[Iterator[tuple[int, ...]]]:
         """Every class as the row (i, *vector_of_index(i)), in order, one
@@ -627,10 +641,10 @@ class _SpinCContext:
             for j, (dj, col) in enumerate(digits):
                 if y[j] + 1 < dj:
                     y[j] += 1
-                    vector = tuple(map(add, vector, col))
+                    vector = tuple(list(map(add, vector, col)))
                     break
                 y[j] = 0
-                vector = tuple(a - (dj - 1) * b for a, b in zip(vector, col))
+                vector = tuple([a - (dj - 1) * b for a, b in zip(vector, col)])
 
     def representatives(self) -> list[SpinCRep]:
         """``SpinCRep(vector_of_index(i), i)`` for every i in order."""
@@ -917,10 +931,12 @@ def compute_zhat(
         raise TypeError(f"a Spin^c class is a SpinCRep, an index or a vector, not the {type(spinc).__name__} {spinc!r}")
     setup, (rows, results, default) = _class_stream(graph, order, allow_weakly, spinc)
     row = next(rows)
-    res = setup.result(SpinCRep(row[1:], row[0]), results[row[0]], order)
-    if isinstance(res, EmptySeries):
-        raise res
-    return res
+    rep, res = SpinCRep(row[1:], row[0]), results[row[0]]
+    if isinstance(res, str):
+        # raised from the expression: an EmptySeries bound to a local of this
+        # frame would hold the frame through its traceback, a reference cycle
+        raise setup.result(rep, res, order)
+    return setup.result(rep, res, order)
 
 
 def _class_stream(

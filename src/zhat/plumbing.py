@@ -9,7 +9,7 @@ format uses 1-based indices:
     next s-1 lines: one edge per line, two 1-based vertex indices
 
 Lines starting with ``#`` are comments; encoding is UTF-8 with LF
-newlines.
+newlines, and one leading byte-order mark (U+FEFF) is dropped.
 
 Weights and edge endpoints are integers (read through
 ``operator.index``).  Construction is the one traversal of a tree: rooted
@@ -34,9 +34,13 @@ _set = object.__setattr__
 
 def _integers(values: Sequence, what: str) -> tuple[int, ...]:
     """``values`` read through ``operator.index``: a float, a Fraction or a
-    string raises TypeError naming the entry, instead of being truncated."""
+    string raises TypeError naming the entry, instead of being truncated.
+    The tuple is made from a list, at its exact size, as is every
+    graph-sized tuple that the entry points build: one grown from an
+    iterator and cut to size goes, when freed, to CPython's free list of
+    another size than the one it came from."""
     try:
-        return tuple(map(index, values))
+        return tuple(list(map(index, values)))
     except TypeError:
         for x in values:
             if not hasattr(type(x), "__index__"):
@@ -129,7 +133,7 @@ class PlumbingGraph(Record):
         return len(self.weights)
 
     def degree_vector(self) -> tuple[int, ...]:
-        return tuple(map(len, self._nbrs))
+        return tuple([len(n) for n in self._nbrs])
 
     def _rooted(self, nbrs) -> tuple[list[int], list[int]]:
         """Breadth-first order from vertex 0, and the parents (-1 for the root and the vertices not reached)."""
@@ -241,12 +245,12 @@ class PlumbingGraph(Record):
         return ExactMatrix(self.linking_rows())
 
     def high_degree_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v, n in enumerate(self._nbrs) if len(n) >= 3)
+        return tuple([v for v, n in enumerate(self._nbrs) if len(n) >= 3])
 
 
 def parse_plumb(text: str) -> PlumbingGraph:
     """Parse the PLUMB v1 format."""
-    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln.strip() for ln in text.removeprefix("\ufeff").splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise FormatError("empty input")
@@ -259,7 +263,7 @@ def parse_plumb(text: str) -> PlumbingGraph:
     if len(lines) < 2:
         raise FormatError("missing weights line")
     try:
-        weights = tuple(int(tok) for tok in lines[1].split())
+        weights = tuple([int(tok) for tok in lines[1].split()])
     except ValueError as exc:
         raise FormatError(f"bad weight in {lines[1]!r}") from exc
     if len(weights) != s:

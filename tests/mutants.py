@@ -190,7 +190,7 @@ MUTANTS = {
     # a period-1 run handed out whatever its class, wanted or not
     "dropped_want_filter_on_a_period_one_run": (
         "engine.py",
-        "                    if wanted is not None and fixed not in wanted:\n                        return\n",
+        "                    if wanted is not None and fixed not in wanted:\n                        continue\n",
         "",
         ["tests/test_engine.py::TestIntegerWalk::test_restricted_walk_is_the_filtered_walk"],
     ),
@@ -262,6 +262,37 @@ MUTANTS = {
         "            return EmptySeries(res, rep)\n",
         "            return EmptySeries(_NEVER_MET, rep)\n",
         ["tests/test_engine.py::TestAllClasses::test_escalation_pair"],
+    ),
+    # the walk's closure refers to itself again, as its recursive level did:
+    # the function, its own cell and the runs list are garbage for the
+    # cyclic collector after every walk
+    "walk_closure_refers_to_itself": (
+        "engine.py",
+        "        runs = []\n        k = len(levels)\n",
+        "        runs = []\n        k = len(levels)\n\n        def level():\n            return level, runs\n\n",
+        [
+            "tests/test_garbage.py::TestNoGarbage::test_no_cycles_and_no_drift[compute_zhat_of_spheres]",
+            "tests/test_garbage.py::TestNoGarbage::test_no_cycles_and_no_drift[graph_all_json]",
+        ],
+    ),
+    # an EmptySeries bound to a local of the frame that raises it: the frame
+    # holds the exception, whose traceback holds the frame
+    "empty_series_raised_from_a_local": (
+        "engine.py",
+        "        raise setup.result(rep, res, order)\n",
+        "        res = setup.result(rep, res, order)\n        raise res\n",
+        ["tests/test_garbage.py::TestNoGarbage::test_no_cycles_and_no_drift[compute_zhat_of_a_zero_class]"],
+    ),
+    # a graph's integers read into a tuple grown from an iterator and cut to
+    # size, which goes to the free list of another size than it came from
+    "integers_resized_from_an_iterator": (
+        "plumbing.py",
+        "        return tuple(list(map(index, values)))\n",
+        "        return tuple(map(index, values))\n",
+        [
+            "tests/test_garbage.py::TestNoGarbage::test_no_cycles_and_no_drift[parse_plumb]",
+            "tests/test_garbage.py::TestNoGarbage::test_no_cycles_and_no_drift[brieskorn_data]",
+        ],
     ),
     # a command's parser handed the whole argv, the command's name included
     "whole_argv_to_the_command": (

@@ -165,6 +165,19 @@ class TestGraphCommand:
         assert err.startswith("error: ") and "not UTF-8" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["graph", "delta"])
+    def test_utf8_byte_order_mark(self, tmp_path, capsys, command):
+        plain, marked = tmp_path / "plain.plumb", tmp_path / "marked.plumb"
+        plain.write_text(SIGMA_2_9_11, encoding="utf-8")
+        marked.write_text(SIGMA_2_9_11, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        outputs = []
+        for f in (plain, marked):
+            code, out = run(capsys, command, str(f), "--format", "json")
+            assert code == 0
+            outputs.append(json.loads(out)["results"])
+        assert outputs[0] == outputs[1]
+
     def test_weakly_flag(self, tmp_path, capsys):
         f = tmp_path / "chain.plumb"
         f.write_text("2\n0 -1\n1 2\n")

@@ -1425,7 +1425,7 @@ class TestHomologySphereContext:
         ctx, dense = _SpinCContext(None, degrees), _SpinCContext(rows, degrees)
         # the empty group, field for field: the Smith path keeps no unit factor
         fields = [(c.d, c.u_int, c.uinv, c.count, c.strides, c.offsets) for c in (ctx, dense)]
-        assert fields == [([], [], [[]] * g.vertex_count, 1, [], [])] * 2
+        assert fields == [([], [], [[]] * g.vertex_count, 1, (), ())] * 2
         assert ctx.vector_of_index(0) == dense.vector_of_index(0) == tuple(degrees)
         rng = random.Random(g.vertex_count)
         for _ in range(10):
@@ -1444,6 +1444,17 @@ class TestHomologySphereContext:
                     c.vector_of_index(idx)
                 messages.append(str(exc.value))
             assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("g", HOMOLOGY_SPHERES, ids=lambda g: f"s{g.vertex_count}")
+    def test_class_zero_without_digit_tables(self, g):
+        ctx = _GraphSetup(g, allow_weakly=False).ctx
+        # the one class has no digits: no place values, offsets or digit table are built
+        assert not {"strides", "offsets", "digits"} & vars(ctx).keys()
+        assert list(ctx.digits[0]) == []
+        assert ctx.index(ctx.digits[0]) == ctx.conjugate(0) == 0
+        rep = SpinCRep(tuple(g.degree_vector()), 0)
+        assert ctx.vector_of_index(0) == rep.vector
+        assert ctx.canonical(0) == ctx.canonical(rep) == ctx.canonical(list(rep.vector)) == rep
 
     @pytest.mark.parametrize("g", HOMOLOGY_SPHERES, ids=lambda g: f"s{g.vertex_count}")
     def test_setup_uses_the_context_without_smith_rows(self, g):

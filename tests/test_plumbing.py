@@ -38,6 +38,15 @@ class TestParse:
     def test_sigma_2_9_11(self, g_2_9_11):
         assert parse_plumb(SIGMA_2_9_11_FILE) == g_2_9_11
 
+    def test_one_leading_byte_order_mark_is_dropped(self, g_2_9_11):
+        assert parse_plumb("\ufeff" + SIGMA_2_9_11_FILE) == g_2_9_11
+        assert parse_plumb("\ufeff# a comment first\n1\n-1\n") == parse_plumb("1\n-1\n")
+        # only one, and only at the very start
+        with pytest.raises(FormatError, match="bad vertex count"):
+            parse_plumb("\ufeff\ufeff" + SIGMA_2_9_11_FILE)
+        with pytest.raises(FormatError, match="bad weight"):
+            parse_plumb("2\n\ufeff-1 -2\n1 2\n")
+
     def test_two_vertices_no_edge(self):
         with pytest.raises(NotATree):
             parse_plumb("2\n-1 -2\n")
