@@ -34,7 +34,7 @@ from .compare import counterexample_report, generate_table, rows_to_csv, sharpne
 from .engine import _class_stream
 from .engine import compute_zhat, spin_c_representatives  # noqa: F401  (bench/tracing.py wraps them here)
 from .errors import SingularMatrix, ZhatError
-from .plumbing import parse_plumb
+from .plumbing import _content_lines, parse_plumb
 
 DEFAULT_ORDER = 200
 
@@ -197,7 +197,7 @@ def _cmd_brieskorn(args, out) -> int:
 
 
 def _read_text(path: str) -> str:
-    """An input file, which must be UTF-8."""
+    """An input file, which must be UTF-8; a byte-order mark is kept."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
@@ -265,10 +265,7 @@ def _cmd_delta(args, out) -> int:
 
 def _read_triples(path: str) -> list[tuple[int, int, int]]:
     triples = []
-    for line in _read_text(path).splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in _content_lines(_read_text(path)):
         parts = line.split()
         if len(parts) != 3:
             raise ZhatError(f"bad triple line {line!r}")

@@ -3,9 +3,9 @@
 The leading exponent delta_0 of a negative definite plumbed integral
 homology sphere always lies in 1/2 + Z, and relates to the Heegaard
 Floer correction term d by delta = 1/2 - d (mod 1).  This module checks
-those relations, rebuilds the reference tables for three Brieskorn
-families from scratch, and assembles the report showing that delta_0
-separates manifolds that are homology cobordant to the 3-sphere (so it
+those relations, each by ``mod1_offset`` (d = 0 for a homology sphere),
+rebuilds the reference tables for three Brieskorn families from scratch,
+and assembles the report showing that delta_0 separates manifolds that are homology cobordant to the 3-sphere (so it
 is not a homology cobordism invariant, while its value mod 1 is).
 
 Correction terms outside the closed-form surgery family are not
@@ -79,19 +79,19 @@ def d_correction_family(p: int) -> int:
     return -half * (half + 1)
 
 
-def check_mod1_relation(delta: Fraction, d) -> bool:
-    """True iff delta = 1/2 - d (mod 1)."""
-    return (Fraction(delta) - (Fraction(1, 2) - Fraction(d))).denominator == 1
-
-
 def mod1_offset(delta: Fraction, d) -> Fraction:
     """The exact difference delta - (1/2 - d); integral iff the relation holds."""
     return Fraction(delta) - (Fraction(1, 2) - Fraction(d))
 
 
+def check_mod1_relation(delta: Fraction, d) -> bool:
+    """True iff delta = 1/2 - d (mod 1)."""
+    return mod1_offset(delta, d).denominator == 1
+
+
 def homology_sphere_delta_check(delta: Fraction) -> bool:
-    """True iff delta = 1/2 (mod 1)."""
-    return (Fraction(delta) - Fraction(1, 2)).denominator == 1
+    """True iff delta = 1/2 (mod 1): the relation with d = 0."""
+    return check_mod1_relation(delta, 0)
 
 
 class ComparisonRow(Record):
@@ -135,11 +135,7 @@ def _row(triple: tuple[int, int, int], prefix_terms: int, d_value: int | None) -
     data = brieskorn_data(*triple)
     terms = tuple(list(islice(_tail_terms(data.p, data.alphas), prefix_terms)))  # one pass of the kernel
     prefix = QSeries(terms, Fraction(terms[-1][0]))  # cut at the last term's exponent
-    if d_value is not None:
-        check = check_mod1_relation(data.delta0, d_value)
-    else:
-        check = homology_sphere_delta_check(data.delta0)
-    return ComparisonRow(triple, data.delta0, d_value, prefix, check)
+    return ComparisonRow(triple, data.delta0, d_value, prefix, check_mod1_relation(data.delta0, d_value or 0))
 
 
 def generate_table(table_id: str, pmax: int = 6, triples: Sequence[tuple[int, int, int]] | None = None) -> list[ComparisonRow]:

@@ -536,39 +536,40 @@ class _SpinCContext:
     -x_j - (U delta)_j (``conjugate``, offsets U delta); ``solve`` counts
     the steps of a column that move the digits by a given amount.  So the
     d_0 classes of each value of the higher digits are consecutive and their
-    representatives step by one column of 2U^-1 (``blocks``).  ``m`` None
-    stands for |det m| = 1: the empty group (r = 0, one class, delta), no
-    Smith form.
+    representatives step by one column of 2U^-1 (``blocks``).  The class
+    constants are the empty group (r = 0, one class with no digits), which
+    ``m`` None stands for (|det m| = 1, no Smith form): the Smith path sets
+    fields beyond ``delta`` only when it keeps a factor d_j > 1.
     """
 
-    # The empty group (no factor d_j > 1) has the one class 0, whose digits
-    # are none: it builds no place values, offsets or digit table.
-    strides = offsets = ()
+    u_int = d = uinv = strides = offsets = ()
+    count = 1
     digits = ((),)
 
     def __init__(self, m: Sequence[Sequence[int]] | None, delta_vec: Sequence[int]):
-        self.delta = _integers(delta_vec, "Spin^c offset")
-        self.u_int, self.d, self.uinv = [], [], [[] for _ in self.delta]
-        if m is not None:
-            if len(m) != len(self.delta):
-                raise ValueError(f"Spin^c offset has length {len(self.delta)}, the matrix has size {len(m)}")
-            u, dmat, v = smith_normal_form(m)
-            factors = [row[j] for j, row in enumerate(dmat)]
-            if 0 in factors:
-                raise SingularMatrix("Spin^c classes need an invertible linking matrix")
-            keep = [j for j, dj in enumerate(factors) if dj > 1]
-            self.u_int, self.d = [u[j] for j in keep], [factors[j] for j in keep]
-            # U m V = D gives U^-1 = m V D^-1: column j of m V divides exactly
-            # by d_j.  Only the nonzero entries of m are touched (3s - 2 for a tree).
-            m_nonzero = [[(k, x) for k, x in enumerate(row) if x] for row in m]
-            self.uinv = [[sum(x * v[k][j] for k, x in row) // factors[j] for j in keep] for row in m_nonzero]
+        self.delta = tuple(_integers(delta_vec, "Spin^c offset"))
+        if m is None:
+            return
+        if len(m) != len(self.delta):
+            raise ValueError(f"Spin^c offset has length {len(self.delta)}, the matrix has size {len(m)}")
+        u, dmat, v = smith_normal_form(m)
+        factors = [row[j] for j, row in enumerate(dmat)]
+        if 0 in factors:
+            raise SingularMatrix("Spin^c classes need an invertible linking matrix")
+        keep = [j for j, dj in enumerate(factors) if dj > 1]
+        if not keep:
+            return
+        self.u_int, self.d = [u[j] for j in keep], [factors[j] for j in keep]
+        # U m V = D gives U^-1 = m V D^-1: column j of m V divides exactly
+        # by d_j.  Only the nonzero entries of m are touched (3s - 2 for a tree).
+        m_nonzero = [[(k, x) for k, x in enumerate(row) if x] for row in m]
+        self.uinv = [[sum(x * v[k][j] for k, x in row) // factors[j] for j in keep] for row in m_nonzero]
         self.count = prod(self.d)
-        if self.d:
-            # the place value of each digit, and U delta, from which -l's digits mirror l's
-            self.strides = [prod(self.d[:j]) for j in range(len(self.d))]
-            self.offsets = [sum(map(mul, row, self.delta)) for row in self.u_int]
-            radix = list(zip(self.d, self.strides))
-            self.digits = _Memo(lambda idx: [idx // stride % d for d, stride in radix])
+        # the place value of each digit, and U delta, from which -l's digits mirror l's
+        self.strides = [prod(self.d[:j]) for j in range(len(self.d))]
+        self.offsets = [sum(map(mul, row, self.delta)) for row in self.u_int]
+        radix = list(zip(self.d, self.strides))
+        self.digits = _Memo(lambda idx: [idx // stride % d for d, stride in radix])
 
     def index(self, digits: Sequence[int]) -> int:
         """The class whose digits are ``digits`` mod d_j."""

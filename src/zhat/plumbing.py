@@ -8,8 +8,9 @@ format uses 1-based indices:
     line 2:        s space-separated integer weights
     next s-1 lines: one edge per line, two 1-based vertex indices
 
-Lines starting with ``#`` are comments; encoding is UTF-8 with LF
-newlines, and one leading byte-order mark (U+FEFF) is dropped.
+Every text input (PLUMB, the CLI's triples) is UTF-8 with LF newlines,
+read by ``_content_lines``: one leading byte-order mark (U+FEFF) is
+dropped, and blank lines and ``#`` comment lines are skipped.
 
 Weights and edge endpoints are integers (read through
 ``operator.index``).  Construction is the one traversal of a tree: rooted
@@ -32,15 +33,13 @@ from .exact import ExactMatrix
 _set = object.__setattr__
 
 
-def _integers(values: Sequence, what: str) -> tuple[int, ...]:
-    """``values`` read through ``operator.index``: a float, a Fraction or a
-    string raises TypeError naming the entry, instead of being truncated.
-    The tuple is made from a list, at its exact size, as is every
-    graph-sized tuple that the entry points build: one grown from an
-    iterator and cut to size goes, when freed, to CPython's free list of
-    another size than the one it came from."""
+def _integers(values: Sequence, what: str) -> list[int]:
+    """``values`` read through ``operator.index`` into a list (a float, a
+    Fraction or a string raises TypeError naming the entry): a tuple made
+    from it has its exact size, and edge endpoints, only iterated, make no
+    tuple (CPython 3.11 frees a 20-item one to a free list never reused)."""
     try:
-        return tuple(list(map(index, values)))
+        return list(map(index, values))
     except TypeError:
         for x in values:
             if not hasattr(type(x), "__index__"):
@@ -101,7 +100,7 @@ class PlumbingGraph(Record):
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, weights, edges):
-        weights = _integers(weights, "weight")
+        weights = tuple(_integers(weights, "weight"))
         _set(self, "weights", weights)
         s = len(weights)
         if s == 0:
@@ -248,10 +247,16 @@ class PlumbingGraph(Record):
         return tuple([v for v, n in enumerate(self._nbrs) if len(n) >= 3])
 
 
+def _content_lines(text: str) -> list[str]:
+    """The stripped lines of a text input that are not blank or ``#``
+    comments, after one leading byte-order mark of the whole text."""
+    lines = [ln.strip() for ln in text.removeprefix("\ufeff").splitlines()]
+    return [ln for ln in lines if ln and not ln.startswith("#")]
+
+
 def parse_plumb(text: str) -> PlumbingGraph:
     """Parse the PLUMB v1 format."""
-    lines = [ln.strip() for ln in text.removeprefix("\ufeff").splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = _content_lines(text)
     if not lines:
         raise FormatError("empty input")
     try:

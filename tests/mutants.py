@@ -283,15 +283,43 @@ MUTANTS = {
         "        res = setup.result(rep, res, order)\n        raise res\n",
         ["tests/test_garbage.py::TestNoGarbage::test_no_cycles_and_no_drift[compute_zhat_of_a_zero_class]"],
     ),
-    # a graph's integers read into a tuple grown from an iterator and cut to
+    # a graph's weights stored as a tuple grown from an iterator and cut to
     # size, which goes to the free list of another size than it came from
     "integers_resized_from_an_iterator": (
         "plumbing.py",
-        "        return tuple(list(map(index, values)))\n",
-        "        return tuple(map(index, values))\n",
+        'tuple(_integers(weights, "weight"))',
+        "tuple(map(index, weights))",
         [
+            "tests/test_garbage.py::TestNoGarbage::test_no_cycles_and_no_drift[plumbing_graph_of_eleven_vertices]",
             "tests/test_garbage.py::TestNoGarbage::test_no_cycles_and_no_drift[parse_plumb]",
             "tests/test_garbage.py::TestNoGarbage::test_no_cycles_and_no_drift[brieskorn_data]",
+        ],
+    ),
+    # the one reader of input lines keeps a leading byte-order mark
+    "line_reader_keeps_the_mark": (
+        "plumbing.py",
+        'text.removeprefix("\\ufeff").splitlines()',
+        "text.splitlines()",
+        [
+            "tests/test_cli.py::TestGraphCommand::test_utf8_byte_order_mark[graph]",
+            "tests/test_cli.py::TestGraphCommand::test_utf8_byte_order_mark_on_a_triples_file[csv]",
+        ],
+    ),
+    # the mod-1 offset delta - (1/2 + d): right mod 1 for integral d, wrong as a number
+    "mod1_offset_adds_d": (
+        "compare.py",
+        "(Fraction(1, 2) - Fraction(d))",
+        "(Fraction(1, 2) + Fraction(d))",
+        ["tests/test_compare.py::TestMod1Relation::test_d_family_row"],
+    ),
+    # the empty Spin^c group with no class
+    "empty_group_without_a_class": (
+        "engine.py",
+        "    count = 1\n",
+        "    count = 0\n",
+        [
+            "tests/test_engine.py::TestHomologySphereContext::test_setup_uses_the_context_without_smith_rows[s4]",
+            "tests/test_engine.py::TestBlocks::test_lens_spaces[1]",
         ],
     ),
     # a command's parser handed the whole argv, the command's name included

@@ -21,6 +21,7 @@ S3_FILE = "1\n-1\n"
 L5_FILE = "1\n-5\n"
 DISCONNECTED = "2\n-1 -2\n"
 SIGMA_2_9_11 = "6\n-1 -2 -5 -2 -4 -3\n1 2\n1 3\n3 4\n1 5\n5 6\n"
+TRIPLES_FILE = "2 3 7\n# comment\n\n3 7 8\n"
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -177,6 +178,24 @@ class TestGraphCommand:
             assert code == 0
             outputs.append(json.loads(out)["results"])
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_utf8_byte_order_mark_on_a_triples_file(self, tmp_path, capsys, fmt):
+        # a batch triples file follows the PLUMB line rules: one leading mark is dropped
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(TRIPLES_FILE, encoding="utf-8")
+        marked.write_text(TRIPLES_FILE, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        outputs = [run(capsys, "table", "batch", str(f), "--format", fmt) for f in (plain, marked)]
+        assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+
+    def test_two_byte_order_marks_on_a_triples_file(self, tmp_path, capsys):
+        # only the one leading mark is dropped: a second stays in the first triple
+        f = tmp_path / "marked.txt"
+        f.write_text("\ufeff" + TRIPLES_FILE, encoding="utf-8-sig")
+        assert main(["table", "batch", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: bad triple line '\\ufeff2 3 7'\n")
 
     def test_weakly_flag(self, tmp_path, capsys):
         f = tmp_path / "chain.plumb"

@@ -36,6 +36,9 @@ class TestDCorrectionFamily:
 class TestMod1Relation:
     def test_d_family_row(self):
         assert check_mod1_relation(Fraction(1, 2), -2)
+        # the exact offset, not only its class mod 1: d enters with its sign
+        assert mod1_offset(Fraction(1, 2), -2) == -2
+        assert mod1_offset(Fraction(361, 2), -12) == 168
 
     def test_zhs_with_zero_d(self):
         assert check_mod1_relation(Fraction(9, 2), 0)

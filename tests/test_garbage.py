@@ -13,10 +13,11 @@ shows here as one more block per call, until that free list holds 2,000.
 
 On CPython 3.11 a tuple of exactly 20 items also goes to a free list
 that allocation never takes from, one block per such tuple until it
-holds 2,000, however the tuple was built.  That is the interpreter's, not
-the package's, so the inputs here make no 20-item tuple: the
-``hom-cob-family`` table, whose Sigma(2, 81, 83) has a leg of 20
-vertices, is checked for cycles only.
+holds 2,000, however the tuple was built.  So the package keeps what it
+only iterates in lists: an 11-vertex tree's 20 edge endpoints make no
+tuple.  A 20-item tuple that an input itself calls for is the
+interpreter's, so the ``hom-cob-family`` table, whose Sigma(2, 81, 83)
+has a leg of 20 vertices, is checked for cycles only.
 """
 
 import contextlib
@@ -41,6 +42,11 @@ ONE_NODE = PlumbingGraph((-3, -2, -2, -1), ((0, 1), (0, 2), (0, 3)))
 TWO_NODES = PlumbingGraph((-3, -3, -2, -2, -2, -2), ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5)))
 LENS = PlumbingGraph((-5,), ())
 SIGMA_2_9_11 = PlumbingGraph((-1, -2, -5, -2, -4, -3), ((0, 1), (0, 2), (2, 3), (0, 4), (4, 5)))
+# 10 edges: 20 endpoints
+ELEVEN = PlumbingGraph(
+    (-1, -2, -3, -2, -2, -5, -2, -2, -2, -7, -2),
+    ((0, 1), (1, 2), (0, 3), (3, 4), (4, 5), (0, 6), (6, 7), (7, 8), (8, 9), (9, 10)),
+)
 
 
 def spheres():
@@ -78,6 +84,7 @@ ENTRY_POINTS = {
     "delta_all_json": lambda files: cli("delta", files["lens"], "--all", "--format", "json"),
     "delta_spinc": lambda files: cli("delta", files["two_nodes"], "--spinc", "3", "--format", "json"),
     "parse_plumb": lambda files: lambda: parse_plumb(format_plumb(TWO_NODES)),
+    "plumbing_graph_of_eleven_vertices": lambda files: lambda: PlumbingGraph(ELEVEN.weights, ELEVEN.edges),
     "brieskorn_data": lambda files: lambda: brieskorn_data(2, 9, 11),
     "zhat0_brieskorn": lambda files: lambda: zhat0_brieskorn(2, 9, 11, 50),
     "generate_table_d_family": lambda files: lambda: generate_table("d-family"),

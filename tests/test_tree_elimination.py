@@ -133,8 +133,9 @@ def assert_uinv_is_dense_columns(ctx: _SpinCContext, m) -> None:
     u, dmat, _v = smith_normal_form(m)
     keep = [j for j, row in enumerate(dmat) if row[j] > 1]
     inverse = ExactMatrix(u).inverse()
-    assert ctx.d == [dmat[j][j] for j in keep] and ctx.u_int == [u[j] for j in keep]
-    assert ctx.uinv == [[inverse.entry(i, j) for j in keep] for i in range(len(u))]
+    assert list(ctx.d) == [dmat[j][j] for j in keep] and list(ctx.u_int) == [u[j] for j in keep]
+    # the empty group (no factor kept) has no columns at all
+    assert ctx.uinv == ([[inverse.entry(i, j) for j in keep] for i in range(len(u))] if keep else ())
 
 
 def check_representatives(ctx: _SpinCContext) -> None:
